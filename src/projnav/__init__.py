@@ -11,15 +11,15 @@ from .mesh import (SimplicialMesh, MeshError, build_from_arrays,
                    mesh_metrics, patch_stats, read_mesh_file, write_mesh_file)
 from .quadrature import QuadratureRule, triangle_rule
 from .sparse import (CsrMatrix, SolverReport, SolverError, cg_solve,
-                     bicgstab_solve, write_coordinate_file)
+                     bicgstab_solve)
 from .fem import (SpaceP1, SpaceP2Vector, FieldP1Scalar, FieldP2Vector,
                   CompositeVelocity, assemble_mass_p2, assemble_stiffness_p2,
                   assemble_convection, assemble_grad_coupling,
                   assemble_pressure_laplacian, assemble_load, eval_basis,
                   l2_inner, h1_seminorm, composite_moment, weak_div_moments,
                   div_moments)
-from .interp import (AnalyticVectorField, EBNormBundle, InterpError,
-                     lagrange_p2, edge_bubble, divergence_correct, pi_n,
+from .interp import (AnalyticVectorField, InterpError, lagrange_p2,
+                     edge_bubble, divergence_correct, pi_n,
                      pi_n_convergence_study)
 from .scheme import (SchemeConfig, SchemeState, StepDiagnostics, SchemeError,
                      SchemeOperators, initialize, predict, correct, step, run,

@@ -13,6 +13,8 @@ One degree-5 rule integrates every form of the time scheme exactly
 degree 5).
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .quadrature import gauss_legendre_01, triangle_rule
@@ -129,6 +131,10 @@ class SpaceP1:
         self.zero_mean = zero_mean
         self.ndof = mesh.n_vertices
 
+    @cached_property
+    def pattern(self):
+        return ElementPattern(self.mesh.cells, self.ndof)
+
     def mass_row_weights(self):
         """Integration weight of each nodal basis function, sum = |Omega|."""
         w = np.zeros(self.ndof)
@@ -161,6 +167,10 @@ class SpaceP2Vector:
         # local-to-global scalar dof map per cell, (nc, 6)
         self.gdof = np.hstack([mesh.cells, mesh.n_vertices + mesh.cell_edges])
 
+    @cached_property
+    def pattern(self):
+        return ElementPattern(self.gdof, self.n_scalar)
+
     def node_coordinates(self):
         return np.vstack([self.mesh.vertices, self.mesh.edge_midpoints()])
 
@@ -187,12 +197,6 @@ class FieldP2Vector:
     def flat(self):
         """Component-blocked vector [all x; all y]."""
         return np.concatenate([self.coeffs[:, 0], self.coeffs[:, 1]])
-
-    @classmethod
-    def from_flat(cls, space, vec):
-        vec = np.asarray(vec, dtype=float)
-        n = space.n_scalar
-        return cls(space, np.column_stack([vec[:n], vec[n:]]))
 
     def in_velocity_space(self, tol=0.0):
         """True if all non-interior dofs vanish (membership in H^1_0 x P2)."""
@@ -273,11 +277,44 @@ def composite_values_at(u, rule=DEFAULT_RULE):
 # ---------------------------------------------------------------------------
 # assembly
 
-def _scatter_square(gdof, elem, ndof):
-    nc, nl, _ = elem.shape
-    rows = np.repeat(gdof, nl, axis=1).ravel()
-    cols = np.tile(gdof, (1, nl)).ravel()
-    return CsrMatrix.from_coo(rows, cols, elem.reshape(-1), (ndof, ndof))
+class ElementPattern:
+    """CSR pattern of the square forms over one cell dof map, built once.
+
+    ``slot`` maps each entry of ``elem.ravel()`` to its place in
+    ``csr.data``, so an assembly is one ``bincount``; ``transpose`` is the
+    permutation of the stored entries that maps A.data to (A^T).data.
+    """
+
+    def __init__(self, dofmap, ndof):
+        nl = dofmap.shape[1]
+        # key row * ndof + col of every element entry, in elem.ravel() order
+        keys, first, slot = np.unique(
+            np.repeat(dofmap * ndof, nl, axis=1) + np.tile(dofmap, (1, nl)),
+            return_index=True, return_inverse=True)
+        # int32 halves the two largest arrays a space keeps
+        self.first = first.astype(np.int32)
+        self.slot = slot.reshape(-1).astype(np.int32)
+        indptr = np.searchsorted(keys, ndof * np.arange(ndof + 1))
+        self.csr = CsrMatrix(indptr, keys % ndof, np.zeros(len(keys)),
+                             (ndof, ndof))
+
+    @cached_property
+    def transpose(self):
+        a = self.csr
+        keys = a._rows * a.shape[0] + a.indices
+        return np.searchsorted(keys, a.indices * a.shape[0] + a._rows)
+
+    def assemble(self, elem):
+        """CSR matrix from (nc, nl, nl) element blocks."""
+        # each slot sums as its first entry + (the others in cell order),
+        # the grouping of CsrMatrix.from_coo, so both give the same floats
+        # (for up to 8 entries per slot, where reduceat sums in sequence)
+        vals = elem.reshape(-1).copy()
+        first = vals[self.first]
+        vals[self.first] = 0.0
+        return self.csr.with_data(
+            first + np.bincount(self.slot, weights=vals,
+                                minlength=self.csr.nnz))
 
 
 def assemble_mass_p2(space, rule=DEFAULT_RULE):
@@ -287,7 +324,7 @@ def assemble_mass_p2(space, rule=DEFAULT_RULE):
     mref = np.einsum("q,aq,bq->ab", t.weights, t.p2val, t.p2val)
     mref = 0.5 * (mref + mref.T)
     elem = mesh.cell_areas[:, None, None] * mref[None, :, :]
-    return _scatter_square(space.gdof, elem, space.n_scalar)
+    return space.pattern.assemble(elem)
 
 
 def assemble_stiffness_p2(space, rule=DEFAULT_RULE):
@@ -297,7 +334,7 @@ def assemble_stiffness_p2(space, rule=DEFAULT_RULE):
     elem = np.einsum("q,caqx,cbqx->cab", t.weights, t.p2grad, t.p2grad)
     elem = 0.5 * (elem + elem.transpose(0, 2, 1))
     elem *= mesh.cell_areas[:, None, None]
-    return _scatter_square(space.gdof, elem, space.n_scalar)
+    return space.pattern.assemble(elem)
 
 
 def _convection_oneside(space, wind, rule):
@@ -318,13 +355,9 @@ def assemble_convection(space, wind, rule=DEFAULT_RULE):
     C[i,j] = -C[j,i] holds bitwise and v^T C v vanishes to rounding for
     every v.
     """
-    elem = _convection_oneside(space, wind, rule)
-    b = _scatter_square(space.gdof, elem, space.n_scalar)
+    b = space.pattern.assemble(_convection_oneside(space, wind, rule))
     half = 0.5 * b.data
-    return CsrMatrix.from_coo(
-        np.concatenate([b._rows, b.indices]),
-        np.concatenate([b.indices, b._rows]),
-        np.concatenate([half, -half]), (space.n_scalar, space.n_scalar))
+    return b.with_data(half - half[space.pattern.transpose])
 
 
 def assemble_convection_unsplit(space, wind, divwind_rhs=True, rule=DEFAULT_RULE):
@@ -341,7 +374,7 @@ def assemble_convection_unsplit(space, wind, divwind_rhs=True, rule=DEFAULT_RULE
         divw = np.einsum("cax,caqx->cq", wind.coeffs[space.gdof], t.p2grad)
         elem2 = np.einsum("q,cq,bq,aq->cab", t.weights, divw, t.p2val, t.p2val)
         elem = elem + 0.5 * elem2 * mesh.cell_areas[:, None, None]
-    return _scatter_square(space.gdof, elem, space.n_scalar)
+    return space.pattern.assemble(elem)
 
 
 def assemble_grad_coupling(space2, space1, rule=DEFAULT_RULE):
@@ -375,7 +408,7 @@ def assemble_pressure_laplacian(space1, rule=DEFAULT_RULE):
     gl = _cell_geometry(mesh)
     elem = np.einsum("c,cix,cjx->cij", mesh.cell_areas, gl, gl)
     elem = 0.5 * (elem + elem.transpose(0, 2, 1))
-    return _scatter_square(mesh.cells, elem, space1.ndof)
+    return space1.pattern.assemble(elem)
 
 
 def assemble_load(space2, f, t_a, t_b, rule=DEFAULT_RULE, time_points=3):

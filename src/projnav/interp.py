@@ -21,7 +21,7 @@ from .mesh import mesh_metrics
 from .quadrature import triangle_rule
 
 __all__ = [
-    "AnalyticVectorField", "EBNormBundle", "InterpError",
+    "AnalyticVectorField", "InterpError",
     "lagrange_p2", "edge_bubble", "divergence_correct", "pi_n",
     "pi_n_convergence_study", "sample_points", "linf_estimate",
 ]
@@ -67,18 +67,6 @@ class AnalyticVectorField:
             return True
         vals = np.asarray(self.value(pts[outside]))
         return float(np.abs(vals).max()) <= tol
-
-
-@dataclass
-class EBNormBundle:
-    """Gradient L2 norm plus sampled max norm of a discrete velocity."""
-
-    h1_seminorm: float
-    linf_estimate: float
-
-    @property
-    def e_norm(self):
-        return self.h1_seminorm + self.linf_estimate
 
 
 def lagrange_p2(v, space):
@@ -229,10 +217,6 @@ def linf_estimate(field, rule=ANALYTIC_RULE):
     return float(np.sqrt((vals ** 2).sum(axis=-1)).max())
 
 
-def e_norm_bundle(field, rule=ANALYTIC_RULE):
-    return EBNormBundle(fem.h1_seminorm(field), linf_estimate(field, rule))
-
-
 def _w1inf_errors(field, v, rule=ANALYTIC_RULE):
     """(value error, gradient error, H1 error) of field - v, sampled."""
     mesh = field.space.mesh
@@ -267,7 +251,6 @@ def pi_n_convergence_study(v, spaces, rule=None):
         field, status = pi_n(v, space, rule)
         err_linf, err_ginf, err_h1 = _w1inf_errors(field, v, rule)
         err_w1inf = err_linf + err_ginf
-        bundle = e_norm_bundle(field, rule)
         order = float("nan")
         if prev is not None and err_w1inf > 0.0 and prev[1] > 0.0:
             order = np.log(prev[1] / err_w1inf) / np.log(prev[0] / h)
@@ -278,7 +261,7 @@ def pi_n_convergence_study(v, spaces, rule=None):
             "err_linf": err_linf,
             "err_w1inf": err_w1inf,
             "err_h1": err_h1,
-            "e_norm": bundle.e_norm,
+            "e_norm": fem.h1_seminorm(field) + linf_estimate(field, rule),
             "observed_order": order,
         })
         prev = (h, err_w1inf)

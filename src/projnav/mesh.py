@@ -52,6 +52,12 @@ class SimplicialMesh:
             raise MeshError("vertices must be an (nv, 2) array")
         if cells.ndim != 2 or cells.shape[1] != 3:
             raise MeshError("cells must be an (nc, 3) array")
+        if not len(cells):
+            raise MeshError("mesh has no cells")
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        if bad.size:
+            raise MeshError(f"vertex {bad[0]} has a non-finite coordinate: "
+                            f"{tuple(vertices[bad[0]].tolist())}")
         nv = len(vertices)
         if cells.size and (cells.min() < 0 or cells.max() >= nv):
             bad = np.where((cells < 0) | (cells >= nv))[0][0]
@@ -249,26 +255,37 @@ def write_mesh_file(mesh, path):
 
 
 def read_mesh_file(path):
-    with open(path) as fh:
-        tokens = fh.read().split("\n")
-    lines = [ln.strip() for ln in tokens if ln.strip()]
-    if not lines or lines[0] != "mesh 2":
-        raise MeshError(f"{path}: expected header 'mesh 2'")
-    pos = 1
-    if pos >= len(lines) or not lines[pos].startswith("vertices "):
-        raise MeshError(f"{path}: expected 'vertices <count>'")
-    nv = int(lines[pos].split()[1])
-    pos += 1
-    if pos + nv > len(lines):
-        raise MeshError(f"{path}: truncated vertex block")
-    vertices = np.array([[float(t) for t in lines[pos + k].split()] for k in range(nv)])
-    pos += nv
-    if pos >= len(lines) or not lines[pos].startswith("cells "):
-        raise MeshError(f"{path}: expected 'cells <count>'")
-    nc = int(lines[pos].split()[1])
-    pos += 1
-    if pos + nc > len(lines):
-        raise MeshError(f"{path}: truncated cell block")
-    cells = np.array([[int(t) for t in lines[pos + k].split()] for k in range(nc)],
+    """Read a file written by ``write_mesh_file``; blank lines are ignored.
+
+    Malformed input raises MeshError naming ``path:line``.
+    """
+    try:
+        with open(path) as fh:
+            lines = [(no, ln.split()) for no, ln in enumerate(fh, 1)
+                     if ln.strip()]
+    except UnicodeDecodeError as err:
+        raise MeshError(f"{path}: not a text file ({err.reason})") from None
+    lines.reverse()
+
+    def row(what, cast, width, head=()):
+        """Next line: the literal tokens ``head``, then ``width`` values."""
+        if not lines:
+            raise MeshError(f"{path}: truncated file, expected {what}")
+        no, tokens = lines.pop()
+        if (len(tokens) == len(head) + width
+                and tuple(tokens[:len(head)]) == head):
+            try:
+                return [cast(t) for t in tokens[len(head):]]
+            except (ValueError, OverflowError):
+                pass
+        raise MeshError(f"{path}:{no}: expected {what}, "
+                        f"got {' '.join(tokens)!r}")
+
+    # the numpy casts reject negative counts and indices beyond int64
+    row("header 'mesh 2'", str, 0, head=("mesh", "2"))
+    nv, = row("'vertices <count>'", np.uint32, 1, head=("vertices",))
+    vertices = np.array([row("vertex 'x y'", float, 2) for _ in range(nv)])
+    nc, = row("'cells <count>'", np.uint32, 1, head=("cells",))
+    cells = np.array([row("cell 'i j k'", np.int64, 3) for _ in range(nc)],
                      dtype=np.int64)
     return SimplicialMesh(vertices, cells)

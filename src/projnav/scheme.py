@@ -54,7 +54,6 @@ class SchemeConfig:
     pred_tol: float = 1e-12
     corr_tol: float = 1e-12
     max_iter: int = None
-    jacobi: bool = False
     skip_convection: bool = False
     store_fields: bool = False
 
@@ -111,6 +110,29 @@ class SchemeOperators:
         self.lap = assemble_pressure_laplacian(space1)
         self.p1_weights = space1.mass_row_weights()
         self.interior = space2.interior_dofs
+        # restriction of the P2 pattern, which mass, stiffness and every
+        # convection matrix share, to interior rows and columns; the
+        # interior dofs are sorted, so the kept entries stay in CSR order
+        mask = space2.interior_mask
+        rows, cols = self.mass._rows, self.mass.indices
+        self._keep = mask[rows] & mask[cols]
+        local = np.cumsum(mask) - 1
+        m = len(self.interior)
+        self._indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(local[rows[self._keep]], minlength=m),
+                  out=self._indptr[1:])
+        self._indices = local[cols[self._keep]]
+
+    def prediction_system(self, dt, conv=None):
+        """M/dt + K (+ C) on the interior dofs, as one CSR matrix."""
+        # grouped as M/dt + (K + C); another grouping moves the last bits
+        # of every run's output
+        kc = self.stiffness.data
+        if conv is not None:
+            kc = kc + conv.data
+        data = ((1.0 / dt) * self.mass.data + kc)[self._keep]
+        return CsrMatrix(self._indptr, self._indices, data,
+                         (len(self.interior),) * 2)
 
     def l2_norm_sq_p2(self, coeffs):
         return (coeffs[:, 0] @ self.mass.matvec(coeffs[:, 0])
@@ -166,28 +188,6 @@ def initialize(space2, space1, u0, ops=None, tol=1e-12):
     return state
 
 
-def _solve_prediction(system, rhs, config):
-    if config.jacobi:
-        # symmetric diagonal scaling; the scaled solve aims a decade below
-        # the target so the residual in the original variables still meets it
-        d = system.diagonal()
-        scale = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
-        scaled = CsrMatrix(system.indptr, system.indices,
-                           system.data * scale[system._rows] * scale[system.indices],
-                           system.shape)
-        y, report = bicgstab_solve(scaled, rhs * scale,
-                                   tol=0.1 * config.pred_tol,
-                                   max_iter=config.max_iter)
-        x = y * scale
-        res = float(np.linalg.norm(system.matvec(x) - rhs))
-        nb = float(np.linalg.norm(rhs))
-        report.residual = res / nb if nb > 0 else res
-        report.converged = report.residual <= 10.0 * config.pred_tol
-        return x, report
-    return bicgstab_solve(system, rhs, tol=config.pred_tol,
-                          max_iter=config.max_iter)
-
-
 def predict(state, load, ops, config):
     """Viscous prediction solve; returns (ut^{n+1}, solver iterations)."""
     dt = config.dt
@@ -195,22 +195,9 @@ def predict(state, load, ops, config):
     idx = ops.interior
     n2 = space2.n_scalar
 
-    terms_rows = []
-    terms_cols = []
-    terms_vals = []
-    for coef, mat in ((1.0 / dt, ops.mass), (1.0, ops.stiffness)):
-        terms_rows.append(mat._rows)
-        terms_cols.append(mat.indices)
-        terms_vals.append(coef * mat.data)
-    if not config.skip_convection:
-        conv = assemble_convection(space2, state.u_tilde)
-        terms_rows.append(conv._rows)
-        terms_cols.append(conv.indices)
-        terms_vals.append(conv.data)
-    system_full = CsrMatrix.from_coo(np.concatenate(terms_rows),
-                                     np.concatenate(terms_cols),
-                                     np.concatenate(terms_vals), (n2, n2))
-    system = system_full.submatrix(idx, idx)
+    conv = (None if config.skip_convection
+            else assemble_convection(space2, state.u_tilde))
+    system = ops.prediction_system(dt, conv)
 
     rhs_flat = (composite_moment_vector(state.u, mass=ops.mass, grad=ops.grad) / dt
                 + load - ops.grad.matvec(state.p.coeffs))
@@ -218,7 +205,8 @@ def predict(state, load, ops, config):
     iters = 0
     for comp in range(2):
         rhs = rhs_flat[comp * n2:(comp + 1) * n2][idx]
-        x, report = _solve_prediction(system, rhs, config)
+        x, report = bicgstab_solve(system, rhs, tol=config.pred_tol,
+                                   max_iter=config.max_iter)
         iters += report.iterations
         if not report.converged:
             raise SchemeError(

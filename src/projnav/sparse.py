@@ -7,12 +7,13 @@ mass-row weights.  The prediction system is nonsymmetric (skew convection
 part) and goes through ``bicgstab_solve``.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["CsrMatrix", "SolverReport", "SolverError",
-           "cg_solve", "bicgstab_solve", "write_coordinate_file"]
+           "cg_solve", "bicgstab_solve"]
 
 
 class SolverError(RuntimeError):
@@ -89,29 +90,13 @@ class CsrMatrix:
         return np.bincount(self.indices, weights=self.data * x[self._rows],
                            minlength=self.shape[1])
 
-    def transpose(self):
-        return CsrMatrix.from_coo(self.indices, self._rows, self.data,
-                                  (self.shape[1], self.shape[0]))
-
-    def diagonal(self):
-        d = np.zeros(min(self.shape))
-        mask = self._rows == self.indices
-        np.add.at(d, self._rows[mask], self.data[mask])
-        return d
-
-    def submatrix(self, row_idx, col_idx):
-        """Extract A[row_idx][:, col_idx] as a new CSR matrix."""
-        row_idx = np.asarray(row_idx, dtype=np.int64)
-        col_idx = np.asarray(col_idx, dtype=np.int64)
-        rmap = -np.ones(self.shape[0], dtype=np.int64)
-        rmap[row_idx] = np.arange(len(row_idx))
-        cmap = -np.ones(self.shape[1], dtype=np.int64)
-        cmap[col_idx] = np.arange(len(col_idx))
-        keep = (rmap[self._rows] >= 0) & (cmap[self.indices] >= 0)
-        return CsrMatrix.from_coo(rmap[self._rows[keep]],
-                                  cmap[self.indices[keep]],
-                                  self.data[keep],
-                                  (len(row_idx), len(col_idx)))
+    def with_data(self, data):
+        """A matrix on the same pattern (index arrays shared), new values."""
+        if len(data) != self.nnz:
+            raise ValueError("data length must equal nnz")
+        out = copy.copy(self)
+        out.data = np.ascontiguousarray(data, dtype=float)
+        return out
 
     def to_dense(self):
         out = np.zeros(self.shape)
@@ -269,11 +254,3 @@ def bicgstab_solve(a, rhs, tol=1e-12, max_iter=None):
     res = np.linalg.norm(rhs - (a @ x))
     return x, SolverReport(k, res / norm_b, res <= tol * norm_b)
 
-
-def write_coordinate_file(a, path):
-    """Dump as text triplets, one header line then 'row col value' entries."""
-    with open(path, "w") as fh:
-        fh.write("%%matrix coordinate real general\n")
-        for i in range(a.shape[0]):
-            for k in range(a.indptr[i], a.indptr[i + 1]):
-                fh.write(f"{i} {a.indices[k]} {a.data[k]:.17g}\n")

@@ -189,6 +189,22 @@ def test_invalid_mesh_file_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_malformed_mesh_line_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "mesh.txt"
+    bad.write_text("mesh 2\nvertices 3\n0 0\n1 x\n0 1\ncells 1\n0 1 2\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh = file:{bad}\nsteps = 1\n")
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["code"] == 2
+    assert f"{bad}:4" in payload["reason"]
+
+
 def test_pathological_mesh_through_cli(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mesh = pathological:all_boundary_cell\nsteps = 2\n")

@@ -102,17 +102,21 @@ def test_convection_zero_wind_is_zero(pair2):
     assert np.abs(c.data).max() == 0.0
 
 
-def test_convection_skew_symmetry(pair2, rng):
-    s2, _ = pair2
-    for _ in range(20):
-        wind = FieldP2Vector(s2, rng.standard_normal((s2.n_scalar, 2)))
-        c = assemble_convection(s2, wind)
-        v = rng.standard_normal(s2.n_scalar)
-        cv = c.matvec(v)
-        scale = max(np.linalg.norm(v) * np.linalg.norm(cv), 1e-30)
-        assert abs(v @ cv) <= 1e-12 * scale
-        dense = c.to_dense()
-        assert np.allclose(dense, -dense.T, atol=0.0)
+def test_convection_skew_symmetry(pair2, irregular_mesh, rng):
+    base = build_structured_unit_square(3)
+    shuffled = build_from_arrays(base.vertices,
+                                 base.cells[rng.permutation(base.n_cells)])
+    for s2 in (pair2[0], SpaceP2Vector(irregular_mesh),
+               SpaceP2Vector(shuffled)):
+        for _ in range(20):
+            wind = FieldP2Vector(s2, rng.standard_normal((s2.n_scalar, 2)))
+            c = assemble_convection(s2, wind)
+            v = rng.standard_normal(s2.n_scalar)
+            cv = c.matvec(v)
+            scale = max(np.linalg.norm(v) * np.linalg.norm(cv), 1e-30)
+            assert abs(v @ cv) <= 1e-12 * scale
+            dense = c.to_dense()
+            assert np.allclose(dense, -dense.T, atol=0.0)
 
 
 def test_convection_identity_equivalence(pair2, rng):

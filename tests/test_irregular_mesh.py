@@ -1,29 +1,15 @@
 """The discrete identities do not depend on mesh structure: re-run the
 edge-bubble lemma, divergence preservation, and the energy audit on an
 irregular triangulation (structured mesh with deterministically perturbed
-interior vertices)."""
+interior vertices; the ``irregular_mesh`` fixture is in conftest)."""
 
 import numpy as np
-import pytest
 
 from projnav import mms
 from projnav.fem import (FieldP2Vector, SpaceP1, SpaceP2Vector, div_moments,
                          weak_div_moments)
 from projnav.interp import divergence_correct, edge_bubble
-from projnav.mesh import build_from_arrays, build_structured_unit_square
 from projnav.scheme import SchemeConfig, SchemeOperators, run
-
-
-@pytest.fixture(scope="module")
-def irregular_mesh():
-    base = build_structured_unit_square(4)
-    rng = np.random.default_rng(2024)
-    verts = base.vertices.copy()
-    interior = base.interior_vertices
-    # offsets below a quarter cell keep every triangle positively oriented
-    verts[interior] += (rng.uniform(-1.0, 1.0, size=(len(interior), 2))
-                        * 0.25 / 4.0)
-    return build_from_arrays(verts, base.cells)
 
 
 def test_invariants_hold(irregular_mesh):

@@ -237,6 +237,43 @@ def test_mesh_file_truncated(tmp_path):
         read_mesh_file(path)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("mesh 2\nvertices 3\n0 0\n1 x\n0 1\ncells 1\n0 1 2\n", 4),
+    # blank lines are skipped but the file's own numbering is kept
+    ("\nmesh 2\n\nvertices 3\n0 0\n\n1 0 5\n0 1\ncells 1\n0 1 2\n", 7),
+    ("mesh 2\nvertices three\n", 2),
+    ("mesh 2\nvertices -1\ncells 0\n", 2),
+    ("mesh 2\nvertices 3\n0 0\n1 0\n0 1\nfaces 1\n0 1 2\n", 6),
+    ("mesh 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 2.0\n", 7),
+    ("mesh 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1\n", 7),
+    ("mesh 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 99999999999999999999\n", 7),
+], ids=["coordinate", "blank-lines", "count", "negative-count", "keyword",
+        "float-index", "short-cell", "huge-index"])
+def test_mesh_file_parse_error_names_line(tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(MeshError, match=f"bad.txt:{line}: expected"):
+        read_mesh_file(path)
+
+
+def test_mesh_file_binary_rejected(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe\x00mesh 2\n")
+    with pytest.raises(MeshError):
+        read_mesh_file(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinate_rejected(bad):
+    with pytest.raises(MeshError, match="vertex 2 has a non-finite"):
+        build_from_arrays([(0, 0), (1, 0), (bad, 1)], [(0, 1, 2)])
+
+
+def test_mesh_without_cells_rejected():
+    with pytest.raises(MeshError, match="no cells"):
+        build_from_arrays([(0, 0), (1, 0), (0, 1)], np.zeros((0, 3), int))
+
+
 def test_inball_positive_and_below_diameter():
     mesh = build_structured_unit_square(3)
     assert np.all(mesh.cell_inball > 0.0)

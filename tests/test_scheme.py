@@ -3,14 +3,15 @@ import pytest
 
 from projnav import mms, scheme
 from projnav.fem import (FieldP2Vector, SpaceP1, SpaceP2Vector,
-                         assemble_load, composite_l2_norm_sq, l2_inner,
-                         weak_div_moments)
+                         assemble_convection, assemble_load,
+                         composite_l2_norm_sq, l2_inner, weak_div_moments)
 from projnav.interp import pi_n
 from projnav.mesh import (build_pathological_mesh,
                           build_structured_unit_square)
 from projnav.scheme import (SchemeConfig, SchemeError, SchemeOperators,
                             correct, diagnostics_csv, gap_l2l2, initialize,
                             predict, run, step, time_translate_diagnostic)
+from projnav.sparse import CsrMatrix
 
 
 def zero_u0(pts):
@@ -196,6 +197,49 @@ def test_prediction_energy_identity(setup4):
     assert abs(lhs - work) <= 1e-9 * max(1.0, abs(work))
 
 
+@pytest.mark.parametrize("which", ["structured", "irregular"])
+def test_prediction_system_matches_dense_reference(setup4, irregular_mesh,
+                                                   which, rng):
+    if which == "structured":
+        s2, _, ops = setup4
+    else:
+        s2 = SpaceP2Vector(irregular_mesh)
+        ops = SchemeOperators(s2, SpaceP1(irregular_mesh, zero_mean=True))
+    dt = 0.1
+    idx = s2.interior_dofs
+    mass = ops.mass.to_dense()
+    stiff = ops.stiffness.to_dense()
+    wind = FieldP2Vector(s2, rng.standard_normal((s2.n_scalar, 2)))
+    conv = assemble_convection(s2, wind)
+    for c, dense_c in ((None, 0.0), (conv, conv.to_dense())):
+        system = ops.prediction_system(dt, c)
+        expected = ((1 / dt) * mass + (stiff + dense_c))[np.ix_(idx, idx)]
+        assert system.shape == (len(idx), len(idx))
+        assert np.array_equal(system.to_dense(), expected)
+
+
+def test_step_makes_no_from_coo_call(monkeypatch):
+    calls = []
+    from_coo = CsrMatrix.from_coo.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return from_coo(cls, *args, **kwargs)
+
+    monkeypatch.setattr(CsrMatrix, "from_coo", classmethod(counting))
+    mesh = build_structured_unit_square(3)
+    s2 = SpaceP2Vector(mesh)
+    s1 = SpaceP1(mesh, zero_mean=True)
+    ops = SchemeOperators(s2, s1)
+    config = SchemeConfig(n_steps=2, t_final=1.0)
+    state = initialize(s2, s1, mms.initial_velocity, ops=ops)
+    assert calls                # the patterns and the coupling are built
+    calls.clear()
+    state, _ = step(state, mms.forcing, ops, config)
+    state, _ = step(state, mms.forcing, ops, config)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # correction
 
@@ -319,16 +363,6 @@ def test_gap_ratio_under_time_refinement():
                      ops=ops)
         gaps[n_steps] = gap_l2l2(result)
     assert gaps[8] / gaps[16] >= np.sqrt(2.0) * 0.9
-
-
-def test_jacobi_preconditioner_matches_reference(setup4):
-    s2, s1, ops = setup4
-    base = SchemeConfig(n_steps=3, t_final=0.6)
-    jconf = SchemeConfig(n_steps=3, t_final=0.6, jacobi=True)
-    r1 = run(s2, s1, mms.initial_velocity, mms.forcing, base, ops=ops)
-    r2 = run(s2, s1, mms.initial_velocity, mms.forcing, jconf, ops=ops)
-    gap = np.abs(r1.state.u_tilde.coeffs - r2.state.u_tilde.coeffs).max()
-    assert gap <= 1e-9
 
 
 def test_solver_failure_aborts_with_step_index(setup4):
