@@ -16,8 +16,7 @@ from .fem import (SpaceP1, SpaceP2Vector, FieldP1Scalar, FieldP2Vector,
                   CompositeVelocity, assemble_mass_p2, assemble_stiffness_p2,
                   assemble_convection, assemble_grad_coupling,
                   assemble_pressure_laplacian, assemble_load, eval_basis,
-                  l2_inner, h1_seminorm, composite_moment, weak_div_moments,
-                  div_moments)
+                  h1_seminorm, weak_div_moments, div_moments)
 from .interp import (AnalyticVectorField, InterpError, lagrange_p2,
                      edge_bubble, divergence_correct, pi_n,
                      pi_n_convergence_study)

@@ -25,11 +25,9 @@ __all__ = [
     "FieldP1Scalar", "FieldP2Vector", "CompositeVelocity",
     "DEFAULT_RULE", "eval_basis",
     "assemble_mass_p2", "assemble_stiffness_p2", "assemble_convection",
-    "assemble_convection_unsplit", "assemble_grad_coupling",
-    "assemble_pressure_laplacian", "assemble_load",
-    "l2_inner", "h1_seminorm", "composite_moment", "composite_moment_vector",
-    "weak_div_moments", "div_moments",
-    "p2_values_at", "p2_gradients_at", "p1_values_at", "composite_values_at",
+    "assemble_grad_coupling", "assemble_pressure_laplacian", "assemble_load",
+    "h1_seminorm", "weak_div_moments", "div_moments",
+    "p2_values_at", "p2_gradients_at",
 ]
 
 DEFAULT_RULE = triangle_rule(5)
@@ -142,9 +140,6 @@ class SpaceP1:
                   np.repeat(self.mesh.cell_areas / 3.0, 3))
         return w
 
-    def integral(self, coeffs):
-        return float(self.mass_row_weights() @ np.asarray(coeffs, dtype=float))
-
 
 class SpaceP2Vector:
     """Continuous piecewise-quadratic vectors; scalar dofs at vertices then
@@ -225,6 +220,12 @@ class CompositeVelocity:
         q = self.grad_part.coeffs[self.p2_part.space.mesh.cells]  # (nc, 3)
         return np.einsum("ci,cix->cx", q, gl)
 
+    def values_at(self, rule=DEFAULT_RULE):
+        """(nc, nq, 2) cellwise values at the points of a rule."""
+        vals = p2_values_at(self.p2_part, rule)
+        g = self.grad_part_cell_gradients()             # (nc, 2)
+        return vals - self.scale * g[:, None, :]
+
 
 # ---------------------------------------------------------------------------
 # pointwise evaluation
@@ -258,20 +259,6 @@ def p2_gradients_at(field, rule=DEFAULT_RULE):
     t = _tables(field.space.mesh, rule)
     local = field.coeffs[field.space.gdof]
     return np.einsum("cax,caqj->cqxj", local, t.p2grad)
-
-
-def p1_values_at(field, rule=DEFAULT_RULE):
-    mesh = field.space.mesh
-    t = _tables(mesh, rule)
-    local = field.coeffs[mesh.cells]                # (nc, 3)
-    return np.einsum("ca,aq->cq", local, t.p1val)
-
-
-def composite_values_at(u, rule=DEFAULT_RULE):
-    """(nc, nq, 2) cellwise values of the corrected velocity."""
-    vals = p2_values_at(u.p2_part, rule)
-    g = u.grad_part_cell_gradients()                # (nc, 2)
-    return vals - u.scale * g[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -360,23 +347,6 @@ def assemble_convection(space, wind, rule=DEFAULT_RULE):
     return b.with_data(half - half[space.pattern.transpose])
 
 
-def assemble_convection_unsplit(space, wind, divwind_rhs=True, rule=DEFAULT_RULE):
-    """The right-hand form of the convection identity:
-    ((wind . grad) phi_j, phi_i) + (1/2) (div wind phi_j, phi_i).
-
-    Used only to cross-check the half-difference form against the identity
-    it satisfies for exact integration.
-    """
-    mesh = space.mesh
-    t = _tables(mesh, rule)
-    elem = _convection_oneside(space, wind, rule)
-    if divwind_rhs:
-        divw = np.einsum("cax,caqx->cq", wind.coeffs[space.gdof], t.p2grad)
-        elem2 = np.einsum("q,cq,bq,aq->cab", t.weights, divw, t.p2val, t.p2val)
-        elem = elem + 0.5 * elem2 * mesh.cell_areas[:, None, None]
-    return space.pattern.assemble(elem)
-
-
 def assemble_grad_coupling(space2, space1, rule=DEFAULT_RULE):
     """G with (G q) . v_flat = (grad q, v) for all P1 q and P2 vector v.
 
@@ -436,28 +406,7 @@ def assemble_load(space2, f, t_a, t_b, rule=DEFAULT_RULE, time_points=3):
 
 
 # ---------------------------------------------------------------------------
-# products, norms, moments
-
-def _require_same_mesh(a, b):
-    if a.space.mesh is not b.space.mesh:
-        raise ValueError("fields live on different meshes")
-
-
-def l2_inner(field_a, field_b, rule=DEFAULT_RULE):
-    """L2 inner product of two P2 vector fields or two P1 scalar fields."""
-    _require_same_mesh(field_a, field_b)
-    mesh = field_a.space.mesh
-    t = _tables(mesh, rule)
-    if isinstance(field_a, FieldP2Vector):
-        va = p2_values_at(field_a, rule)
-        vb = p2_values_at(field_b, rule)
-        cell = np.einsum("q,cqx,cqx->c", t.weights, va, vb)
-    else:
-        va = p1_values_at(field_a, rule=rule)
-        vb = p1_values_at(field_b, rule=rule)
-        cell = np.einsum("q,cq,cq->c", t.weights, va, vb)
-    return float(cell @ mesh.cell_areas)
-
+# norms and moments
 
 def h1_seminorm(field, rule=DEFAULT_RULE):
     """L2 norm of the gradient of a P2 vector field."""
@@ -465,46 +414,6 @@ def h1_seminorm(field, rule=DEFAULT_RULE):
     t = _tables(field.space.mesh, rule)
     cell = np.einsum("q,cqxj,cqxj->c", t.weights, g, g)
     return float(np.sqrt(cell @ field.space.mesh.cell_areas))
-
-
-def composite_l2_norm_sq(u, mass=None, grad=None, lap=None):
-    """Exact squared L2 norm of a corrected velocity.
-
-    |p2|^2 - 2 s (p2, grad g) + s^2 (grad g, grad g); all three terms are
-    quadrature-exact.  Preassembled operators may be passed to skip work.
-    """
-    space2 = u.p2_part.space
-    space1 = u.grad_part.space
-    if mass is None:
-        mass = assemble_mass_p2(space2)
-    if grad is None:
-        grad = assemble_grad_coupling(space2, space1)
-    if lap is None:
-        lap = assemble_pressure_laplacian(space1)
-    c = u.p2_part.coeffs
-    p2sq = c[:, 0] @ mass.matvec(c[:, 0]) + c[:, 1] @ mass.matvec(c[:, 1])
-    cross = u.p2_part.flat() @ grad.matvec(u.grad_part.coeffs)
-    gsq = u.grad_part.coeffs @ lap.matvec(u.grad_part.coeffs)
-    return p2sq - 2.0 * u.scale * cross + u.scale ** 2 * gsq
-
-
-def composite_moment(u, v, mass=None, grad=None):
-    """(u, v) for a corrected velocity u and a P2 vector field v."""
-    _require_same_mesh(u.p2_part, v)
-    vec = composite_moment_vector(u, mass=mass, grad=grad)
-    return float(vec @ v.flat())
-
-
-def composite_moment_vector(u, mass=None, grad=None):
-    """Vector of (u, phi_i e_x), (u, phi_i e_y), component blocked."""
-    space2 = u.p2_part.space
-    if mass is None:
-        mass = assemble_mass_p2(space2)
-    if grad is None:
-        grad = assemble_grad_coupling(space2, u.grad_part.space)
-    c = u.p2_part.coeffs
-    out = np.concatenate([mass.matvec(c[:, 0]), mass.matvec(c[:, 1])])
-    return out - u.scale * grad.matvec(u.grad_part.coeffs)
 
 
 def weak_div_moments(u, space1, grad=None, lap=None):

@@ -62,10 +62,14 @@ class SimplicialMesh:
         if cells.size and (cells.min() < 0 or cells.max() >= nv):
             bad = np.where((cells < 0) | (cells >= nv))[0][0]
             raise MeshError(f"cell {bad} has vertex index out of range: "
-                            f"{tuple(cells[bad])}")
-        for c, tri in enumerate(cells):
-            if len(set(tri)) != 3:
-                raise MeshError(f"cell {c} has repeated vertices: {tuple(tri)}")
+                            f"{tuple(cells[bad].tolist())}")
+        repeated = np.flatnonzero((cells[:, 0] == cells[:, 1])
+                                  | (cells[:, 1] == cells[:, 2])
+                                  | (cells[:, 0] == cells[:, 2]))
+        if repeated.size:
+            c = repeated[0]
+            raise MeshError(f"cell {c} has repeated vertices: "
+                            f"{tuple(cells[c].tolist())}")
 
         # positive orientation (counterclockwise); reorder silently
         p0 = vertices[cells[:, 0]]
@@ -76,7 +80,8 @@ class SimplicialMesh:
         degenerate = np.where(twice_area == 0.0)[0]
         if degenerate.size:
             c = degenerate[0]
-            raise MeshError(f"cell {c} has zero area: {tuple(cells[c])}")
+            raise MeshError(f"cell {c} has zero area: "
+                            f"{tuple(cells[c].tolist())}")
         flip = twice_area < 0.0
         cells[flip] = cells[flip][:, [0, 2, 1]]
         twice_area = np.abs(twice_area)
@@ -86,7 +91,7 @@ class SimplicialMesh:
         dup = np.where((np.diff(key[order], axis=0) == 0).all(axis=1))[0]
         if dup.size:
             c = order[dup[0] + 1]
-            raise MeshError(f"duplicate cell {c}: {tuple(cells[c])}")
+            raise MeshError(f"duplicate cell {c}: {tuple(cells[c].tolist())}")
 
         self.vertices = vertices
         self.cells = cells
@@ -104,29 +109,19 @@ class SimplicialMesh:
         counts = np.bincount(inverse, minlength=self.n_edges)
         if counts.max() > 2:
             e = int(np.argmax(counts))
-            raise MeshError(f"non-manifold edge {tuple(edges[e])}: "
+            raise MeshError(f"non-manifold edge {tuple(edges[e].tolist())}: "
                             f"{counts[e]} incident cells")
         self.boundary_edges = np.where(counts == 1)[0]
-        self._edge_cell_count = counts
 
         bset = np.zeros(nv, dtype=bool)
         bset[edges[self.boundary_edges].ravel()] = True
         self.boundary_vertices = np.where(bset)[0]
         self.interior_vertices = np.where(~bset)[0]
-        self.is_boundary_vertex = bset
         self.is_boundary_edge = np.zeros(self.n_edges, dtype=bool)
         self.is_boundary_edge[self.boundary_edges] = True
 
-        # patches
-        edge_cells = [[] for _ in range(self.n_edges)]
-        vertex_cells = [[] for _ in range(nv)]
-        for c in range(self.n_cells):
-            for e in self.cell_edges[c]:
-                edge_cells[e].append(c)
-            for v in cells[c]:
-                vertex_cells[v].append(c)
-        self.edge_cells = [np.array(lst, dtype=np.int64) for lst in edge_cells]
-        self.vertex_cells = [np.array(lst, dtype=np.int64) for lst in vertex_cells]
+        self.edge_cells = _incident_cells(self.cell_edges, self.n_edges)
+        self.vertex_cells = _incident_cells(cells, nv)
 
         # geometry
         self.cell_areas = 0.5 * twice_area
@@ -157,6 +152,16 @@ class SimplicialMesh:
         raise MeshError(f"no edge {{{i}, {j}}} in mesh")
 
 
+def _incident_cells(cell_entities, n):
+    """Per entity, the increasing indices of the cells that list it in
+    ``cell_entities`` (nc, k); each cell lists an entity at most once."""
+    flat = cell_entities.ravel()
+    # a stable sort keeps each entity's cells in increasing order
+    order = np.argsort(flat, kind="stable")
+    bounds = np.cumsum(np.bincount(flat, minlength=n))[:-1]
+    return np.split(order // cell_entities.shape[1], bounds)
+
+
 def build_from_arrays(vertices, cells):
     """Mesh from raw vertex/cell arrays; derives all connectivity."""
     return SimplicialMesh(vertices, cells)
@@ -170,19 +175,12 @@ def build_structured_unit_square(n):
     xx, yy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    return SimplicialMesh(vertices, np.array(cells))
+    # square (i, j), row by row, is cut into (v00, v10, v11), (v00, v11, v01)
+    j, i = np.divmod(np.arange(n * n), n)
+    v00 = j * (n + 1) + i
+    v01 = v00 + n + 1
+    cells = np.stack([v00, v00 + 1, v01 + 1, v00, v01 + 1, v01], axis=1)
+    return SimplicialMesh(vertices, cells.reshape(-1, 3))
 
 
 def build_pathological_mesh(kind, n_cells=3, n=8, omega=1.5):

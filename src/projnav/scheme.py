@@ -24,8 +24,7 @@ import numpy as np
 from .fem import (FieldP1Scalar, FieldP2Vector, CompositeVelocity,
                   assemble_convection, assemble_grad_coupling, assemble_load,
                   assemble_mass_p2, assemble_pressure_laplacian,
-                  assemble_stiffness_p2, composite_l2_norm_sq,
-                  composite_moment_vector)
+                  assemble_stiffness_p2)
 from .sparse import CsrMatrix, SolverError, bicgstab_solve, cg_solve
 
 __all__ = [
@@ -97,7 +96,8 @@ class StepDiagnostics:
 
 
 class SchemeOperators:
-    """Time-independent operators of one (mesh, spaces) pair."""
+    """Time-independent operators of one (mesh, spaces) pair, and every
+    product, norm and projection the scheme computes from them."""
 
     def __init__(self, space2, space1):
         if space2.mesh is not space1.mesh:
@@ -118,10 +118,11 @@ class SchemeOperators:
         self._keep = mask[rows] & mask[cols]
         local = np.cumsum(mask) - 1
         m = len(self.interior)
-        self._indptr = np.zeros(m + 1, dtype=np.int64)
+        indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(local[rows[self._keep]], minlength=m),
-                  out=self._indptr[1:])
-        self._indices = local[cols[self._keep]]
+                  out=indptr[1:])
+        self._interior = CsrMatrix(indptr, local[cols[self._keep]],
+                                   np.zeros(indptr[-1]), (m, m))
 
     def prediction_system(self, dt, conv=None):
         """M/dt + K (+ C) on the interior dofs, as one CSR matrix."""
@@ -130,35 +131,70 @@ class SchemeOperators:
         kc = self.stiffness.data
         if conv is not None:
             kc = kc + conv.data
-        data = ((1.0 / dt) * self.mass.data + kc)[self._keep]
-        return CsrMatrix(self._indptr, self._indices, data,
-                         (len(self.interior),) * 2)
+        return self._interior.with_data(
+            ((1.0 / dt) * self.mass.data + kc)[self._keep])
+
+    def project(self, w, scale, tol, max_iter=None, step_index=0):
+        """Discrete Helmholtz projection of a P2 field onto the weakly
+        divergence free space: u = w - scale grad q with
+        (grad q, grad r) = (w, grad r) / scale for every P1 r.
+
+        Returns (u, q, iterations); q has zero weighted mean.  A rejected
+        or unconverged solve raises SchemeError naming ``step_index``.
+        """
+        rhs = self.grad.rmatvec(w.flat()) / scale
+        try:
+            q, report = cg_solve(self.lap, rhs, tol=tol, max_iter=max_iter,
+                                 deflate_constants=True,
+                                 mean_weights=self.p1_weights)
+        except SolverError as err:
+            raise SchemeError(f"projection solve rejected at step "
+                              f"{step_index}: {err}", step_index) from err
+        if not report.converged:
+            raise SchemeError(
+                f"projection solve failed at step {step_index} "
+                f"(residual {report.residual:.3e})", step_index, report)
+        u = CompositeVelocity(w, FieldP1Scalar(self.space1, q), scale)
+        return u, q, report.iterations
+
+    @staticmethod
+    def _componentwise(mat, coeffs):
+        """sum over both components of c^T A c."""
+        return (coeffs[:, 0] @ mat.matvec(coeffs[:, 0])
+                + coeffs[:, 1] @ mat.matvec(coeffs[:, 1]))
 
     def l2_norm_sq_p2(self, coeffs):
-        return (coeffs[:, 0] @ self.mass.matvec(coeffs[:, 0])
-                + coeffs[:, 1] @ self.mass.matvec(coeffs[:, 1]))
+        return self._componentwise(self.mass, coeffs)
 
     def h1_seminorm_sq_p2(self, coeffs):
-        return (coeffs[:, 0] @ self.stiffness.matvec(coeffs[:, 0])
-                + coeffs[:, 1] @ self.stiffness.matvec(coeffs[:, 1]))
+        return self._componentwise(self.stiffness, coeffs)
 
     def gradp_norm_sq(self, pcoeffs):
         return float(pcoeffs @ self.lap.matvec(pcoeffs))
 
     def composite_norm_sq(self, u):
-        return composite_l2_norm_sq(u, mass=self.mass, grad=self.grad,
-                                    lap=self.lap)
+        """Exact |a - s grad g|^2 of a composite velocity, as
+        |a|^2 - 2 s (a, grad g) + s^2 |grad g|^2 (each term quadrature
+        exact)."""
+        s = u.scale
+        g = u.grad_part.coeffs
+        cross = u.p2_part.flat() @ self.grad.matvec(g)
+        return (self.l2_norm_sq_p2(u.p2_part.coeffs) - 2.0 * s * cross
+                + s * s * (g @ self.lap.matvec(g)))
+
+    def moment_vector(self, u):
+        """(u, phi_i e_x), (u, phi_i e_y) of a composite velocity,
+        component blocked."""
+        c = u.p2_part.coeffs
+        out = np.concatenate([self.mass.matvec(c[:, 0]),
+                              self.mass.matvec(c[:, 1])])
+        return out - u.scale * self.grad.matvec(u.grad_part.coeffs)
 
     def gap_norm_sq(self, ut_next, u_prev):
         """|ut^{n+1} - u^n|^2 with the composite split, quadrature exact."""
-        a = ut_next.coeffs - u_prev.p2_part.coeffs
-        s = u_prev.scale
-        gg = self.grad.matvec(u_prev.grad_part.coeffs)
-        a_flat = np.concatenate([a[:, 0], a[:, 1]])
-        return (a[:, 0] @ self.mass.matvec(a[:, 0])
-                + a[:, 1] @ self.mass.matvec(a[:, 1])
-                + 2.0 * s * (a_flat @ gg)
-                + s * s * self.gradp_norm_sq(u_prev.grad_part.coeffs))
+        return self.composite_norm_sq(CompositeVelocity(
+            FieldP2Vector(self.space2, ut_next.coeffs - u_prev.p2_part.coeffs),
+            u_prev.grad_part, -u_prev.scale))
 
 
 def interpolate_p2(space, u0):
@@ -171,21 +207,14 @@ def initialize(space2, space1, u0, ops=None, tol=1e-12):
     """Initial state: ut=0, p=0, u = projection of the u0 interpolant.
 
     The projection onto the weakly divergence free space is the discrete
-    Helmholtz split: solve (grad p0, grad q) = (w, grad q) for a zero-mean
-    p0 and set u = w - grad p0.
+    Helmholtz split u = w - grad p0 of ``SchemeOperators.project``.
     """
     if ops is None:
         ops = SchemeOperators(space2, space1)
     w = u0 if isinstance(u0, FieldP2Vector) else interpolate_p2(space2, u0)
-    rhs = ops.grad.rmatvec(w.flat())
-    p0, report = cg_solve(ops.lap, rhs, tol=tol, deflate_constants=True,
-                          mean_weights=ops.p1_weights)
-    if not report.converged:
-        raise SchemeError("initial projection solve failed", 0, report)
-    u = CompositeVelocity(w, FieldP1Scalar(space1, p0), 1.0)
-    state = SchemeState(n=0, t=0.0, u_tilde=FieldP2Vector(space2),
-                        u=u, p=FieldP1Scalar(space1))
-    return state
+    u, _, _ = ops.project(w, 1.0, tol)
+    return SchemeState(n=0, t=0.0, u_tilde=FieldP2Vector(space2),
+                       u=u, p=FieldP1Scalar(space1))
 
 
 def predict(state, load, ops, config):
@@ -199,7 +228,7 @@ def predict(state, load, ops, config):
             else assemble_convection(space2, state.u_tilde))
     system = ops.prediction_system(dt, conv)
 
-    rhs_flat = (composite_moment_vector(state.u, mass=ops.mass, grad=ops.grad) / dt
+    rhs_flat = (ops.moment_vector(state.u) / dt
                 + load - ops.grad.matvec(state.p.coeffs))
     ut = FieldP2Vector(space2)
     iters = 0
@@ -219,25 +248,11 @@ def predict(state, load, ops, config):
 
 def correct(state, ut_next, ops, config):
     """Pressure increment Poisson solve and velocity correction."""
-    dt = config.dt
-    rhs = ops.grad.rmatvec(ut_next.flat()) / dt
-    try:
-        dp, report = cg_solve(ops.lap, rhs, tol=config.corr_tol,
-                              max_iter=config.max_iter,
-                              deflate_constants=True,
-                              mean_weights=ops.p1_weights)
-    except SolverError as err:
-        raise SchemeError(f"correction solve rejected at step {state.n + 1}: {err}",
-                          state.n + 1) from err
-    if not report.converged:
-        raise SchemeError(
-            f"correction solve failed at step {state.n + 1} "
-            f"(residual {report.residual:.3e})", state.n + 1, report)
+    u_new, dp, iters = ops.project(ut_next, config.dt, config.corr_tol,
+                                   config.max_iter, state.n + 1)
     p_new = state.p.coeffs + dp
     p_new = p_new - (ops.p1_weights @ p_new) / ops.p1_weights.sum()
-    dp_field = FieldP1Scalar(ops.space1, dp)
-    u_new = CompositeVelocity(ut_next, dp_field, dt)
-    return FieldP1Scalar(ops.space1, p_new), u_new, report.iterations
+    return FieldP1Scalar(ops.space1, p_new), u_new, iters
 
 
 def step(state, f, ops, config):
@@ -320,7 +335,7 @@ def l2l2_velocity_error(result, exact, which="u", time_points=3):
     velocity (left-value reconstruction), which="ut" the predicted one
     (right-value reconstruction).
     """
-    from .fem import composite_values_at, p2_values_at, DEFAULT_RULE, _tables
+    from .fem import p2_values_at, DEFAULT_RULE, _tables
     if not result.u_history and which == "u":
         raise ValueError("run must store fields for error evaluation")
     ops = result.ops
@@ -334,7 +349,7 @@ def l2l2_velocity_error(result, exact, which="u", time_points=3):
     total = 0.0
     for n in range(result.config.n_steps):
         if which == "u":
-            vals = composite_values_at(result.u_history[n], DEFAULT_RULE)
+            vals = result.u_history[n].values_at(DEFAULT_RULE)
         else:
             vals = p2_values_at(result.u_tilde_history[n], DEFAULT_RULE)
         for g in range(time_points):

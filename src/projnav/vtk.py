@@ -27,6 +27,12 @@ def _centroid_bary():
     return np.array(out)
 
 
+def _lines(fmt, rows):
+    """The rows of a nonempty 2-D array, one line of ``fmt`` each, as one
+    string (whole-array formatting: no Python loop over the rows)."""
+    return "\n".join([fmt] * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_vtk_fields(path, space2, u_tilde=None, u=None, pressure=None,
                      title="projnav fields"):
     """Write point/cell data for the given discrete fields.
@@ -38,19 +44,14 @@ def write_vtk_fields(path, space2, u_tilde=None, u=None, pressure=None,
     """
     mesh = space2.mesh
     points = space2.node_coordinates()
-    ncell = mesh.n_cells
     gdof = space2.gdof
 
     lines = ["# vtk DataFile Version 2.0", title, "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {len(points)} double"]
-    for x, y in points:
-        lines.append(f"{x:.17g} {y:.17g} 0")
-    nsub = 4 * ncell
+    lines.append(_lines("%.17g %.17g 0", points))
+    nsub = 4 * mesh.n_cells
     lines.append(f"CELLS {nsub} {4 * nsub}")
-    for c in range(ncell):
-        for tri in _SUBTRIANGLES:
-            a, b, d = (gdof[c, k] for k in tri)
-            lines.append(f"3 {a} {b} {d}")
+    lines.append(_lines("3 %d %d %d", gdof[:, _SUBTRIANGLES].reshape(-1, 3)))
     lines.append(f"CELL_TYPES {nsub}")
     lines.extend(["5"] * nsub)
 
@@ -70,13 +71,11 @@ def write_vtk_fields(path, space2, u_tilde=None, u=None, pressure=None,
         for name, data in point_blocks:
             if data.ndim == 2:
                 lines.append(f"VECTORS {name} double")
-                for vx, vy in data:
-                    lines.append(f"{vx:.17g} {vy:.17g} 0")
+                lines.append(_lines("%.17g %.17g 0", data))
             else:
                 lines.append(f"SCALARS {name} double 1")
                 lines.append("LOOKUP_TABLE default")
-                for v in data:
-                    lines.append(f"{v:.17g}")
+                lines.append(_lines("%.17g", data[:, None]))
 
     if u is not None:
         grads = u.grad_part_cell_gradients()
@@ -86,16 +85,11 @@ def write_vtk_fields(path, space2, u_tilde=None, u=None, pressure=None,
         centers = np.einsum("cax,as->csx", local, p2v)
         lines.append(f"CELL_DATA {nsub}")
         lines.append("VECTORS grad_part double")
-        for c in range(ncell):
-            gx, gy = -u.scale * grads[c]
-            for _ in range(4):
-                lines.append(f"{gx:.17g} {gy:.17g} 0")
+        lines.append(_lines("%.17g %.17g 0",
+                            np.repeat(-u.scale * grads, 4, axis=0)))
         lines.append("VECTORS u_corrected double")
-        for c in range(ncell):
-            for s in range(4):
-                vx = centers[c, s, 0] - u.scale * grads[c, 0]
-                vy = centers[c, s, 1] - u.scale * grads[c, 1]
-                lines.append(f"{vx:.17g} {vy:.17g} 0")
+        corrected = centers - u.scale * grads[:, None, :]
+        lines.append(_lines("%.17g %.17g 0", corrected.reshape(-1, 2)))
 
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -205,6 +205,18 @@ def test_malformed_mesh_line_is_data_error(tmp_path, capsys):
     assert f"{bad}:4" in payload["reason"]
 
 
+def test_mesh_error_reason_prints_plain_integers(tmp_path, capsys):
+    bad = tmp_path / "mesh.txt"
+    bad.write_text("mesh 2\nvertices 3\n0 0\n1 0\n2 0\ncells 1\n0 1 2\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh = file:{bad}\nsteps = 1\n")
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["reason"] == "invalid mesh: cell 0 has zero area: (0, 1, 2)"
+    assert "np.int64" not in payload["reason"]
+
+
 def test_pathological_mesh_through_cli(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mesh = pathological:all_boundary_cell\nsteps = 2\n")

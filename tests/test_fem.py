@@ -4,12 +4,14 @@ import pytest
 from projnav import fem
 from projnav.fem import (CompositeVelocity, FieldP1Scalar, FieldP2Vector,
                          SpaceP1, SpaceP2Vector, assemble_convection,
-                         assemble_convection_unsplit, assemble_grad_coupling,
-                         assemble_load, assemble_mass_p2,
-                         assemble_pressure_laplacian, assemble_stiffness_p2,
-                         composite_moment, div_moments, eval_basis,
-                         h1_seminorm, l2_inner, weak_div_moments)
+                         assemble_grad_coupling, assemble_load,
+                         assemble_mass_p2, assemble_pressure_laplacian,
+                         assemble_stiffness_p2, div_moments, eval_basis,
+                         h1_seminorm, p2_values_at, weak_div_moments)
 from projnav.mesh import build_from_arrays, build_structured_unit_square
+from projnav.scheme import SchemeOperators
+
+from oracles import assemble_convection_unsplit, l2_inner
 
 
 @pytest.fixture(scope="module")
@@ -244,10 +246,21 @@ def test_weak_div_moments_of_pure_gradient_composite(pair2, rng):
 
 def test_composite_moment_against_direct_inner_product(pair2, rng):
     s2, s1 = pair2
+    ops = SchemeOperators(s2, s1)
     p2 = FieldP2Vector(s2, rng.standard_normal((s2.n_scalar, 2)))
     v = FieldP2Vector(s2, rng.standard_normal((s2.n_scalar, 2)))
     u = CompositeVelocity(p2, FieldP1Scalar(s1), 0.5)
-    assert abs(composite_moment(u, v) - l2_inner(p2, v)) <= 1e-12
+    assert abs(ops.moment_vector(u) @ v.flat() - l2_inner(p2, v)) <= 1e-12
+    # with a gradient part, against cellwise quadrature of the composite
+    u = CompositeVelocity(p2, FieldP1Scalar(s1, rng.standard_normal(s1.ndof)),
+                          0.5)
+    t = fem._tables(s2.mesh, fem.DEFAULT_RULE)
+    uq = u.values_at()
+    cell = np.einsum("q,cqx,cqx->c", t.weights, uq, p2_values_at(v))
+    assert abs(ops.moment_vector(u) @ v.flat()
+               - cell @ s2.mesh.cell_areas) <= 1e-12
+    cell = np.einsum("q,cqx,cqx->c", t.weights, uq, uq)
+    assert abs(ops.composite_norm_sq(u) - cell @ s2.mesh.cell_areas) <= 1e-12
 
 
 def test_mismatched_meshes_rejected(pair2):

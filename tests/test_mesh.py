@@ -89,6 +89,62 @@ def test_non_manifold_edge_rejected():
         build_from_arrays(verts, cells)
 
 
+@pytest.mark.parametrize("verts, cells, message", [
+    ([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)],
+     "cell 0 has zero area: (0, 1, 2)"),
+    ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (0, 2, 2)],
+     "cell 1 has repeated vertices: (0, 2, 2)"),
+    ([(0, 0), (1, 0), (0, 1)], [(0, 1, 7)],
+     "cell 0 has vertex index out of range: (0, 1, 7)"),
+    ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (2, 0, 1)],
+     "duplicate cell 1: (2, 0, 1)"),
+    ([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (1.5, 1)],
+     [(0, 1, 2), (0, 1, 3), (0, 1, 4)],
+     "non-manifold edge (0, 1): 3 incident cells"),
+], ids=["zero-area", "repeated", "out-of-range", "duplicate",
+        "non-manifold"])
+def test_mesh_error_message_text(verts, cells, message):
+    with pytest.raises(MeshError) as err:
+        build_from_arrays(verts, cells)
+    assert str(err.value) == message
+
+
+def _shuffled_mesh():
+    base = build_structured_unit_square(5)
+    perm = np.random.default_rng(11).permutation(base.n_cells)
+    return build_from_arrays(base.vertices, base.cells[perm])
+
+
+@pytest.mark.parametrize("which", ["irregular", "shuffled"])
+def test_patches_match_brute_force(irregular_mesh, which):
+    mesh = irregular_mesh if which == "irregular" else _shuffled_mesh()
+    edge_cells = [[] for _ in range(mesh.n_edges)]
+    vertex_cells = [[] for _ in range(mesh.n_vertices)]
+    for c in range(mesh.n_cells):
+        for e in mesh.cell_edges[c]:
+            edge_cells[e].append(c)
+        for v in mesh.cells[c]:
+            vertex_cells[v].append(c)
+    for got, expected in ((mesh.edge_cells, edge_cells),
+                          (mesh.vertex_cells, vertex_cells)):
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.dtype == np.int64
+            assert g.tolist() == e
+
+
+def test_structured_cells_follow_rows():
+    n = 3
+    mesh = build_structured_unit_square(n)
+    expected = []
+    for j in range(n):
+        for i in range(n):
+            v00 = j * (n + 1) + i
+            v11 = v00 + n + 2
+            expected += [(v00, v00 + 1, v11), (v00, v11, v11 - 1)]
+    assert mesh.cells.tolist() == [list(c) for c in expected]
+
+
 def test_negative_orientation_reordered():
     mesh = build_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
     assert mesh.cell_areas[0] > 0.0

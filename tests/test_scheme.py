@@ -1,10 +1,12 @@
+from fractions import Fraction
+from math import factorial, prod
+
 import numpy as np
 import pytest
 
 from projnav import mms, scheme
 from projnav.fem import (FieldP2Vector, SpaceP1, SpaceP2Vector,
-                         assemble_convection, assemble_load,
-                         composite_l2_norm_sq, l2_inner, weak_div_moments)
+                         assemble_convection, assemble_load, weak_div_moments)
 from projnav.interp import pi_n
 from projnav.mesh import (build_pathological_mesh,
                           build_structured_unit_square)
@@ -12,6 +14,8 @@ from projnav.scheme import (SchemeConfig, SchemeError, SchemeOperators,
                             correct, diagnostics_csv, gap_l2l2, initialize,
                             predict, run, step, time_translate_diagnostic)
 from projnav.sparse import CsrMatrix
+
+from oracles import l2_inner
 
 
 def zero_u0(pts):
@@ -68,8 +72,7 @@ def test_initialize_gradient_data_projected_out(setup4):
     assert np.abs(moments).max() <= 1e-11
     w = scheme.interpolate_p2(s2, u0)
     norm_before = np.sqrt(l2_inner(w, w))
-    norm_after = np.sqrt(max(composite_l2_norm_sq(
-        state.u, mass=ops.mass, grad=ops.grad, lap=ops.lap), 0.0))
+    norm_after = np.sqrt(max(ops.composite_norm_sq(state.u), 0.0))
     assert norm_after <= norm_before + 1e-12
 
 
@@ -85,63 +88,114 @@ def test_predict_zero_state_zero_forcing(setup4):
     assert np.abs(ut.coeffs).max() == 0.0
 
 
-def sympy_heat_step_oracle(mesh, dt, forcing_xy):
+class LamPoly:
+    """Polynomial in the barycentric coordinates of one triangle, with
+    exact rational coefficients keyed by exponent triples."""
+
+    def __init__(self, terms):
+        self.terms = {k: v for k, v in terms.items() if v}
+
+    @staticmethod
+    def lift(value):
+        if isinstance(value, LamPoly):
+            return value
+        return LamPoly({(0, 0, 0): Fraction(value)})
+
+    @staticmethod
+    def lam(k):
+        return LamPoly({tuple(int(i == k) for i in range(3)): Fraction(1)})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, v in LamPoly.lift(other).terms.items():
+            terms[k] = terms.get(k, 0) + v
+        return LamPoly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LamPoly({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-LamPoly.lift(other))
+
+    def __mul__(self, other):
+        terms = {}
+        for ka, va in self.terms.items():
+            for kb, vb in LamPoly.lift(other).terms.items():
+                k = tuple(a + b for a, b in zip(ka, kb))
+                terms[k] = terms.get(k, 0) + va * vb
+        return LamPoly(terms)
+
+    __rmul__ = __mul__
+
+    def diff(self, i):
+        """Partial derivative with respect to lambda_i."""
+        terms = {}
+        for k, v in self.terms.items():
+            if k[i]:
+                e = list(k)
+                e[i] -= 1
+                terms[tuple(e)] = v * k[i]
+        return LamPoly(terms)
+
+    def integral(self, area):
+        """Exact integral over the triangle:
+        int_K lambda^alpha = 2 |K| alpha! / (|alpha| + 2)!."""
+        total = Fraction(0)
+        for k, v in self.terms.items():
+            total += (v * 2 * area * prod(factorial(a) for a in k)
+                      / factorial(sum(k) + 2))
+        return total
+
+
+def rational_heat_step_oracle(mesh, dt, forcing_xy):
     """Backward-Euler heat step from zero data, built independently.
 
-    Assembles exact mass/stiffness/load with sympy integration over each
-    physical triangle and solves the dense interior system per component.
-    Returns the full coefficient array (boundary rows zero).
+    Assembles mass/stiffness/load by exact rational integration of
+    barycentric monomials over each physical triangle (the vertex
+    coordinates are read as exact rationals), then solves the dense
+    interior system per component.  Returns the full coefficient array
+    (boundary rows zero).
     """
-    import sympy as sp
-
-    x, y = sp.symbols("x y")
     n_vert = mesh.n_vertices
     n_scalar = n_vert + mesh.n_edges
     mass = np.zeros((n_scalar, n_scalar))
     stiff = np.zeros((n_scalar, n_scalar))
     load = np.zeros((n_scalar, 2))
-    fx, fy = forcing_xy(x, y)
+    lam = [LamPoly.lam(k) for k in range(3)]
+    pairs = ((1, 2), (0, 2), (0, 1))
+    basis = [lam[i] * (2 * lam[i] - 1) for i in range(3)]
+    basis += [4 * lam[a] * lam[b] for a, b in pairs]
 
     for c in range(mesh.n_cells):
         tri = mesh.cells[c]
-        pts = mesh.vertices[tri]
-        # affine barycentric coordinates on the physical cell
-        mat = sp.Matrix([[pts[0][0], pts[1][0], pts[2][0]],
-                         [pts[0][1], pts[1][1], pts[2][1]],
-                         [1, 1, 1]])
-        lam = mat.inv() * sp.Matrix([x, y, 1])
-        basis = [lam[i] * (2 * lam[i] - 1) for i in range(3)]
-        pairs = ((1, 2), (0, 2), (0, 1))
-        basis += [4 * lam[a] * lam[b] for a, b in pairs]
+        px = [Fraction(float(v)) for v in mesh.vertices[tri, 0]]
+        py = [Fraction(float(v)) for v in mesh.vertices[tri, 1]]
+        det = ((px[1] - px[0]) * (py[2] - py[0])
+               - (px[2] - px[0]) * (py[1] - py[0]))
+        area = abs(det) / 2
+        # grad lambda_i = (y_j - y_k, x_k - x_j) / det, (i, j, k) cyclic
+        glam = [((py[(i + 1) % 3] - py[(i + 2) % 3]) / det,
+                 (px[(i + 2) % 3] - px[(i + 1) % 3]) / det)
+                for i in range(3)]
+        x = sum((lam[k] * px[k] for k in range(3)), LamPoly({}))
+        y = sum((lam[k] * py[k] for k in range(3)), LamPoly({}))
+        fx, fy = forcing_xy(x, y)
         gdofs = list(tri) + [n_vert + e for e in mesh.cell_edges[c]]
-
-        # integrate over the triangle by mapping to the reference simplex
-        xi, eta = sp.symbols("xi eta")
-        xmap = pts[0][0] + (pts[1][0] - pts[0][0]) * xi + (pts[2][0] - pts[0][0]) * eta
-        ymap = pts[0][1] + (pts[1][1] - pts[0][1]) * xi + (pts[2][1] - pts[0][1]) * eta
-        jac = sp.Rational(1, 1) * abs(
-            (pts[1][0] - pts[0][0]) * (pts[2][1] - pts[0][1])
-            - (pts[1][1] - pts[0][1]) * (pts[2][0] - pts[0][0]))
-
-        def cell_integral(expr):
-            mapped = expr.subs({x: xmap, y: ymap}, simultaneous=True)
-            inner = sp.integrate(mapped, (eta, 0, 1 - xi))
-            return float(sp.integrate(inner, (xi, 0, 1)) * jac)
+        dbasis = [[b.diff(k) for k in range(3)] for b in basis]
 
         for a in range(6):
-            ga = basis[a]
-            dax, day = sp.diff(ga, x), sp.diff(ga, y)
-            load[gdofs[a], 0] += cell_integral(fx * ga)
-            load[gdofs[a], 1] += cell_integral(fy * ga)
-            for b in range(a, 6):
-                gb = basis[b]
-                m_ab = cell_integral(ga * gb)
-                k_ab = cell_integral(dax * sp.diff(gb, x) + day * sp.diff(gb, y))
-                mass[gdofs[a], gdofs[b]] += m_ab
-                stiff[gdofs[a], gdofs[b]] += k_ab
-                if a != b:
-                    mass[gdofs[b], gdofs[a]] += m_ab
-                    stiff[gdofs[b], gdofs[a]] += k_ab
+            load[gdofs[a], 0] += float((fx * basis[a]).integral(area))
+            load[gdofs[a], 1] += float((fy * basis[a]).integral(area))
+            for b in range(6):
+                mass[gdofs[a], gdofs[b]] += float(
+                    (basis[a] * basis[b]).integral(area))
+                grad_grad = sum(
+                    (dbasis[a][k] * dbasis[b][m]
+                     * (glam[k][0] * glam[m][0] + glam[k][1] * glam[m][1])
+                     for k in range(3) for m in range(3)), LamPoly({}))
+                stiff[gdofs[a], gdofs[b]] += float(grad_grad.integral(area))
 
     interior = np.zeros(n_scalar, dtype=bool)
     interior[mesh.interior_vertices] = True
@@ -172,7 +226,8 @@ def test_first_step_matches_independent_heat_oracle():
     load = assemble_load(s2, f, 0.0, dt)
     ut, _ = predict(state, load, ops, config)
 
-    oracle = sympy_heat_step_oracle(mesh, dt, lambda x, y: (x * y, x * x - 0.3))
+    oracle = rational_heat_step_oracle(mesh, dt,
+                                       lambda x, y: (x * y, x * x - 0.3))
     assert np.abs(ut.coeffs - oracle).max() <= 1e-10
 
 

@@ -1,0 +1,54 @@
+import numpy as np
+
+from projnav.fem import (CompositeVelocity, FieldP1Scalar, FieldP2Vector,
+                         SpaceP1, SpaceP2Vector)
+from projnav.vtk import _SUBTRIANGLES, write_vtk_fields
+
+
+def _block(lines, header, count, width):
+    start = lines.index(header) + 1
+    if header.startswith("SCALARS"):
+        assert lines[start] == "LOOKUP_TABLE default"
+        start += 1
+    return np.array([[float(t) for t in lines[start + k].split()[:width]]
+                     for k in range(count)])
+
+
+def test_point_blocks_read_back_exactly(irregular_mesh, rng, tmp_path):
+    mesh = irregular_mesh
+    s2 = SpaceP2Vector(mesh)
+    s1 = SpaceP1(mesh)
+    ut = FieldP2Vector(s2, rng.standard_normal((s2.n_scalar, 2))
+                       * 10.0 ** rng.integers(-20, 20, (s2.n_scalar, 2)))
+    ut.coeffs[0] = (-0.0, 1.0 / 3.0)
+    p2 = FieldP2Vector(s2, rng.standard_normal((s2.n_scalar, 2)))
+    p = FieldP1Scalar(s1, rng.standard_normal(s1.ndof))
+    u = CompositeVelocity(p2, p, 0.37)
+    path = tmp_path / "f.vtk"
+    write_vtk_fields(path, s2, u_tilde=ut, u=u, pressure=p)
+    lines = path.read_text().splitlines()
+
+    n = s2.n_scalar
+    assert lines[4] == f"POINTS {n} double"
+    assert np.array_equal(_block(lines, lines[4], n, 2),
+                          s2.node_coordinates())
+    nsub = 4 * mesh.n_cells
+    cells = _block(lines, f"CELLS {nsub} {4 * nsub}", nsub, 4)
+    assert np.array_equal(cells[:, 0], np.full(nsub, 3.0))
+    expected = [s2.gdof[c, list(tri)] for c in range(mesh.n_cells)
+                for tri in _SUBTRIANGLES]
+    assert np.array_equal(cells[:, 1:], np.array(expected))
+
+    got = _block(lines, "VECTORS u_tilde double", n, 2)
+    assert np.array_equal(got, ut.coeffs)
+    assert np.signbit(got[0, 0])
+    assert np.array_equal(_block(lines, "VECTORS u_p2_part double", n, 2),
+                          p2.coeffs)
+    pressure = np.concatenate([
+        p.coeffs, 0.5 * (p.coeffs[mesh.edges[:, 0]]
+                         + p.coeffs[mesh.edges[:, 1]])])
+    assert np.array_equal(
+        _block(lines, "SCALARS pressure double 1", n, 1)[:, 0], pressure)
+    grad_part = _block(lines, "VECTORS grad_part double", nsub, 2)
+    assert np.array_equal(grad_part, np.repeat(
+        -0.37 * u.grad_part_cell_gradients(), 4, axis=0))
