@@ -18,8 +18,8 @@ from .fem import (SpaceP1, SpaceP2Vector, FieldP1Scalar, FieldP2Vector,
                   assemble_pressure_laplacian, assemble_load, eval_basis,
                   h1_seminorm, weak_div_moments, div_moments)
 from .interp import (AnalyticVectorField, InterpError, lagrange_p2,
-                     edge_bubble, divergence_correct, pi_n,
-                     pi_n_convergence_study)
+                     edge_bubble, edge_bubble_residuals, divergence_correct,
+                     pi_n, pi_n_convergence_study)
 from .scheme import (SchemeConfig, SchemeState, StepDiagnostics, SchemeError,
                      SchemeOperators, initialize, predict, correct, step, run,
                      gap_l2l2, l2l2_velocity_error, time_translate_diagnostic)

@@ -26,7 +26,7 @@ __all__ = [
     "DEFAULT_RULE", "eval_basis",
     "assemble_mass_p2", "assemble_stiffness_p2", "assemble_convection",
     "assemble_grad_coupling", "assemble_pressure_laplacian", "assemble_load",
-    "h1_seminorm", "weak_div_moments", "div_moments",
+    "h1_seminorm", "weak_div_moments", "cell_div_moments", "div_moments",
     "p2_values_at", "p2_gradients_at",
 ]
 
@@ -433,6 +433,16 @@ def weak_div_moments(u, space1, grad=None, lap=None):
     return grad.rmatvec(u.flat())
 
 
+def cell_div_moments(mesh, local, cells=slice(None), rule=DEFAULT_RULE):
+    """(m, 3) moments (div u, lambda_a)_K against the three vertex hats of
+    each cell K, for local P2 coefficients ``local`` (m, 6, 2) on the cells
+    ``cells`` (every cell by default; indices may repeat)."""
+    t = _tables(mesh, rule)
+    divu = np.einsum("cax,caqx->cq", local, t.p2grad[cells])
+    return np.einsum("c,q,cq,aq->ca", mesh.cell_areas[cells], t.weights, divu,
+                     t.p1val)
+
+
 def div_moments(field, space1, rule=DEFAULT_RULE):
     """((div u, phi_k))_k for a P2 vector field; quadrature exact.
 
@@ -440,9 +450,7 @@ def div_moments(field, space1, rule=DEFAULT_RULE):
     does not vanish on the boundary.
     """
     mesh = field.space.mesh
-    t = _tables(mesh, rule)
-    divu = np.einsum("cax,caqx->cq", field.coeffs[field.space.gdof], t.p2grad)
-    cell = np.einsum("c,q,cq,aq->ca", mesh.cell_areas, t.weights, divu, t.p1val)
+    cell = cell_div_moments(mesh, field.coeffs[field.space.gdof], rule=rule)
     out = np.zeros(space1.ndof)
     np.add.at(out, mesh.cells.ravel(), cell.ravel())
     return out

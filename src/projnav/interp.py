@@ -22,7 +22,8 @@ from .quadrature import triangle_rule
 
 __all__ = [
     "AnalyticVectorField", "InterpError",
-    "lagrange_p2", "edge_bubble", "divergence_correct", "pi_n",
+    "lagrange_p2", "edge_bubble", "edge_bubble_residuals",
+    "divergence_correct", "pi_n",
     "pi_n_convergence_study", "sample_points", "linf_estimate",
 ]
 
@@ -76,6 +77,14 @@ def lagrange_p2(v, space):
     return FieldP2Vector(space, np.asarray(value(nodes), dtype=float))
 
 
+def _edge_bubbles(mesh, i, j):
+    """Midpoint dofs (m,) and vectors (m, 2) 3 (y_j - y_i) / |patch| of the
+    tangential bubbles of the oriented edges (i[k], j[k])."""
+    e = mesh.edge_indices(i, j)
+    tangent = mesh.vertices[j] - mesh.vertices[i]
+    return mesh.n_vertices + e, 3.0 * tangent / mesh.edge_patch_area[e, None]
+
+
 def edge_bubble(space, edge_pair):
     """Normalized tangential bubble of the oriented edge (i, j).
 
@@ -83,13 +92,57 @@ def edge_bubble(space, edge_pair):
     {i, j} and carries the vector 3 (y_j - y_i) / |patch|; the vertex
     moments of its divergence are +1 at i and -1 at j.
     """
-    mesh = space.mesh
     i, j = edge_pair
-    e = mesh.edge_index(i, j)
+    dof, vec = _edge_bubbles(space.mesh, [i], [j])
     field = FieldP2Vector(space)
-    tangent = mesh.vertices[j] - mesh.vertices[i]
-    field.coeffs[mesh.n_vertices + e] = 3.0 * tangent / mesh.edge_patch_area[e]
+    field.coeffs[dof] = vec
     return field
+
+
+def edge_bubble_residuals(space):
+    """Largest residuals of the edge-bubble lemmas over every edge {i < j}.
+
+    "bij": max |(div b_ij, phi_k) - (delta_ik - delta_jk)| over all edges and
+    vertices k; "antisymmetry": max |b_ij + b_ji| over all edges and dofs.
+    A bubble only lives on the cells that hold its dof, so each moment is
+    computed on those cells alone and summed per (edge, vertex); every
+    other vertex moment is exactly zero.
+    """
+    mesh = space.mesh
+    nv = mesh.n_vertices
+    edge = np.arange(mesh.n_edges)
+    i, j = mesh.edges.T
+    dof, vec = _edge_bubbles(mesh, i, j)
+    dof_rev, vec_rev = _edge_bubbles(mesh, j, i)
+    antisymmetry = np.where((dof == dof_rev)[:, None], np.abs(vec + vec_rev),
+                            np.maximum(np.abs(vec), np.abs(vec_rev)))
+
+    # the (cell, local slot) places of every dof, grouped by dof
+    places = np.argsort(space.gdof.ravel(), kind="stable")
+    count = np.bincount(space.gdof.ravel(), minlength=space.n_scalar)
+    start = np.cumsum(count) - count
+    # one item per (bubble, place of its dof)
+    n = count[dof]
+    owner = np.repeat(edge, n)
+    rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    cell, slot = np.divmod(places[start[dof][owner] + rank], 6)
+    local = np.zeros((len(owner), 6, 2))
+    local[np.arange(len(owner)), slot] = vec[owner]
+    moments = fem.cell_div_moments(mesh, local, cell)
+
+    # sum per (edge, vertex); the endpoints enter with a zero moment so an
+    # edge whose bubble misses its own cells still meets its +1 and -1
+    keys = np.concatenate([(owner[:, None] * nv + mesh.cells[cell]).ravel(),
+                           edge * nv + i, edge * nv + j])
+    keys, slot_of = np.unique(keys, return_inverse=True)
+    m = moments.size
+    total = np.bincount(slot_of, np.concatenate([moments.ravel(),
+                                                 np.zeros(2 * len(edge))]),
+                        len(keys))
+    target = np.bincount(slot_of[m:], np.repeat([1.0, -1.0], len(edge)),
+                         len(keys))
+    return {"bij": float(np.abs(total - target).max()),
+            "antisymmetry": float(antisymmetry.max())}
 
 
 def _edge_coefficients(space, values_at_rule, rule):
@@ -240,7 +293,8 @@ def pi_n_convergence_study(v, spaces, rule=None):
 
     Returns one dict per space with keys
     n, h, status, err_linf, err_w1inf, err_h1, e_norm, observed_order
-    (order from the previous row's W1-inf error; nan on the first row).
+    (order from the previous row's W1-inf error; nan on the first row)
+    and field (the interpolant).
     """
     if rule is None:
         rule = ANALYTIC_RULE
@@ -263,6 +317,7 @@ def pi_n_convergence_study(v, spaces, rule=None):
             "err_h1": err_h1,
             "e_norm": fem.h1_seminorm(field) + linf_estimate(field, rule),
             "observed_order": order,
+            "field": field,
         })
         prev = (h, err_w1inf)
     return rows

@@ -75,8 +75,20 @@ class SimplicialMesh:
         p0 = vertices[cells[:, 0]]
         p1 = vertices[cells[:, 1]]
         p2 = vertices[cells[:, 2]]
-        twice_area = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-                      - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
+        # an overflow is reported as a MeshError below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            twice_area = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+                          - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
+            s01 = np.linalg.norm(p1 - p0, axis=1)
+            s12 = np.linalg.norm(p2 - p1, axis=1)
+            s02 = np.linalg.norm(p2 - p0, axis=1)
+            perim = s01 + s12 + s02
+        overflow = np.flatnonzero(~(np.isfinite(twice_area)
+                                    & np.isfinite(perim)))
+        if overflow.size:
+            c = overflow[0]
+            raise MeshError(f"cell {c} has a non-finite area or perimeter: "
+                            f"{tuple(cells[c].tolist())}")
         degenerate = np.where(twice_area == 0.0)[0]
         if degenerate.size:
             c = degenerate[0]
@@ -125,11 +137,7 @@ class SimplicialMesh:
 
         # geometry
         self.cell_areas = 0.5 * twice_area
-        s01 = np.linalg.norm(p1 - p0, axis=1)
-        s12 = np.linalg.norm(p2 - p1, axis=1)
-        s02 = np.linalg.norm(p2 - p0, axis=1)
         self.cell_diameters = np.maximum(np.maximum(s01, s12), s02)
-        perim = s01 + s12 + s02
         self.cell_inball = 4.0 * self.cell_areas / perim
         self.edge_patch_area = np.zeros(self.n_edges)
         np.add.at(self.edge_patch_area, self.cell_edges.ravel(),
@@ -142,14 +150,24 @@ class SimplicialMesh:
 
     def edge_index(self, i, j):
         """Edge index of the unordered pair {i, j}, or raise MeshError."""
-        a, b = (i, j) if i < j else (j, i)
-        lo = np.searchsorted(self.edges[:, 0], a, side="left")
-        hi = np.searchsorted(self.edges[:, 0], a, side="right")
-        block = self.edges[lo:hi, 1]
-        k = np.searchsorted(block, b)
-        if k < len(block) and block[k] == b:
-            return int(lo + k)
-        raise MeshError(f"no edge {{{i}, {j}}} in mesh")
+        return int(self.edge_indices([i], [j])[0])
+
+    def edge_indices(self, i, j):
+        """Edge indices of the unordered pairs {i[k], j[k]}; MeshError names
+        the first pair that is not an edge."""
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        pairs = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=-1)
+        # the rows of ``edges`` are sorted, so their row-major keys are too
+        nv = self.n_vertices
+        k = np.searchsorted(self.edges[:, 0] * nv + self.edges[:, 1],
+                            pairs[:, 0] * nv + pairs[:, 1])
+        k = np.minimum(k, self.n_edges - 1)
+        missing = np.flatnonzero((self.edges[k] != pairs).any(axis=1))
+        if missing.size:
+            m = missing[0]
+            raise MeshError(f"no edge {{{i[m]}, {j[m]}}} in mesh")
+        return k
 
 
 def _incident_cells(cell_entities, n):

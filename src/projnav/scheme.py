@@ -207,11 +207,14 @@ def initialize(space2, space1, u0, ops=None, tol=1e-12):
     """Initial state: ut=0, p=0, u = projection of the u0 interpolant.
 
     The projection onto the weakly divergence free space is the discrete
-    Helmholtz split u = w - grad p0 of ``SchemeOperators.project``.
+    Helmholtz split u = w - grad p0 of ``SchemeOperators.project``.  A
+    non-finite interpolant raises SchemeError at step 0.
     """
     if ops is None:
         ops = SchemeOperators(space2, space1)
     w = u0 if isinstance(u0, FieldP2Vector) else interpolate_p2(space2, u0)
+    if not np.isfinite(w.coeffs).all():
+        raise SchemeError("non-finite initial velocity at step 0", 0)
     u, _, _ = ops.project(w, 1.0, tol)
     return SchemeState(n=0, t=0.0, u_tilde=FieldP2Vector(space2),
                        u=u, p=FieldP1Scalar(space1))
@@ -256,10 +259,14 @@ def correct(state, ut_next, ops, config):
 
 
 def step(state, f, ops, config):
-    """One prediction/correction step with the energy audit."""
+    """One prediction/correction step with the energy audit; a non-finite
+    load vector raises SchemeError naming the step."""
     dt = config.dt
     t_next = state.t + dt
     load = assemble_load(ops.space2, f, state.t, t_next)
+    if not np.isfinite(load).all():
+        raise SchemeError(f"non-finite load vector at step {state.n + 1}",
+                          state.n + 1)
     ut_next, pred_iters = predict(state, load, ops, config)
     p_next, u_next, corr_iters = correct(state, ut_next, ops, config)
 

@@ -1,7 +1,10 @@
 import csv
 import json
 
-from projnav import cli
+import numpy as np
+
+from projnav import cli, mms
+from projnav.fem import div_moments
 from projnav.mesh import read_mesh_file
 
 
@@ -142,6 +145,24 @@ def test_interp_verify_pass(tmp_path, capsys):
     assert lines[0] == "n,h,status,err_linf,err_w1inf,err_h1,e_norm,observed_order"
 
 
+def test_interp_verify_div_moments_calls_do_not_grow_with_edges(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return div_moments(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "div_moments", counting)
+    code, _ = run_cli(["interp-verify", "--levels", "8,16", "--out",
+                       str(tmp_path)], capsys)
+    assert code == 0
+    # two per random field of the divergence-preservation lemma and one per
+    # level aligned with the test field's knots; none per edge (the two
+    # levels and the two small meshes have 1 020 edges)
+    assert len(calls) == 2 * 200 + 2
+
+
 def test_interp_verify_respects_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PROJNAV_SEED", "7")
     code, _ = run_cli(["interp-verify", "--levels", "2", "--out",
@@ -259,3 +280,43 @@ def test_config_comments_and_overrides(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2                       # flag override wins
     assert abs(float(rows[-1]["t"]) - 2.0) < 1e-15   # config T retained
+
+
+def _fail_payload(out):
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_non_finite_load_stopped_at_its_step(tmp_path, capsys, monkeypatch):
+    dt = 1.0 / 4
+    base = mms.forcing
+
+    def forcing(points, t):
+        value = base(points, t)
+        return value + (np.inf if t > dt else 0.0)
+
+    monkeypatch.setattr(cli.mms, "forcing", forcing)
+    code, out = run_cli(["run", "--n", "3", "--steps", "4", "--out",
+                         str(tmp_path)], capsys)
+    assert code == 3
+    payload = _fail_payload(out)
+    assert payload["code"] == 3
+    assert payload["reason"] == "non-finite load vector at step 2"
+
+
+def test_non_finite_initial_velocity_stopped(tmp_path, capsys, monkeypatch):
+    base = mms.initial_velocity
+
+    def initial_velocity(points):
+        value = base(points)
+        value[len(value) // 2, 1] = np.nan
+        return value
+
+    monkeypatch.setattr(cli.mms, "initial_velocity", initial_velocity)
+    code, out = run_cli(["run", "--n", "3", "--steps", "2", "--out",
+                         str(tmp_path)], capsys)
+    assert code == 3
+    payload = _fail_payload(out)
+    assert payload["code"] == 3
+    assert payload["reason"] == "non-finite initial velocity at step 0"

@@ -1,15 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
-from projnav import fem, mms
+from projnav import cli, fem, interp, mms
 from projnav.fem import (FieldP2Vector, SpaceP1, SpaceP2Vector, div_moments,
                          weak_div_moments)
 from projnav.interp import (AnalyticVectorField, InterpError,
                             divergence_correct, edge_bubble,
-                            lagrange_p2, linf_estimate, pi_n,
-                            pi_n_convergence_study)
-from projnav.mesh import (build_pathological_mesh,
+                            edge_bubble_residuals, lagrange_p2, linf_estimate,
+                            pi_n, pi_n_convergence_study)
+from projnav.mesh import (build_from_arrays, build_pathological_mesh,
                           build_structured_unit_square, mesh_metrics)
+
+from oracles import edge_bubble_residuals_by_edge
 
 
 def spaces(n):
@@ -147,6 +151,97 @@ def test_bubble_rejects_missing_edge():
     from projnav.mesh import MeshError
     with pytest.raises(MeshError):
         edge_bubble(s2, (0, 8))
+
+
+def _bubble_meshes(irregular_mesh):
+    base = build_structured_unit_square(5)
+    perm = np.random.default_rng(11).permutation(base.n_cells)
+    return {
+        "structured2": build_structured_unit_square(2),
+        "structured4": build_structured_unit_square(4),
+        "irregular": irregular_mesh,
+        "shuffled": build_from_arrays(base.vertices, base.cells[perm]),
+        "all_boundary_cell1": build_pathological_mesh("all_boundary_cell",
+                                                      n_cells=1),
+        "all_boundary_cell3": build_pathological_mesh("all_boundary_cell",
+                                                      n_cells=3),
+        "boundary_strip": build_pathological_mesh("boundary_strip", n=8),
+    }
+
+
+@pytest.mark.parametrize("which", ["structured2", "structured4", "irregular",
+                                   "shuffled", "all_boundary_cell1",
+                                   "all_boundary_cell3", "boundary_strip"])
+def test_edge_bubble_residuals_match_per_edge_oracle(irregular_mesh, which):
+    s2 = SpaceP2Vector(_bubble_meshes(irregular_mesh)[which])
+    report = edge_bubble_residuals(s2)
+    assert report == edge_bubble_residuals_by_edge(s2)
+    assert report["bij"] <= 1e-12 and report["antisymmetry"] == 0.0
+
+
+def test_cell_div_moments_on_a_cell_subset_match_full_run(irregular_mesh, rng):
+    mesh = irregular_mesh
+    local = rng.standard_normal((mesh.n_cells, 6, 2))
+    full = fem.cell_div_moments(mesh, local)
+    cells = np.array([5, 0, 5, mesh.n_cells - 1])
+    assert np.array_equal(fem.cell_div_moments(mesh, local[cells], cells),
+                          full[cells])
+
+
+_EDGE_BUBBLES = interp._edge_bubbles
+
+
+def _neighbour_dof(mesh, i, j):
+    """Bubbles on the dof of the next edge of their first cell."""
+    dof, vec = _EDGE_BUBBLES(mesh, i, j)
+    e = dof - mesh.n_vertices
+    cell = np.array([c[0] for c in mesh.edge_cells])[e]
+    local = np.argmax(mesh.cell_edges[cell] == e[:, None], axis=1)
+    return mesh.n_vertices + mesh.cell_edges[cell, (local + 1) % 3], vec
+
+
+def _scaled(mesh, i, j):
+    dof, vec = _EDGE_BUBBLES(mesh, i, j)
+    return dof, vec * (1.0 + 1e-9)
+
+
+def _reverse_flipped(mesh, i, j):
+    """Bubbles of decreasing pairs (i > j) get the sign of (j, i)."""
+    dof, vec = _EDGE_BUBBLES(mesh, i, j)
+    return dof, np.where((np.asarray(i) > np.asarray(j))[:, None], -vec, vec)
+
+
+def _reverse_misplaced(mesh, i, j):
+    """Bubbles of decreasing pairs (i > j) on a neighbouring edge's dof."""
+    dof, vec = _EDGE_BUBBLES(mesh, i, j)
+    moved, _ = _neighbour_dof(mesh, i, j)
+    return np.where(np.asarray(i) > np.asarray(j), moved, dof), vec
+
+
+@pytest.mark.parametrize("fault, lemma", [(_neighbour_dof, "bij"),
+                                          (_scaled, "bij"),
+                                          (_reverse_flipped, "antisymmetry"),
+                                          (_reverse_misplaced,
+                                           "antisymmetry")])
+def test_edge_bubble_residuals_detect_faults(irregular_mesh, monkeypatch,
+                                             fault, lemma):
+    tolerance = {"bij": 1e-12, "antisymmetry": 0.0}
+    monkeypatch.setattr(interp, "_edge_bubbles", fault)
+    for mesh in _bubble_meshes(irregular_mesh).values():
+        report = edge_bubble_residuals(SpaceP2Vector(mesh))
+        assert report[lemma] > tolerance[lemma]
+
+
+def test_interp_verify_fails_on_misplaced_bubble(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr(interp, "_edge_bubbles", _neighbour_dof)
+    code = cli.main(["interp-verify", "--levels", "2", "--out",
+                     str(tmp_path)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 3
+    assert "lemma bij" in lines[0] and lines[0].endswith("FAIL")
+    payload = json.loads(lines[-1])
+    assert payload["code"] == 3 and "bij" in payload["reason"]
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,14 @@ def test_non_finite_coordinate_rejected(bad):
         build_from_arrays([(0, 0), (1, 0), (bad, 1)], [(0, 1, 2)])
 
 
+@pytest.mark.parametrize("far", [(1.5e154, 0.0), (1e308, 1e308)])
+def test_overflowing_cell_rejected(far):
+    # finite coordinates whose area or side lengths overflow to inf or nan
+    with pytest.raises(MeshError, match="cell 0 has a non-finite area"):
+        build_from_arrays([far, (0.5, 0.0), (0.5, 0.5), (-1e308, 0.0)],
+                          [(0, 1, 2), (1, 2, 3)])
+
+
 def test_mesh_without_cells_rejected():
     with pytest.raises(MeshError, match="no cells"):
         build_from_arrays([(0, 0), (1, 0), (0, 1)], np.zeros((0, 3), int))
