@@ -117,8 +117,9 @@ def gather_options(args):
         opts["levels"] = args.levels
     if opts["steps"] < 1:
         raise CliError("config key 'steps': must be >= 1", USAGE_ERROR)
-    if not opts["T"] > 0:
-        raise CliError("config key 'T': must be positive", USAGE_ERROR)
+    if not 0 < opts["T"] < np.inf:
+        raise CliError("config key 'T': must be positive and finite",
+                       USAGE_ERROR)
     for key in ("pred_tol", "corr_tol"):
         if not 0 < opts[key] < 1:
             raise CliError(f"config key '{key}': must lie in (0, 1)",
@@ -232,10 +233,11 @@ def cmd_energy_audit(args):
     path = os.path.join(out, "energy_audit.csv")
     with open(path, "w") as fh:
         fh.write(diagnostics_csv(result.diagnostics))
-    worst = max(d.energy_residual for d in result.diagnostics)
+    # np.max propagates a nan from any step; max() keeps only a first one
+    worst = float(np.max([d.energy_residual for d in result.diagnostics]))
     print(f"wrote {path}")
     print(f"worst per-step energy residual: {worst:.3e}")
-    if worst > 1e-8:
+    if not worst <= 1e-8:
         raise CliError(f"energy identity residual {worst:.3e} exceeds 1e-8",
                        NUMERICAL_ERROR)
     print("energy audit: PASS")

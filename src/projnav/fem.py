@@ -287,9 +287,7 @@ class ElementPattern:
 
     @cached_property
     def transpose(self):
-        a = self.csr
-        keys = a._rows * a.shape[0] + a.indices
-        return np.searchsorted(keys, a.indices * a.shape[0] + a._rows)
+        return self.csr.transpose_order()
 
     def assemble(self, elem):
         """CSR matrix from (nc, nl, nl) element blocks."""

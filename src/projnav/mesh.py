@@ -123,6 +123,19 @@ class SimplicialMesh:
             e = int(np.argmax(counts))
             raise MeshError(f"non-manifold edge {tuple(edges[e].tolist())}: "
                             f"{counts[e]} incident cells")
+        # every cell is now counterclockwise, so the far vertices of an
+        # interior edge lie on opposite sides of it exactly when its two
+        # cells traverse it in opposite directions; on a folded mesh some
+        # edge has both cells on one side
+        ahead = np.where(cells[:, [1, 2, 0]] < cells[:, [2, 0, 1]], 1, -1)
+        turn = np.bincount(self.cell_edges.ravel(), weights=ahead.ravel(),
+                           minlength=self.n_edges)
+        folded = np.flatnonzero(np.abs(turn) == 2)
+        if folded.size:
+            e = folded[0]
+            raise MeshError(f"folded mesh: both cells of edge "
+                            f"{tuple(edges[e].tolist())} lie on the same "
+                            f"side of it")
         self.boundary_edges = np.where(counts == 1)[0]
 
         bset = np.zeros(nv, dtype=bool)

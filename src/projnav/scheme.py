@@ -18,6 +18,7 @@ whose residual is limited only by the solver tolerances.
 import csv
 import io
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from .fem import (FieldP1Scalar, FieldP2Vector, CompositeVelocity,
                   assemble_convection, assemble_grad_coupling, assemble_load,
                   assemble_mass_p2, assemble_pressure_laplacian,
                   assemble_stiffness_p2)
-from .sparse import CsrMatrix, SolverError, bicgstab_solve, cg_solve
+from .sparse import (CsrMatrix, SmoothedAggregation, SolverError,
+                     bicgstab_solve, cg_solve)
 
 __all__ = [
     "SchemeConfig", "SchemeState", "StepDiagnostics", "SchemeError",
@@ -114,7 +116,7 @@ class SchemeOperators:
         # convection matrix share, to interior rows and columns; the
         # interior dofs are sorted, so the kept entries stay in CSR order
         mask = space2.interior_mask
-        rows, cols = self.mass._rows, self.mass.indices
+        rows, cols = self.mass.row_indices(), self.mass.indices
         self._keep = mask[rows] & mask[cols]
         local = np.cumsum(mask) - 1
         m = len(self.interior)
@@ -134,6 +136,12 @@ class SchemeOperators:
         return self._interior.with_data(
             ((1.0 / dt) * self.mass.data + kc)[self._keep])
 
+    @cached_property
+    def pressure_precond(self):
+        """AMG hierarchy of the P1 Laplacian, built on the first projection
+        and kept: it does not depend on the time step."""
+        return SmoothedAggregation(self.lap, constant_kernel=True)
+
     def project(self, w, scale, tol, max_iter=None, step_index=0):
         """Discrete Helmholtz projection of a P2 field onto the weakly
         divergence free space: u = w - scale grad q with
@@ -146,7 +154,8 @@ class SchemeOperators:
         try:
             q, report = cg_solve(self.lap, rhs, tol=tol, max_iter=max_iter,
                                  deflate_constants=True,
-                                 mean_weights=self.p1_weights)
+                                 mean_weights=self.p1_weights,
+                                 precond=self.pressure_precond)
         except SolverError as err:
             raise SchemeError(f"projection solve rejected at step "
                               f"{step_index}: {err}", step_index) from err
@@ -220,8 +229,11 @@ def initialize(space2, space1, u0, ops=None, tol=1e-12):
                        u=u, p=FieldP1Scalar(space1))
 
 
-def predict(state, load, ops, config):
-    """Viscous prediction solve; returns (ut^{n+1}, solver iterations)."""
+def predict(state, load, ops, config, precond):
+    """Viscous prediction solve; returns (ut^{n+1}, solver iterations).
+
+    ``precond`` is a ``SmoothedAggregation`` hierarchy of
+    ``ops.prediction_system(config.dt)``."""
     dt = config.dt
     space2 = ops.space2
     idx = ops.interior
@@ -238,7 +250,7 @@ def predict(state, load, ops, config):
     for comp in range(2):
         rhs = rhs_flat[comp * n2:(comp + 1) * n2][idx]
         x, report = bicgstab_solve(system, rhs, tol=config.pred_tol,
-                                   max_iter=config.max_iter)
+                                   max_iter=config.max_iter, precond=precond)
         iters += report.iterations
         if not report.converged:
             raise SchemeError(
@@ -258,29 +270,33 @@ def correct(state, ut_next, ops, config):
     return FieldP1Scalar(ops.space1, p_new), u_new, iters
 
 
-def step(state, f, ops, config):
+def step(state, f, ops, config, precond):
     """One prediction/correction step with the energy audit; a non-finite
-    load vector raises SchemeError naming the step."""
+    load vector or energy audit raises SchemeError naming the step.
+    ``precond`` is passed to ``predict``."""
     dt = config.dt
     t_next = state.t + dt
     load = assemble_load(ops.space2, f, state.t, t_next)
     if not np.isfinite(load).all():
         raise SchemeError(f"non-finite load vector at step {state.n + 1}",
                           state.n + 1)
-    ut_next, pred_iters = predict(state, load, ops, config)
+    ut_next, pred_iters = predict(state, load, ops, config, precond)
     p_next, u_next, corr_iters = correct(state, ut_next, ops, config)
 
-    u_sq_prev = ops.composite_norm_sq(state.u)
-    u_sq = ops.composite_norm_sq(u_next)
-    gradp_sq_prev = ops.gradp_norm_sq(state.p.coeffs)
-    gradp_sq = ops.gradp_norm_sq(p_next.coeffs)
-    gap_sq = ops.gap_norm_sq(ut_next, state.u)
-    ut_h1_sq = ops.h1_seminorm_sq_p2(ut_next.coeffs)
-    work = float(load @ ut_next.flat())
-    lhs = ((u_sq - u_sq_prev) / (2.0 * dt)
-           + dt * (gradp_sq - gradp_sq_prev) / 2.0
-           + gap_sq / (2.0 * dt) + ut_h1_sq)
-    residual = abs(lhs - work) / max(1.0, abs(work))
+    # an overflow (s * s for a huge dt) is reported as a SchemeError
+    # below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_sq_prev = ops.composite_norm_sq(state.u)
+        u_sq = ops.composite_norm_sq(u_next)
+        gradp_sq_prev = ops.gradp_norm_sq(state.p.coeffs)
+        gradp_sq = ops.gradp_norm_sq(p_next.coeffs)
+        gap_sq = ops.gap_norm_sq(ut_next, state.u)
+        ut_h1_sq = ops.h1_seminorm_sq_p2(ut_next.coeffs)
+        work = float(load @ ut_next.flat())
+        lhs = ((u_sq - u_sq_prev) / (2.0 * dt)
+               + dt * (gradp_sq - gradp_sq_prev) / 2.0
+               + gap_sq / (2.0 * dt) + ut_h1_sq)
+        residual = abs(lhs - work) / max(1.0, abs(work))
 
     diag = StepDiagnostics(
         n=state.n + 1, t=t_next, energy_residual=residual,
@@ -290,6 +306,9 @@ def step(state, f, ops, config):
         gradp_l2=float(np.sqrt(max(gradp_sq, 0.0))),
         gap_l2=float(np.sqrt(max(gap_sq, 0.0))),
         pred_iters=pred_iters, corr_iters=corr_iters)
+    if not np.isfinite(diag.row()).all():
+        raise SchemeError(f"non-finite energy audit at step {state.n + 1}",
+                          state.n + 1)
     new_state = SchemeState(n=state.n + 1, t=t_next, u_tilde=ut_next,
                             u=u_next, p=p_next)
     return new_state, diag
@@ -310,15 +329,19 @@ class RunResult:
 
 
 def run(space2, space1, u0, f, config, ops=None):
-    """Full time loop; histories are stored when config.store_fields is set."""
+    """Full time loop; histories are stored when config.store_fields is set.
+
+    The prediction solves are preconditioned by one AMG hierarchy of
+    M/dt + K, built here and dropped on return."""
     if ops is None:
         ops = SchemeOperators(space2, space1)
     state = initialize(space2, space1, u0, ops=ops, tol=config.corr_tol)
     result = RunResult(state=state, diagnostics=[], config=config, ops=ops)
     if config.store_fields:
         result.u_history.append(state.u)
+    precond = SmoothedAggregation(ops.prediction_system(config.dt))
     for _ in range(config.n_steps):
-        state, diag = step(state, f, ops, config)
+        state, diag = step(state, f, ops, config, precond)
         result.diagnostics.append(diag)
         if config.store_fields:
             result.u_tilde_history.append(state.u_tilde)

@@ -5,7 +5,8 @@ import numpy as np
 
 from projnav import cli, mms
 from projnav.fem import div_moments
-from projnav.mesh import read_mesh_file
+from projnav.mesh import (build_from_arrays, build_structured_unit_square,
+                          read_mesh_file, write_mesh_file)
 
 
 def run_cli(args, capsys):
@@ -320,3 +321,96 @@ def test_non_finite_initial_velocity_stopped(tmp_path, capsys, monkeypatch):
     payload = _fail_payload(out)
     assert payload["code"] == 3
     assert payload["reason"] == "non-finite initial velocity at step 0"
+
+
+def test_overflowing_energy_audit_fails(tmp_path, capsys):
+    # dt = 2.5e199, so dt * dt overflows in the composite norms
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("T = 1e200\nsteps = 4\nmesh = structured:2\n")
+    code, out = run_cli(["energy-audit", "--config", str(cfg), "--out",
+                         str(tmp_path)], capsys)
+    assert code == 3
+    assert "PASS" not in out
+    payload = _fail_payload(out)
+    assert payload["reason"] == "non-finite energy audit at step 1"
+
+
+def test_overflowing_run_fails(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("T = 1e308\nsteps = 1\nmesh = structured:2\n")
+    code, out = run_cli(["run", "--config", str(cfg), "--out",
+                         str(tmp_path)], capsys)
+    assert code == 3
+    assert _fail_payload(out)["reason"] == "non-finite energy audit at step 1"
+
+
+def test_energy_audit_fails_on_nan_residual(tmp_path, capsys, monkeypatch):
+    real_run = cli.run
+
+    def nan_run(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        result.diagnostics[-1].energy_residual = float("nan")
+        return result
+
+    monkeypatch.setattr(cli, "run", nan_run)
+    code, out = run_cli(["energy-audit", "--n", "2", "--steps", "2",
+                         "--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert "PASS" not in out
+
+
+def test_non_finite_final_time_rejected(tmp_path, capsys):
+    for value in ("inf", "nan", "-inf"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"T = {value}\n")
+        code, out = run_cli(["run", "--config", str(cfg), "--out",
+                             str(tmp_path)], capsys)
+        assert code == 1
+        assert "'T'" in _fail_payload(out)["reason"]
+
+
+def test_folded_mesh_file_is_data_error(tmp_path, capsys):
+    base = build_structured_unit_square(4)
+    verts = base.vertices.copy()
+    verts[12] = (0.9, 0.1)
+    path = tmp_path / "mesh.txt"
+    path.write_text("\n".join(
+        ["mesh 2", f"vertices {len(verts)}"]
+        + [f"{x!r} {y!r}" for x, y in verts.tolist()]
+        + [f"cells {base.n_cells}"]
+        + [" ".join(map(str, c)) for c in base.cells.tolist()]) + "\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh = file:{path}\nsteps = 1\n")
+    code, out = run_cli(["run", "--config", str(cfg), "--out",
+                         str(tmp_path)], capsys)
+    assert code == 2
+    assert _fail_payload(out)["reason"] == (
+        "invalid mesh: folded mesh: both cells of edge (6, 7) lie on the "
+        "same side of it")
+
+
+def test_two_component_mesh_file_runs(tmp_path, capsys):
+    # only the global pressure constant is deflated; each component's
+    # constant is in the kernel of the pressure Laplacian
+    base = build_structured_unit_square(3)
+    mesh = build_from_arrays(
+        np.vstack([base.vertices, base.vertices + [2.0, 0.0]]),
+        np.vstack([base.cells, base.cells + base.n_vertices]))
+    write_mesh_file(mesh, tmp_path / "mesh.txt")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh = file:{tmp_path / 'mesh.txt'}\nsteps = 3\n"
+                   "T = 0.3\n")
+    code, _ = run_cli(["run", "--config", str(cfg), "--out",
+                       str(tmp_path)], capsys)
+    assert code == 0
+    with open(tmp_path / "diagnostics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    # the unpreconditioned solves gave these
+    expected = [(0.077659022008961243, 0.74171226201587137),
+                (0.18007993332574534, 2.1836441757021818),
+                (0.28255047652558363, 4.2890688213381951)]
+    assert len(rows) == 3
+    for row, (u_l2, gradp_l2) in zip(rows, expected):
+        assert abs(float(row["u_l2"]) - u_l2) <= 1e-10 * u_l2
+        assert abs(float(row["gradp_l2"]) - gradp_l2) <= 1e-10 * gradp_l2
+        assert float(row["energy_residual"]) <= 1e-14

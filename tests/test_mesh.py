@@ -153,6 +153,27 @@ def test_negative_orientation_reordered():
     assert cross > 0.0
 
 
+def test_folded_mesh_rejected():
+    # moving interior vertex 12 across its neighbours folds four cells
+    # over the others: their signed areas sum to 1.2125, not 1
+    base = build_structured_unit_square(4)
+    verts = base.vertices.copy()
+    verts[12] = (0.9, 0.1)
+    with pytest.raises(MeshError, match=r"folded mesh: both cells of edge "
+                                        r"\(6, 7\) lie on the same side"):
+        build_from_arrays(verts, base.cells)
+
+
+def test_clockwise_mesh_accepted():
+    base = build_structured_unit_square(4)
+    for cells in (base.cells[:, ::-1], np.where(
+            (np.arange(base.n_cells) % 3 == 0)[:, None],
+            base.cells[:, ::-1], base.cells)):
+        mesh = build_from_arrays(base.vertices, cells)
+        assert np.array_equal(mesh.edges, base.edges)
+        assert np.allclose(mesh.cell_areas, base.cell_areas)
+        assert np.array_equal(mesh.boundary_edges, base.boundary_edges)
+
 def test_patch_stats_interior_diagonal_n2():
     mesh = build_structured_unit_square(2)
     # diagonal of the lower-left square: vertices (0,0) and (1/2,1/2)

@@ -8,12 +8,13 @@ from projnav import mms, scheme
 from projnav.fem import (FieldP2Vector, SpaceP1, SpaceP2Vector,
                          assemble_convection, assemble_load, weak_div_moments)
 from projnav.interp import pi_n
-from projnav.mesh import (build_pathological_mesh,
+from projnav.mesh import (build_from_arrays, build_pathological_mesh,
                           build_structured_unit_square)
 from projnav.scheme import (SchemeConfig, SchemeError, SchemeOperators,
                             correct, diagnostics_csv, gap_l2l2, initialize,
                             predict, run, step, time_translate_diagnostic)
-from projnav.sparse import CsrMatrix
+from projnav.sparse import (CsrMatrix, SmoothedAggregation, bicgstab_solve,
+                            cg_solve)
 
 from oracles import l2_inner
 
@@ -32,6 +33,11 @@ def setup4():
     s2 = SpaceP2Vector(mesh)
     s1 = SpaceP1(mesh, zero_mean=True)
     return s2, s1, SchemeOperators(s2, s1)
+
+
+def prediction_precond(ops, config):
+    """The prediction hierarchy that ``run`` builds for ``config``."""
+    return SmoothedAggregation(ops.prediction_system(config.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +90,7 @@ def test_predict_zero_state_zero_forcing(setup4):
     config = SchemeConfig(n_steps=4, t_final=1.0)
     state = initialize(s2, s1, zero_u0, ops=ops)
     load = assemble_load(s2, zero_f, 0.0, config.dt)
-    ut, _ = predict(state, load, ops, config)
+    ut, _ = predict(state, load, ops, config, prediction_precond(ops, config))
     assert np.abs(ut.coeffs).max() == 0.0
 
 
@@ -224,7 +230,7 @@ def test_first_step_matches_independent_heat_oracle():
     config = SchemeConfig(n_steps=4, t_final=1.0)
     state = initialize(s2, s1, zero_u0, ops=ops)
     load = assemble_load(s2, f, 0.0, dt)
-    ut, _ = predict(state, load, ops, config)
+    ut, _ = predict(state, load, ops, config, prediction_precond(ops, config))
 
     oracle = rational_heat_step_oracle(mesh, dt,
                                        lambda x, y: (x * y, x * x - 0.3))
@@ -237,10 +243,11 @@ def test_prediction_energy_identity(setup4):
     s2, s1, ops = setup4
     config = SchemeConfig(n_steps=10, t_final=1.0)
     state = initialize(s2, s1, zero_u0, ops=ops)
+    precond = prediction_precond(ops, config)
     for _ in range(2):
-        state, _ = step(state, mms.forcing, ops, config)
+        state, _ = step(state, mms.forcing, ops, config, precond)
     load = assemble_load(s2, mms.forcing, state.t, state.t + config.dt)
-    ut, _ = predict(state, load, ops, config)
+    ut, _ = predict(state, load, ops, config, precond)
     dt = config.dt
     ut_sq = ops.l2_norm_sq_p2(ut.coeffs)
     un_sq = ops.composite_norm_sq(state.u)
@@ -288,10 +295,11 @@ def test_step_makes_no_from_coo_call(monkeypatch):
     ops = SchemeOperators(s2, s1)
     config = SchemeConfig(n_steps=2, t_final=1.0)
     state = initialize(s2, s1, mms.initial_velocity, ops=ops)
-    assert calls                # the patterns and the coupling are built
+    precond = prediction_precond(ops, config)
+    assert calls            # the patterns, coupling and hierarchies are built
     calls.clear()
-    state, _ = step(state, mms.forcing, ops, config)
-    state, _ = step(state, mms.forcing, ops, config)
+    state, _ = step(state, mms.forcing, ops, config, precond)
+    state, _ = step(state, mms.forcing, ops, config, precond)
     assert calls == []
 
 
@@ -316,10 +324,11 @@ def test_correct_pythagoras(setup4):
     s2, s1, ops = setup4
     config = SchemeConfig(n_steps=10, t_final=1.0)
     state = initialize(s2, s1, zero_u0, ops=ops)
+    precond = prediction_precond(ops, config)
     for _ in range(3):
-        state, _ = step(state, mms.forcing, ops, config)
+        state, _ = step(state, mms.forcing, ops, config, precond)
     load = assemble_load(s2, mms.forcing, state.t, state.t + config.dt)
-    ut, _ = predict(state, load, ops, config)
+    ut, _ = predict(state, load, ops, config, precond)
     p_new, u_new, _ = correct(state, ut, ops, config)
     dt = config.dt
     dp = u_new.grad_part.coeffs
@@ -368,8 +377,9 @@ def test_weak_divergence_and_pressure_mean_every_step(setup4):
     config = SchemeConfig(n_steps=6, t_final=1.0)
     w = ops.p1_weights
     state = initialize(s2, s1, mms.initial_velocity, ops=ops)
+    precond = prediction_precond(ops, config)
     for _ in range(config.n_steps):
-        state, _ = step(state, mms.forcing, ops, config)
+        state, _ = step(state, mms.forcing, ops, config, precond)
         p_norm = max(float(np.linalg.norm(state.p.coeffs)), 1e-30)
         assert abs(w @ state.p.coeffs) <= 1e-12 * p_norm
         moments = weak_div_moments(state.u, s1, grad=ops.grad, lap=ops.lap)
@@ -391,7 +401,8 @@ def test_run_single_step_equals_step_call(setup4):
     config = SchemeConfig(n_steps=1, t_final=0.3)
     result = run(s2, s1, mms.initial_velocity, mms.forcing, config, ops=ops)
     state0 = initialize(s2, s1, mms.initial_velocity, ops=ops)
-    state1, diag = step(state0, mms.forcing, ops, config)
+    state1, diag = step(state0, mms.forcing, ops, config,
+                        prediction_precond(ops, config))
     assert np.array_equal(result.state.u_tilde.coeffs, state1.u_tilde.coeffs)
     assert result.diagnostics[0].energy_residual == diag.energy_residual
 
@@ -422,7 +433,9 @@ def test_gap_ratio_under_time_refinement():
 
 def test_solver_failure_aborts_with_step_index(setup4):
     s2, s1, ops = setup4
-    config = SchemeConfig(n_steps=3, t_final=1.0, max_iter=2)
+    # at n=4 the preconditioner is a dense inverse of M/dt + K, which
+    # solves step 1 (no convection yet) in one iteration
+    config = SchemeConfig(n_steps=3, t_final=1.0, max_iter=0)
     with pytest.raises(SchemeError) as err:
         run(s2, s1, mms.initial_velocity, mms.forcing, config, ops=ops)
     assert err.value.step_index == 1
@@ -525,3 +538,112 @@ def test_unforced_flow_dissipates():
     assert norms[0] > 0.0
     for a, b in zip(norms, norms[1:]):
         assert b < a
+
+
+# ---------------------------------------------------------------------------
+# AMG-preconditioned solves
+
+def _perturbed_mesh(n, seed):
+    """Structured n x n mesh, interior vertices moved by a seeded offset
+    below a quarter cell (as the irregular_mesh fixture)."""
+    base = build_structured_unit_square(n)
+    verts = base.vertices.copy()
+    inner = base.interior_vertices
+    verts[inner] += (np.random.default_rng(seed).uniform(
+        -1.0, 1.0, size=(len(inner), 2)) * 0.25 / n)
+    return build_from_arrays(verts, base.cells)
+
+
+@pytest.mark.parametrize("which", ["structured", "irregular", "irregular16",
+                                   "all_boundary_cell1", "all_boundary_cell3",
+                                   "boundary_strip"])
+def test_preconditioned_solves_agree_with_plain(which, irregular_mesh, rng):
+    mesh = {
+        "structured": lambda: build_structured_unit_square(16),
+        "irregular": lambda: irregular_mesh,
+        "irregular16": lambda: _perturbed_mesh(16, 7),
+        "all_boundary_cell1": lambda: build_pathological_mesh(
+            "all_boundary_cell", n_cells=1),
+        "all_boundary_cell3": lambda: build_pathological_mesh(
+            "all_boundary_cell", n_cells=3),
+        "boundary_strip": lambda: build_pathological_mesh(
+            "boundary_strip", n=12),
+    }[which]()
+    s2 = SpaceP2Vector(mesh)
+    s1 = SpaceP1(mesh, zero_mean=True)
+    ops = SchemeOperators(s2, s1)
+    dt = 0.1
+    wind = FieldP2Vector(s2, mms.velocity(s2.node_coordinates(), 0.7))
+    system = ops.prediction_system(dt, assemble_convection(s2, wind))
+    rhs = rng.standard_normal(system.shape[0])
+    amg = SmoothedAggregation(ops.prediction_system(dt))
+    x_plain, plain = bicgstab_solve(system, rhs)
+    x_amg, report = bicgstab_solve(system, rhs, precond=amg)
+    assert plain.converged and report.converged
+    assert report.iterations <= plain.iterations
+    assert (np.linalg.norm(x_amg - x_plain)
+            <= 1e-9 * max(np.linalg.norm(x_plain), 1e-300))
+
+    q = rng.standard_normal(s1.ndof)
+    rhs = ops.lap.matvec(q)
+    w = ops.p1_weights
+    q_plain, plain = cg_solve(ops.lap, rhs, deflate_constants=True,
+                              mean_weights=w)
+    q_amg, report = cg_solve(ops.lap, rhs, deflate_constants=True,
+                             mean_weights=w, precond=ops.pressure_precond)
+    assert plain.converged and report.converged
+    assert np.abs(w @ q_amg) <= 1e-14 * w.sum() * np.abs(q_amg).max()
+    assert np.linalg.norm(q_amg - q_plain) <= 1e-9 * np.linalg.norm(q_plain)
+
+
+def test_prediction_iterations_flat_under_refinement():
+    per_component = []
+    for n in (8, 16, 32):
+        mesh = build_structured_unit_square(n)
+        s2 = SpaceP2Vector(mesh)
+        s1 = SpaceP1(mesh, zero_mean=True)
+        config = SchemeConfig(n_steps=2, t_final=1.0)
+        result = run(s2, s1, mms.initial_velocity, mms.forcing, config)
+        per_component.append(
+            sum(d.pred_iters for d in result.diagnostics) / 4.0)
+    # unpreconditioned, about 80, 160 and 300
+    assert max(per_component) <= 1.5 * min(per_component)
+    assert max(per_component) <= 40
+
+
+def test_multilevel_runs_write_identical_diagnostics():
+    texts = []
+    for _ in range(2):
+        mesh = _perturbed_mesh(12, 3)
+        s2 = SpaceP2Vector(mesh)
+        s1 = SpaceP1(mesh, zero_mean=True)
+        ops = SchemeOperators(s2, s1)
+        config = SchemeConfig(n_steps=3, t_final=0.3)
+        result = run(s2, s1, mms.initial_velocity, mms.forcing, config,
+                     ops=ops)
+        assert len(ops.pressure_precond.sizes) >= 2
+        texts.append(diagnostics_csv(result.diagnostics))
+    assert texts[0] == texts[1]
+
+
+def test_solves_go_through_the_scheme_module_names(monkeypatch):
+    # the benchmark's tracer wraps projnav.scheme.bicgstab_solve and
+    # projnav.scheme.cg_solve; a direct call elsewhere would escape it
+    calls = []
+
+    def counting(name, solve):
+        def wrapped(*args, **kwargs):
+            calls.append((name, kwargs.get("precond") is not None))
+            return solve(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(scheme, "bicgstab_solve",
+                        counting("bicgstab", scheme.bicgstab_solve))
+    monkeypatch.setattr(scheme, "cg_solve", counting("cg", scheme.cg_solve))
+    mesh = build_structured_unit_square(3)
+    s2 = SpaceP2Vector(mesh)
+    s1 = SpaceP1(mesh, zero_mean=True)
+    config = SchemeConfig(n_steps=2, t_final=1.0)
+    run(s2, s1, mms.initial_velocity, mms.forcing, config)
+    assert calls == [("cg", True)] + [("bicgstab", True)] * 2 + [
+        ("cg", True)] + [("bicgstab", True)] * 2 + [("cg", True)]

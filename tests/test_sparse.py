@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from projnav.fem import SpaceP1, assemble_pressure_laplacian
-from projnav.mesh import build_structured_unit_square
-from projnav.sparse import CsrMatrix, SolverError, bicgstab_solve, cg_solve
+from projnav.mesh import build_from_arrays, build_structured_unit_square
+from projnav.sparse import (CsrMatrix, SmoothedAggregation, SolverError,
+                            bicgstab_solve, cg_solve)
 
 
 def random_csr(rng, m, n, density=0.2):
@@ -157,3 +158,126 @@ def test_nonconvergence_reported(rng):
     assert not report.converged
     assert report.residual > 1e-14
 
+
+
+def dense_csr(mat):
+    rows, cols = np.nonzero(np.ones_like(mat))
+    return CsrMatrix.from_coo(rows, cols, mat[rows, cols], mat.shape)
+
+
+def test_matvec_empty_rows_are_zero(rng):
+    mat = rng.standard_normal((6, 5))
+    mat[[0, 3, 5]] = 0.0
+    rows, cols = np.nonzero(mat)
+    a = CsrMatrix.from_coo(rows, cols, mat[rows, cols], mat.shape)
+    x = rng.standard_normal(5)
+    assert np.allclose(a.matvec(x), mat @ x, rtol=0, atol=1e-14)
+    assert np.array_equal(a.matvec(x)[[0, 3, 5]], np.zeros(3))
+
+
+def test_bicgstab_counts_breakdown_on_skew_matrix():
+    # r0 . A r0 = 0 for every r0 when A is skew
+    skew = dense_csr(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    _, report = bicgstab_solve(skew, np.array([1.0, 0.0]))
+    assert not report.converged
+    assert report.breakdowns >= 1
+
+
+def test_true_residual_polish_counts_restart():
+    # ill conditioned (condition 1e4) and a tight tolerance: the recursive
+    # residual reaches the target before the true one does
+    restarts = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        spd = (q * np.logspace(0.0, 4.0, 10)) @ q.T
+        a = dense_csr(0.5 * (spd + spd.T))
+        rhs = rng.standard_normal(10)
+        for solve in (cg_solve, bicgstab_solve):
+            x, report = solve(a, rhs, tol=1e-13, max_iter=5000)
+            if report.converged:
+                res = np.linalg.norm(rhs - a.matvec(x))
+                assert res <= 1e-13 * np.linalg.norm(rhs)
+                restarts.append(report.restarts)
+    assert max(restarts) >= 1
+
+
+def _p1_laplacian(n):
+    space = SpaceP1(build_structured_unit_square(n))
+    return assemble_pressure_laplacian(space), space.mass_row_weights()
+
+
+def test_vcycle_linear_and_symmetric_on_laplacian(rng):
+    lap, _ = _p1_laplacian(48)
+    amg = SmoothedAggregation(lap, constant_kernel=True)
+    assert len(amg.sizes) >= 3
+    x, y = rng.standard_normal((2, lap.shape[0]))
+    vx, vy = amg.vcycle(lap, x), amg.vcycle(lap, y)
+    combo = amg.vcycle(lap, 2.5 * x - 0.75 * y)
+    scale = np.abs(vx).max() + np.abs(vy).max()
+    assert np.abs(combo - (2.5 * vx - 0.75 * vy)).max() <= 1e-13 * scale
+    assert abs(y @ vx - x @ vy) <= 1e-13 * abs(y @ vx)
+
+
+def _two_square_mesh(n):
+    """Two disjoint structured n x n unit squares, side by side."""
+    a = build_structured_unit_square(n)
+    return build_from_arrays(
+        np.vstack([a.vertices, a.vertices + [2.0, 0.0]]),
+        np.vstack([a.cells, a.cells + a.n_vertices]))
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_pcg_on_two_component_laplacian(n, rng):
+    # the kernel holds one constant per component; at n=3 the Laplacian is
+    # itself the coarsest level, at n=12 a Galerkin product is
+    space = SpaceP1(_two_square_mesh(n))
+    lap = assemble_pressure_laplacian(space)
+    w = space.mass_row_weights()
+    amg = SmoothedAggregation(lap, constant_kernel=True)
+    assert len(amg.sizes) == (1 if n == 3 else 2)
+    assert np.isfinite(amg.coarse_inverse).all()
+    half = lap.shape[0] // 2
+    x, y = rng.standard_normal((2, lap.shape[0]))
+    assert abs(y @ amg.vcycle(lap, x) - x @ amg.vcycle(lap, y)) <= (
+        1e-13 * abs(y @ amg.vcycle(lap, x)))
+    q = rng.standard_normal(lap.shape[0])
+    rhs = lap.matvec(q)
+    q_plain, plain = cg_solve(lap, rhs, deflate_constants=True,
+                              mean_weights=w)
+    q_amg, report = cg_solve(lap, rhs, deflate_constants=True,
+                             mean_weights=w, precond=amg)
+    assert plain.converged and report.converged
+    assert report.iterations <= 30
+    # the solutions agree up to one constant per component
+    diff = q_amg - q_plain
+    for part in (diff[:half], diff[half:]):
+        assert np.ptp(part) <= 1e-9 * np.linalg.norm(q_plain)
+
+
+def test_hierarchy_is_deterministic_and_coarsens():
+    lap, _ = _p1_laplacian(32)
+    a, b = (SmoothedAggregation(lap, constant_kernel=True) for _ in range(2))
+    assert a.sizes == b.sizes
+    assert all(2 * coarse <= fine
+               for fine, coarse in zip(a.sizes, a.sizes[1:]))
+    for ra, rb in zip(a.restrict, b.restrict):
+        assert np.array_equal(ra.indptr, rb.indptr)
+        assert np.array_equal(ra.indices, rb.indices)
+        assert np.array_equal(ra.data, rb.data)
+    assert np.array_equal(a.coarse_inverse, b.coarse_inverse)
+
+
+def test_pcg_laplacian_iterations_flat():
+    iters = []
+    for n in (8, 16, 32, 64):
+        lap, w = _p1_laplacian(n)
+        q = np.cos(7.0 * np.arange(lap.shape[0]))
+        rhs = lap.matvec(q - (w @ q) / w.sum())
+        _, report = cg_solve(lap, rhs, deflate_constants=True,
+                             mean_weights=w,
+                             precond=SmoothedAggregation(
+                                 lap, constant_kernel=True))
+        assert report.converged
+        iters.append(report.iterations)
+    assert max(iters) <= 30
