@@ -99,6 +99,7 @@ class _Tables:
         self.weights = rule.weights
         self.p1val = p1_reference_values(rule.points)           # (3, nq)
         self.p2val = p2_reference_values(rule.points)           # (6, nq)
+        self.p2val_w = rule.weights * self.p2val                # (6, nq)
         dlam = p2_reference_dlambda(rule.points)                # (6, nq, 3)
         gl = _cell_geometry(mesh)                               # (nc, 3, 2)
         self.p1grad = gl
@@ -326,8 +327,9 @@ def _convection_oneside(space, wind, rule):
     """B[i, j] = integral (wind . grad phi_j) phi_i, as element blocks."""
     mesh = space.mesh
     t = _tables(mesh, rule)
-    wq = np.einsum("cax,aq->cqx", wind.coeffs[space.gdof], t.p2val)
-    elem = np.einsum("q,cqx,cbqx,aq->cab", t.weights, wq, t.p2grad, t.p2val)
+    wq = t.p2val.T @ wind.coeffs[space.gdof]                  # (nc, nq, 2)
+    adv = np.einsum("cqx,cbqx->cqb", wq, t.p2grad)            # (nc, nq, 6)
+    elem = t.p2val_w @ adv
     elem *= mesh.cell_areas[:, None, None]
     return elem
 
@@ -397,10 +399,13 @@ def assemble_load(space2, f, t_a, t_b, rule=DEFAULT_RULE, time_points=3):
     for g in range(time_points):
         favg += wg[g] * np.asarray(f(pts, t_a + (t_b - t_a) * tg[g]), dtype=float)
     favg = favg.reshape(mesh.n_cells, len(rule), 2)
-    cellvec = np.einsum("c,q,cqx,aq->cax", mesh.cell_areas, t.weights, favg, t.p2val)
-    out = np.zeros((space2.n_scalar, 2))
-    np.add.at(out, space2.gdof.ravel(), cellvec.reshape(-1, 2))
-    return np.concatenate([out[:, 0], out[:, 1]])
+    # a non-finite load is reported by the caller, not as a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        cellvec = mesh.cell_areas[:, None, None] * (t.p2val_w @ favg)
+    dofs = space2.gdof.ravel()
+    return np.concatenate([
+        np.bincount(dofs, weights=cellvec[:, :, x].ravel(),
+                    minlength=space2.n_scalar) for x in range(2)])
 
 
 # ---------------------------------------------------------------------------

@@ -71,11 +71,17 @@ class SchemeConfig:
 
 @dataclass
 class SchemeState:
+    """The fields after step ``n``, and the starting guesses of the next
+    step's solves (None: start from zero): ``ut_guess`` for the interior
+    prediction coefficients, (m, 2), and ``dp_guess`` for the pressure
+    increment."""
     n: int
     t: float
     u_tilde: FieldP2Vector
     u: CompositeVelocity
     p: FieldP1Scalar
+    ut_guess: np.ndarray = None
+    dp_guess: np.ndarray = None
 
 
 @dataclass
@@ -142,20 +148,21 @@ class SchemeOperators:
         and kept: it does not depend on the time step."""
         return SmoothedAggregation(self.lap, constant_kernel=True)
 
-    def project(self, w, scale, tol, max_iter=None, step_index=0):
+    def project(self, w, scale, tol, max_iter=None, step_index=0, q0=None):
         """Discrete Helmholtz projection of a P2 field onto the weakly
         divergence free space: u = w - scale grad q with
         (grad q, grad r) = (w, grad r) / scale for every P1 r.
 
-        Returns (u, q, iterations); q has zero weighted mean.  A rejected
-        or unconverged solve raises SchemeError naming ``step_index``.
+        ``q0`` is the starting guess of the solve (None: zero).  Returns
+        (u, q, iterations); q has zero weighted mean.  A rejected or
+        unconverged solve raises SchemeError naming ``step_index``.
         """
         rhs = self.grad.rmatvec(w.flat()) / scale
         try:
             q, report = cg_solve(self.lap, rhs, tol=tol, max_iter=max_iter,
                                  deflate_constants=True,
                                  mean_weights=self.p1_weights,
-                                 precond=self.pressure_precond)
+                                 precond=self.pressure_precond, x0=q0)
         except SolverError as err:
             raise SchemeError(f"projection solve rejected at step "
                               f"{step_index}: {err}", step_index) from err
@@ -233,7 +240,8 @@ def predict(state, load, ops, config, precond):
     """Viscous prediction solve; returns (ut^{n+1}, solver iterations).
 
     ``precond`` is a ``SmoothedAggregation`` hierarchy of
-    ``ops.prediction_system(config.dt)``."""
+    ``ops.prediction_system(config.dt)``; each component's solve starts
+    from ``state.ut_guess``."""
     dt = config.dt
     space2 = ops.space2
     idx = ops.interior
@@ -249,8 +257,10 @@ def predict(state, load, ops, config, precond):
     iters = 0
     for comp in range(2):
         rhs = rhs_flat[comp * n2:(comp + 1) * n2][idx]
+        x0 = None if state.ut_guess is None else state.ut_guess[:, comp]
         x, report = bicgstab_solve(system, rhs, tol=config.pred_tol,
-                                   max_iter=config.max_iter, precond=precond)
+                                   max_iter=config.max_iter, precond=precond,
+                                   x0=x0)
         iters += report.iterations
         if not report.converged:
             raise SchemeError(
@@ -262,9 +272,11 @@ def predict(state, load, ops, config, precond):
 
 
 def correct(state, ut_next, ops, config):
-    """Pressure increment Poisson solve and velocity correction."""
+    """Pressure increment Poisson solve, started from ``state.dp_guess``,
+    and velocity correction."""
     u_new, dp, iters = ops.project(ut_next, config.dt, config.corr_tol,
-                                   config.max_iter, state.n + 1)
+                                   config.max_iter, state.n + 1,
+                                   q0=state.dp_guess)
     p_new = state.p.coeffs + dp
     p_new = p_new - (ops.p1_weights @ p_new) / ops.p1_weights.sum()
     return FieldP1Scalar(ops.space1, p_new), u_new, iters
@@ -309,8 +321,16 @@ def step(state, f, ops, config, precond):
     if not np.isfinite(diag.row()).all():
         raise SchemeError(f"non-finite energy audit at step {state.n + 1}",
                           state.n + 1)
+    # the next prediction starts from the linear extrapolation
+    # 2 ut^{n+1} - ut^n, or from ut^1 after the first step, whose ut^0 is
+    # initialize's zero placeholder; the next projection from this
+    # step's increment (its constant is in the solve's kernel)
+    guess = ut_next.coeffs[ops.interior]
+    if state.n > 0:
+        guess = 2.0 * guess - state.u_tilde.coeffs[ops.interior]
     new_state = SchemeState(n=state.n + 1, t=t_next, u_tilde=ut_next,
-                            u=u_next, p=p_next)
+                            u=u_next, p=p_next, ut_guess=guess,
+                            dp_guess=p_next.coeffs - state.p.coeffs)
     return new_state, diag
 
 

@@ -284,7 +284,8 @@ class SmoothedAggregation:
 
     def __init__(self, a, constant_kernel=False):
         self.dinv = []           # per level: omega / diag, the smoother
-        self.restrict = []       # per level: R = P^T; R.rmatvec prolongs
+        self.restrict = []       # per level: R = P^T
+        self.restrict_rows = []  # per level: the row of each entry of R
         self.coarse = []         # the matrices of levels 1 .. L-1
         level = a
         while level.shape[0] > COARSE_SIZE:
@@ -324,6 +325,7 @@ class SmoothedAggregation:
             level = _spgemm(r, _spgemm(level, p))
             self.dinv.append(omega * dinv)
             self.restrict.append(r)
+            self.restrict_rows.append(r.row_indices())
         dense = level.to_dense()
         dense = 0.5 * (dense + dense.T)
         if constant_kernel and len(dense):
@@ -349,8 +351,11 @@ class SmoothedAggregation:
             return self.coarse_inverse @ r
         a, dinv, restrict = matrices[k], self.dinv[k], self.restrict[k]
         x = dinv * r
-        x += restrict.rmatvec(
-            self._cycle(matrices, k + 1, restrict @ (r - a @ x)))
+        y = self._cycle(matrices, k + 1, restrict @ (r - a @ x))
+        # prolongation P y = R^T y, summed into the fine unknowns
+        x += np.bincount(restrict.indices,
+                         weights=restrict.data * y[self.restrict_rows[k]],
+                         minlength=len(x))
         x += dinv * (r - a @ x)
         return x
 
@@ -362,6 +367,12 @@ def _deflate(v):
     return v - v.mean()
 
 
+def _norm(v):
+    # the same bits as np.linalg.norm for real 1-d input, without its
+    # per-call overhead
+    return np.sqrt(v @ v)
+
+
 def _preconditioner(a, precond):
     if precond is None:
         return lambda r: r
@@ -369,10 +380,11 @@ def _preconditioner(a, precond):
 
 
 def cg_solve(a, rhs, tol=1e-12, max_iter=None, deflate_constants=False,
-             mean_weights=None, precond=None):
+             mean_weights=None, precond=None, x0=None):
     """Preconditioned conjugate gradients for SPD (or, with deflation,
     SPSD) systems; ``precond`` is a ``SmoothedAggregation`` hierarchy of
-    ``a`` (None: no preconditioning).
+    ``a`` (None: no preconditioning), ``x0`` the starting guess (None:
+    zero).
 
     With ``deflate_constants`` the right-hand side must be orthogonal to
     the constant vector (checked); residuals and preconditioned residuals
@@ -384,12 +396,15 @@ def cg_solve(a, rhs, tol=1e-12, max_iter=None, deflate_constants=False,
     Convergence is judged on the recursive residual but re-verified on the
     true one; if rounding drift leaves the true residual above tolerance,
     the iteration restarts from the current iterate (a few times at most).
+    A guess is accepted without iterating only when its true residual
+    meets the recursion's own target, 0.5 tol, so that a warm start never
+    stops looser than a cold solve would.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = len(rhs)
     if max_iter is None:
         max_iter = max(10 * m, 100)
-    norm_b = np.linalg.norm(rhs)
+    norm_b = _norm(rhs)
     if deflate_constants and m > 0:
         # the 1e-14 floor keeps roundoff-level right-hand sides (for
         # example moments of an already divergence free field) from being
@@ -404,12 +419,13 @@ def cg_solve(a, rhs, tol=1e-12, max_iter=None, deflate_constants=False,
     deflate = _deflate if deflate_constants else (lambda v: v)
     apply = _preconditioner(a, precond)
 
-    x = np.zeros(m)
+    x = np.zeros(m) if x0 is None else np.array(x0, dtype=float)
+    target = 0.5 * tol * norm_b
     k = 0
     cycles = breakdowns = 0
     for _ in range(4):
         r = deflate(rhs - (a @ x))
-        if np.linalg.norm(r) <= tol * norm_b:
+        if _norm(r) <= (target if cycles == 0 else tol * norm_b):
             break
         cycles += 1
         z = deflate(apply(r))
@@ -422,10 +438,12 @@ def cg_solve(a, rhs, tol=1e-12, max_iter=None, deflate_constants=False,
                 breakdowns += 1
                 break
             alpha = rz / pap
-            x = deflate(x + alpha * p)
+            # x drifts along the constants only by rounding; the final
+            # re-centre removes that
+            x += alpha * p
             r = deflate(r - alpha * ap)
             k += 1
-            if np.linalg.norm(r) <= 0.5 * tol * norm_b:
+            if _norm(r) <= target:
                 break
             z = deflate(apply(r))
             rz_new = r @ z
@@ -437,15 +455,16 @@ def cg_solve(a, rhs, tol=1e-12, max_iter=None, deflate_constants=False,
     if deflate_constants:
         w = np.ones(m) if mean_weights is None else np.asarray(mean_weights, dtype=float)
         x = x - (w @ x) / w.sum()
-    res = np.linalg.norm(deflate(rhs - (a @ x)))
+    res = _norm(deflate(rhs - (a @ x)))
     return x, SolverReport(k, res / norm_b, res <= tol * norm_b,
                            max(cycles - 1, 0), breakdowns)
 
 
-def bicgstab_solve(a, rhs, tol=1e-12, max_iter=None, precond=None):
+def bicgstab_solve(a, rhs, tol=1e-12, max_iter=None, precond=None, x0=None):
     """Right-preconditioned BiCGStab with true-residual verification;
     ``precond`` is a ``SmoothedAggregation`` hierarchy built on (the
-    symmetric part of) ``a`` (None: no preconditioning).
+    symmetric part of) ``a`` (None: no preconditioning), ``x0`` the
+    starting guess (None: zero).
 
     A rho-breakdown restarts the recursion once from the current iterate
     and fails if it recurs.  Independently, when the recursive residual
@@ -458,20 +477,26 @@ def bicgstab_solve(a, rhs, tol=1e-12, max_iter=None, precond=None):
     m = len(rhs)
     if max_iter is None:
         max_iter = max(10 * m, 100)
-    norm_b = np.linalg.norm(rhs)
+    norm_b = _norm(rhs)
     if m == 0 or norm_b == 0.0:
         return np.zeros(m), SolverReport(0, 0.0, True)
     apply = _preconditioner(a, precond)
 
-    x = np.zeros(m)
+    x = np.zeros(m) if x0 is None else np.array(x0, dtype=float)
+    target = 0.1 * tol * norm_b
+    # a warm start goes on past the first check that meets the target and
+    # stops at the next one: the half step that ends a cold solve starts
+    # above the target, the one that ends a warm start at or below it, so
+    # at the same contraction a warm start never ends looser
+    extra = x0 is not None
     k = 0
     cycles = breakdowns = 0
     best = np.inf
     stalls = 0
     for _ in range(8):
         r = rhs - (a @ x)
-        rn = np.linalg.norm(r)
-        if rn <= tol * norm_b:
+        rn = _norm(r)
+        if rn <= (target if cycles == 0 else tol * norm_b):
             break
         if rn >= 0.9 * best:
             stalls += 1
@@ -486,7 +511,6 @@ def bicgstab_solve(a, rhs, tol=1e-12, max_iter=None, precond=None):
         r0 = r.copy()
         rho = r0 @ r
         p = r.copy()
-        target = 0.1 * tol * norm_b
         while k < max_iter:
             p_hat = apply(p)
             ap = a @ p_hat
@@ -496,11 +520,15 @@ def bicgstab_solve(a, rhs, tol=1e-12, max_iter=None, precond=None):
                 break
             alpha = rho / denom
             s = r - alpha * ap
-            if np.linalg.norm(s) <= target:
-                x += alpha * p_hat
-                r = s
-                k += 1
-                break
+            sn = _norm(s)
+            if sn <= target:
+                # an exactly vanishing s leaves no half step to take
+                if not extra or sn == 0.0:
+                    x += alpha * p_hat
+                    r = s
+                    k += 1
+                    break
+                extra = False
             s_hat = apply(s)
             as_ = a @ s_hat
             asas = as_ @ as_
@@ -511,8 +539,10 @@ def bicgstab_solve(a, rhs, tol=1e-12, max_iter=None, precond=None):
             x += alpha * p_hat + omega * s_hat
             r = s - omega * as_
             k += 1
-            if np.linalg.norm(r) <= target:
-                break
+            if _norm(r) <= target:
+                if not extra:
+                    break
+                extra = False
             rho_new = r0 @ r
             if abs(rho_new) < 1e-300 or abs(omega) < 1e-300:
                 breakdowns += 1
@@ -521,6 +551,6 @@ def bicgstab_solve(a, rhs, tol=1e-12, max_iter=None, precond=None):
             rho = rho_new
             p = r + beta * (p - omega * ap)
 
-    res = np.linalg.norm(rhs - (a @ x))
+    res = _norm(rhs - (a @ x))
     return x, SolverReport(k, res / norm_b, res <= tol * norm_b,
                            max(cycles - 1, 0), breakdowns)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import factorial, prod
 
@@ -647,3 +648,42 @@ def test_solves_go_through_the_scheme_module_names(monkeypatch):
     run(s2, s1, mms.initial_velocity, mms.forcing, config)
     assert calls == [("cg", True)] + [("bicgstab", True)] * 2 + [
         ("cg", True)] + [("bicgstab", True)] * 2 + [("cg", True)]
+
+
+def test_warm_started_step_takes_fewer_iterations():
+    # n = 12 is the coarsest structured mesh whose pressure hierarchy has
+    # two levels; on one dense level every projection takes one iteration
+    mesh = build_structured_unit_square(12)
+    s2 = SpaceP2Vector(mesh)
+    s1 = SpaceP1(mesh, zero_mean=True)
+    ops = SchemeOperators(s2, s1)
+    config = SchemeConfig(n_steps=4, t_final=0.02)
+    state = initialize(s2, s1, mms.initial_velocity, ops=ops)
+    assert state.ut_guess is None and state.dp_guess is None
+    precond = prediction_precond(ops, config)
+    states = [state]
+    for _ in range(config.n_steps):
+        state, _ = step(state, mms.forcing, ops, config, precond)
+        states.append(state)
+    inner = ops.interior
+    # step 2 starts from ut^1, every later step from 2 ut^n - ut^(n-1)
+    assert np.array_equal(states[1].ut_guess,
+                          states[1].u_tilde.coeffs[inner])
+    for prev, cur in zip(states[1:], states[2:]):
+        assert np.array_equal(cur.ut_guess,
+                              2.0 * cur.u_tilde.coeffs[inner]
+                              - prev.u_tilde.coeffs[inner])
+        assert np.array_equal(cur.dp_guess, cur.p.coeffs - prev.p.coeffs)
+
+    cold = dataclasses.replace(state, ut_guess=None, dp_guess=None)
+    load = assemble_load(s2, mms.forcing, state.t, state.t + config.dt)
+    ut, warm_pred = predict(state, load, ops, config, precond)
+    ut_cold, cold_pred = predict(cold, load, ops, config, precond)
+    assert warm_pred < cold_pred
+    scale = np.abs(ut_cold.coeffs).max()
+    assert np.abs(ut.coeffs - ut_cold.coeffs).max() <= 1e-10 * scale
+    p, _, warm_corr = correct(state, ut, ops, config)
+    p_cold, _, cold_corr = correct(cold, ut, ops, config)
+    assert warm_corr < cold_corr
+    assert (np.abs(p.coeffs - p_cold.coeffs).max()
+            <= 1e-10 * np.abs(p_cold.coeffs).max())

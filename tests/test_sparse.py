@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from projnav.fem import SpaceP1, assemble_pressure_laplacian
+from projnav.fem import (FieldP2Vector, SpaceP1, SpaceP2Vector,
+                         assemble_convection, assemble_pressure_laplacian)
 from projnav.mesh import build_from_arrays, build_structured_unit_square
+from projnav.mms import velocity
+from projnav.scheme import SchemeOperators
 from projnav.sparse import (CsrMatrix, SmoothedAggregation, SolverError,
                             bicgstab_solve, cg_solve)
 
@@ -281,3 +284,60 @@ def test_pcg_laplacian_iterations_flat():
         assert report.converged
         iters.append(report.iterations)
     assert max(iters) <= 30
+
+
+# ---------------------------------------------------------------------------
+# warm starts
+
+def _warm_start_solves():
+    """(solve, recursion target / tol, system, hierarchy, keywords) for a
+    prediction system with convection and for the P1 Laplacian, on a
+    16 x 16 mesh."""
+    mesh = build_structured_unit_square(16)
+    s1 = SpaceP1(mesh, zero_mean=True)
+    s2 = SpaceP2Vector(mesh)
+    ops = SchemeOperators(s2, s1)
+    wind = FieldP2Vector(s2, velocity(s2.node_coordinates(), 0.7))
+    system = ops.prediction_system(0.05, assemble_convection(s2, wind))
+    return [
+        (bicgstab_solve, 0.1, system,
+         SmoothedAggregation(ops.prediction_system(0.05)), {}),
+        (cg_solve, 0.5, ops.lap, ops.pressure_precond,
+         {"deflate_constants": True, "mean_weights": ops.p1_weights}),
+    ]
+
+
+def _zero_mean_solution(system, kwargs, rng):
+    x = rng.standard_normal(system.shape[0])
+    w = kwargs.get("mean_weights")
+    return x if w is None else x - (w @ x) / w.sum()
+
+
+def test_warm_start_from_the_solution_takes_no_iteration(rng):
+    for solve, _, system, amg, kwargs in _warm_start_solves():
+        x = _zero_mean_solution(system, kwargs, rng)
+        rhs = system.matvec(x)
+        y, report = solve(system, rhs, precond=amg, x0=x, **kwargs)
+        assert report.converged
+        assert report.iterations == 0
+        assert np.abs(y - x).max() <= 1e-15 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("scale", [0.9e-12, 1e-6])
+def test_warm_start_meets_the_cold_target(scale, rng):
+    # a guess whose residual is 0.9 tol |b| passes a check at tol but not
+    # the recursion's target: it must still be iterated on
+    tol = 1e-12
+    for solve, factor, system, amg, kwargs in _warm_start_solves():
+        x = _zero_mean_solution(system, kwargs, rng)
+        rhs = system.matvec(x)
+        norm_b = np.linalg.norm(rhs)
+        dx = _zero_mean_solution(system, kwargs, rng)
+        dx *= scale * norm_b / np.linalg.norm(system.matvec(dx))
+        _, cold = solve(system, rhs, tol=tol, precond=amg, **kwargs)
+        y, warm = solve(system, rhs, tol=tol, precond=amg, x0=x + dx,
+                        **kwargs)
+        assert cold.converged and warm.converged
+        assert 1 <= warm.iterations < cold.iterations
+        assert (np.linalg.norm(rhs - system.matvec(y))
+                <= factor * tol * norm_b)
