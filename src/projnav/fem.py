@@ -342,9 +342,12 @@ def assemble_convection(space, wind, rule=DEFAULT_RULE):
     C[i,j] = -C[j,i] holds bitwise and v^T C v vanishes to rounding for
     every v.
     """
-    b = space.pattern.assemble(_convection_oneside(space, wind, rule))
-    half = 0.5 * b.data
-    return b.with_data(half - half[space.pattern.transpose])
+    # a non-finite wind gives non-finite data, left to the caller's
+    # check, not a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        b = space.pattern.assemble(_convection_oneside(space, wind, rule))
+        half = 0.5 * b.data
+        return b.with_data(half - half[space.pattern.transpose])
 
 
 def assemble_grad_coupling(space2, space1, rule=DEFAULT_RULE):

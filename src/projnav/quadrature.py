@@ -1,5 +1,7 @@
 """Quadrature rules on the reference triangle, in barycentric coordinates."""
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["QuadratureRule", "triangle_rule", "gauss_legendre_01"]
@@ -45,10 +47,15 @@ def _rule_degree5():
     return QuadratureRule(pts, wts, degree=5)
 
 
+@lru_cache(maxsize=None)
 def gauss_legendre_01(m):
-    """m-point Gauss-Legendre nodes/weights on [0, 1]."""
+    """m-point Gauss-Legendre nodes/weights on [0, 1], computed once per m
+    and returned read-only, since every caller shares them."""
     x, w = np.polynomial.legendre.leggauss(m)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _rule_collapsed(degree):

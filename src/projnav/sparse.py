@@ -1,5 +1,6 @@
-"""CSR matrices, a smoothed-aggregation AMG preconditioner and the two
-preconditioned Krylov solvers used by the time scheme.
+"""CSR matrices, a smoothed-aggregation AMG preconditioner, the two
+preconditioned Krylov solvers used by the time scheme and the starting
+guess those solvers take from earlier solutions.
 
 The correction (pressure Poisson) system is symmetric positive semidefinite
 with the constants in its kernel; ``cg_solve`` handles it by deflating the
@@ -7,7 +8,9 @@ constant direction every iteration and re-centering the result with
 mass-row weights.  The prediction system is nonsymmetric (skew convection
 part) and goes through ``bicgstab_solve``.  Both take an optional
 ``SmoothedAggregation`` hierarchy built on a symmetric matrix, applied as
-one symmetric V-cycle per preconditioner call.
+one symmetric V-cycle per preconditioner call.  ``projected_guess``
+starts a solve from the combination of earlier solutions whose residual
+is smallest.
 """
 
 import copy
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["CsrMatrix", "SolverReport", "SolverError", "SmoothedAggregation",
-           "cg_solve", "bicgstab_solve"]
+           "cg_solve", "bicgstab_solve", "projected_guess"]
 
 
 class SolverError(RuntimeError):
@@ -364,7 +367,8 @@ class SmoothedAggregation:
 # Krylov solvers
 
 def _deflate(v):
-    return v - v.mean()
+    # the same bits as v - v.mean(), without numpy's Python-level _mean
+    return v - v.sum() / len(v)
 
 
 def _norm(v):
@@ -377,6 +381,22 @@ def _preconditioner(a, precond):
     if precond is None:
         return lambda r: r
     return lambda r: precond.vcycle(a, r)
+
+
+def projected_guess(a, basis, rhs):
+    """Starting guess X c for a x = rhs from earlier solutions, the columns
+    of X (``basis``, a sequence of vectors), with c minimizing
+    |rhs - a X c|_2 (Fischer, "Projection techniques for iterative solution
+    of Ax = b with successive right-hand sides", CMAME 163, 1998).
+
+    c = 0 is feasible, so the guess's residual is at most |rhs| up to
+    rounding.  An empty basis returns None, the solvers' cold start.
+    """
+    if not basis:
+        return None
+    x = np.column_stack(basis)
+    ax = np.column_stack([a @ v for v in basis])
+    return x @ np.linalg.lstsq(ax, rhs, rcond=None)[0]
 
 
 def cg_solve(a, rhs, tol=1e-12, max_iter=None, deflate_constants=False,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,18 @@ def test_convection_zero_wind_is_zero(pair2):
     s2, _ = pair2
     c = assemble_convection(s2, FieldP2Vector(s2))
     assert np.abs(c.data).max() == 0.0
+
+
+def test_convection_non_finite_wind_gives_non_finite_data(pair2):
+    # the caller's finiteness check reports a bad wind; the kernels stay
+    # quiet, so it is not a RuntimeWarning first
+    s2, _ = pair2
+    wind = FieldP2Vector(s2)
+    wind.coeffs[s2.interior_dofs[0], 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        c = assemble_convection(s2, wind)
+    assert not np.isfinite(c.data).all()
 
 
 def test_convection_skew_symmetry(pair2, irregular_mesh, rng):

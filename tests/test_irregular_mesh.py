@@ -5,11 +5,12 @@ interior vertices; the ``irregular_mesh`` fixture is in conftest)."""
 
 import numpy as np
 
-from projnav import mms
+from projnav import cli, mms
 from projnav.fem import (FieldP2Vector, SpaceP1, SpaceP2Vector, div_moments,
                          weak_div_moments)
 from projnav.interp import divergence_correct, edge_bubble
-from projnav.scheme import SchemeConfig, SchemeOperators, run
+from projnav.mesh import write_mesh_file
+from projnav.scheme import GUESS_HISTORY, SchemeConfig, SchemeOperators, run
 
 
 def test_invariants_hold(irregular_mesh):
@@ -57,3 +58,18 @@ def test_scheme_audits_on_irregular_mesh(irregular_mesh):
     for u in result.u_history:
         moments = weak_div_moments(u, s1, grad=ops.grad, lap=ops.lap)
         assert np.abs(moments).max() <= 1e-10
+
+
+def test_rerun_with_full_guess_histories_is_byte_identical(irregular_mesh,
+                                                           tmp_path):
+    # the last two steps' solves start from full histories
+    write_mesh_file(irregular_mesh, tmp_path / "mesh.txt")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh = file:{tmp_path / 'mesh.txt'}\n"
+                   f"steps = {GUESS_HISTORY + 2}\nT = 0.1\n")
+    texts = []
+    for out in ("a", "b"):
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / out)]) == 0
+        texts.append((tmp_path / out / "diagnostics.csv").read_bytes())
+    assert texts[0] == texts[1]

@@ -657,25 +657,26 @@ def test_warm_started_step_takes_fewer_iterations():
     s2 = SpaceP2Vector(mesh)
     s1 = SpaceP1(mesh, zero_mean=True)
     ops = SchemeOperators(s2, s1)
-    config = SchemeConfig(n_steps=4, t_final=0.02)
+    k = scheme.GUESS_HISTORY
+    config = SchemeConfig(n_steps=k + 2, t_final=0.005 * (k + 2))
     state = initialize(s2, s1, mms.initial_velocity, ops=ops)
-    assert state.ut_guess is None and state.dp_guess is None
+    assert state.ut_history == () and state.dp_history == ()
     precond = prediction_precond(ops, config)
     states = [state]
     for _ in range(config.n_steps):
         state, _ = step(state, mms.forcing, ops, config, precond)
         states.append(state)
     inner = ops.interior
-    # step 2 starts from ut^1, every later step from 2 ut^n - ut^(n-1)
-    assert np.array_equal(states[1].ut_guess,
-                          states[1].u_tilde.coeffs[inner])
-    for prev, cur in zip(states[1:], states[2:]):
-        assert np.array_equal(cur.ut_guess,
-                              2.0 * cur.u_tilde.coeffs[inner]
-                              - prev.u_tilde.coeffs[inner])
-        assert np.array_equal(cur.dp_guess, cur.p.coeffs - prev.p.coeffs)
+    # each history holds the last k solutions, newest first
+    for n, cur in enumerate(states[1:], start=1):
+        assert len(cur.ut_history) == len(cur.dp_history) == min(n, k)
+        for back, (ut, dp) in enumerate(zip(cur.ut_history,
+                                            cur.dp_history)):
+            assert np.array_equal(ut, states[n - back].u_tilde.coeffs[inner])
+            assert np.array_equal(dp, states[n - back].p.coeffs
+                                  - states[n - back - 1].p.coeffs)
 
-    cold = dataclasses.replace(state, ut_guess=None, dp_guess=None)
+    cold = dataclasses.replace(state, ut_history=(), dp_history=())
     load = assemble_load(s2, mms.forcing, state.t, state.t + config.dt)
     ut, warm_pred = predict(state, load, ops, config, precond)
     ut_cold, cold_pred = predict(cold, load, ops, config, precond)

@@ -7,7 +7,7 @@ from projnav.mesh import build_from_arrays, build_structured_unit_square
 from projnav.mms import velocity
 from projnav.scheme import SchemeOperators
 from projnav.sparse import (CsrMatrix, SmoothedAggregation, SolverError,
-                            bicgstab_solve, cg_solve)
+                            bicgstab_solve, cg_solve, projected_guess)
 
 
 def random_csr(rng, m, n, density=0.2):
@@ -341,3 +341,42 @@ def test_warm_start_meets_the_cold_target(scale, rng):
         assert 1 <= warm.iterations < cold.iterations
         assert (np.linalg.norm(rhs - system.matvec(y))
                 <= factor * tol * norm_b)
+
+
+def test_projected_guess_minimizes_the_residual(rng):
+    m = 40
+    a = CsrMatrix.from_coo(
+        np.concatenate([np.arange(m), rng.integers(0, m, 120)]),
+        np.concatenate([np.arange(m), rng.integers(0, m, 120)]),
+        np.concatenate([np.full(m, 4.0), rng.standard_normal(120)]), (m, m))
+    rhs = rng.standard_normal(m)
+    basis = [rng.standard_normal(m) for _ in range(5)]
+    x0 = projected_guess(a, basis, rhs)
+    r = rhs - a.matvec(x0)
+    assert np.linalg.norm(r) <= np.linalg.norm(rhs)
+    # least squares: the residual is orthogonal to every a v
+    for v in basis:
+        av = a.matvec(v)
+        assert abs(av @ r) <= 1e-12 * np.linalg.norm(av) * np.linalg.norm(r)
+
+
+def test_projected_guess_from_a_span_holding_the_solution(rng):
+    for solve, _, system, amg, kwargs in _warm_start_solves():
+        x = _zero_mean_solution(system, kwargs, rng)
+        v = _zero_mean_solution(system, kwargs, rng)
+        rhs = system.matvec(x)
+        # the constant column is in the Laplacian's kernel: a rank
+        # deficient a X
+        basis = [x + 2.0 * v, v, np.ones(len(x))]
+        y, report = solve(system, rhs, precond=amg,
+                          x0=projected_guess(system, basis, rhs), **kwargs)
+        assert report.converged
+        assert report.iterations == 0
+        assert np.abs(y - x).max() <= 1e-12 * np.abs(x).max()
+
+
+def test_projected_guess_from_an_empty_basis_is_a_cold_start(rng):
+    a = random_csr(rng, 6, 6)
+    rhs = rng.standard_normal(6)
+    assert projected_guess(a, (), rhs) is None
+    assert projected_guess(a, [], rhs) is None
