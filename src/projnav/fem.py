@@ -95,7 +95,6 @@ class _Tables:
     """Basis values/gradients of one mesh at the points of one rule."""
 
     def __init__(self, mesh, rule):
-        self.rule = rule
         self.weights = rule.weights
         self.p1val = p1_reference_values(rule.points)           # (3, nq)
         self.p2val = p2_reference_values(rule.points)           # (6, nq)
@@ -132,7 +131,8 @@ class SpaceP1:
 
     @cached_property
     def pattern(self):
-        return ElementPattern(self.mesh.cells, self.ndof)
+        return ElementPattern(self.mesh.cells, self.mesh.cells,
+                              (self.ndof, self.ndof))
 
     def mass_row_weights(self):
         """Integration weight of each nodal basis function, sum = |Omega|."""
@@ -165,7 +165,8 @@ class SpaceP2Vector:
 
     @cached_property
     def pattern(self):
-        return ElementPattern(self.gdof, self.n_scalar)
+        return ElementPattern(self.gdof, self.gdof,
+                              (self.n_scalar, self.n_scalar))
 
     def node_coordinates(self):
         return np.vstack([self.mesh.vertices, self.mesh.edge_midpoints()])
@@ -221,9 +222,9 @@ class CompositeVelocity:
         q = self.grad_part.coeffs[self.p2_part.space.mesh.cells]  # (nc, 3)
         return np.einsum("ci,cix->cx", q, gl)
 
-    def values_at(self, rule=DEFAULT_RULE):
-        """(nc, nq, 2) cellwise values at the points of a rule."""
-        vals = p2_values_at(self.p2_part, rule)
+    def values_at(self):
+        """(nc, nq, 2) cellwise values at the points of DEFAULT_RULE."""
+        vals = p2_values_at(self.p2_part)
         g = self.grad_part_cell_gradients()             # (nc, 2)
         return vals - self.scale * g[:, None, :]
 
@@ -266,32 +267,34 @@ def p2_gradients_at(field, rule=DEFAULT_RULE):
 # assembly
 
 class ElementPattern:
-    """CSR pattern of the square forms over one cell dof map, built once.
+    """CSR pattern of the forms over one pair of element dof maps.
 
-    ``slot`` maps each entry of ``elem.ravel()`` to its place in
-    ``csr.data``, so an assembly is one ``bincount``; ``transpose`` is the
-    permutation of the stored entries that maps A.data to (A^T).data.
+    Element block k couples the row dofs ``rows[k]`` with the column dofs
+    ``cols[k]``; ``slot`` maps each entry of ``elem.ravel()`` to its place
+    in ``csr.data``, so an assembly is one ``bincount``.  For a square
+    form, ``transpose`` is the permutation of the stored entries that maps
+    A.data to (A^T).data.
     """
 
-    def __init__(self, dofmap, ndof):
-        nl = dofmap.shape[1]
-        # key row * ndof + col of every element entry, in elem.ravel() order
+    def __init__(self, rows, cols, shape):
+        nrows, ncols = shape
+        # key row * ncols + col of every element entry, in elem.ravel() order
         keys, first, slot = np.unique(
-            np.repeat(dofmap * ndof, nl, axis=1) + np.tile(dofmap, (1, nl)),
+            rows[:, :, None] * ncols + cols[:, None, :],
             return_index=True, return_inverse=True)
         # int32 halves the two largest arrays a space keeps
         self.first = first.astype(np.int32)
         self.slot = slot.reshape(-1).astype(np.int32)
-        indptr = np.searchsorted(keys, ndof * np.arange(ndof + 1))
-        self.csr = CsrMatrix(indptr, keys % ndof, np.zeros(len(keys)),
-                             (ndof, ndof))
+        indptr = np.searchsorted(keys, ncols * np.arange(nrows + 1))
+        self.csr = CsrMatrix(indptr, keys % ncols, np.zeros(len(keys)),
+                             shape)
 
     @cached_property
     def transpose(self):
         return self.csr.transpose_order()
 
     def assemble(self, elem):
-        """CSR matrix from (nc, nl, nl) element blocks."""
+        """CSR matrix from element blocks, one per row of the dof maps."""
         # each slot sums as its first entry + (the others in cell order),
         # the grouping of CsrMatrix.from_coo, so both give the same floats
         # (for up to 8 entries per slot, where reduceat sums in sequence)
@@ -303,30 +306,30 @@ class ElementPattern:
                                 minlength=self.csr.nnz))
 
 
-def assemble_mass_p2(space, rule=DEFAULT_RULE):
+def assemble_mass_p2(space):
     """Scalar P2 mass matrix (applied identically to each component)."""
     mesh = space.mesh
-    t = _tables(mesh, rule)
+    t = _tables(mesh, DEFAULT_RULE)
     mref = np.einsum("q,aq,bq->ab", t.weights, t.p2val, t.p2val)
     mref = 0.5 * (mref + mref.T)
     elem = mesh.cell_areas[:, None, None] * mref[None, :, :]
     return space.pattern.assemble(elem)
 
 
-def assemble_stiffness_p2(space, rule=DEFAULT_RULE):
+def assemble_stiffness_p2(space):
     """Scalar P2 stiffness matrix (grad-grad)."""
     mesh = space.mesh
-    t = _tables(mesh, rule)
+    t = _tables(mesh, DEFAULT_RULE)
     elem = np.einsum("q,caqx,cbqx->cab", t.weights, t.p2grad, t.p2grad)
     elem = 0.5 * (elem + elem.transpose(0, 2, 1))
     elem *= mesh.cell_areas[:, None, None]
     return space.pattern.assemble(elem)
 
 
-def _convection_oneside(space, wind, rule):
+def _convection_oneside(space, wind):
     """B[i, j] = integral (wind . grad phi_j) phi_i, as element blocks."""
     mesh = space.mesh
-    t = _tables(mesh, rule)
+    t = _tables(mesh, DEFAULT_RULE)
     wq = t.p2val.T @ wind.coeffs[space.gdof]                  # (nc, nq, 2)
     adv = np.einsum("cqx,cbqx->cqb", wq, t.p2grad)            # (nc, nq, 6)
     elem = t.p2val_w @ adv
@@ -334,7 +337,7 @@ def _convection_oneside(space, wind, rule):
     return elem
 
 
-def assemble_convection(space, wind, rule=DEFAULT_RULE):
+def assemble_convection(space, wind):
     """Skew-symmetric convection matrix for a given P2 wind.
 
     Assembles B[i,j] = ((wind . grad) phi_j, phi_i) and returns
@@ -345,37 +348,31 @@ def assemble_convection(space, wind, rule=DEFAULT_RULE):
     # a non-finite wind gives non-finite data, left to the caller's
     # check, not a warning
     with np.errstate(invalid="ignore", over="ignore"):
-        b = space.pattern.assemble(_convection_oneside(space, wind, rule))
+        b = space.pattern.assemble(_convection_oneside(space, wind))
         half = 0.5 * b.data
         return b.with_data(half - half[space.pattern.transpose])
 
 
-def assemble_grad_coupling(space2, space1, rule=DEFAULT_RULE):
+def assemble_grad_coupling(space2, space1):
     """G with (G q) . v_flat = (grad q, v) for all P1 q and P2 vector v.
 
     Shape (2 * n_scalar, n_vertices); rows are component blocked.
     G^T v_flat returns the weak-divergence moments ((v, grad phi_k))_k.
     """
     mesh = space2.mesh
-    t = _tables(mesh, rule)
+    t = _tables(mesh, DEFAULT_RULE)
     ints = np.einsum("q,aq->a", t.weights, t.p2val)           # reference integrals
     # elem[c, a, i, x] = |K| * int_ref(phi_a) * d lambda_i / d x
     elem = np.einsum("c,a,cix->caix", mesh.cell_areas, ints, t.p1grad)
     n2 = space2.n_scalar
-    gdof = space2.gdof
-    rows = []
-    cols = []
-    vals = []
-    for x in range(2):
-        rows.append((gdof[:, :, None] + x * n2).repeat(3, axis=2).ravel())
-        cols.append(np.broadcast_to(mesh.cells[:, None, :],
-                                    gdof.shape + (3,)).ravel())
-        vals.append(elem[:, :, :, x].ravel())
-    return CsrMatrix.from_coo(np.concatenate(rows), np.concatenate(cols),
-                              np.concatenate(vals), (2 * n2, space1.ndof))
+    # one element block per (component, cell), x blocks first
+    pattern = ElementPattern(
+        np.vstack([space2.gdof, space2.gdof + n2]),
+        np.vstack([mesh.cells, mesh.cells]), (2 * n2, space1.ndof))
+    return pattern.assemble(np.concatenate([elem[..., 0], elem[..., 1]]))
 
 
-def assemble_pressure_laplacian(space1, rule=DEFAULT_RULE):
+def assemble_pressure_laplacian(space1):
     """P1 grad-grad matrix; symmetric positive semidefinite, kernel = constants."""
     mesh = space1.mesh
     gl = _cell_geometry(mesh)
@@ -384,24 +381,24 @@ def assemble_pressure_laplacian(space1, rule=DEFAULT_RULE):
     return space1.pattern.assemble(elem)
 
 
-def assemble_load(space2, f, t_a, t_b, rule=DEFAULT_RULE, time_points=3):
+def assemble_load(space2, f, t_a, t_b):
     """Moments of the time average of f over [t_a, t_b] against the P2 basis.
 
     f(points, t) maps (m, 2) coordinates and a time to (m, 2) values; the
-    time average uses a Gauss rule (default 3 points, exact through t^5),
-    the space integral the global triangle rule.  Returns the component
-    blocked vector of length 2 * n_scalar.
+    time average uses a 3-point Gauss rule (exact through t^5), the space
+    integral DEFAULT_RULE.  Returns the component blocked vector of length
+    2 * n_scalar.
     """
     if not t_a < t_b:
         raise ValueError("need t_a < t_b")
     mesh = space2.mesh
-    t = _tables(mesh, rule)
+    t = _tables(mesh, DEFAULT_RULE)
     pts = t.points.reshape(-1, 2)
-    tg, wg = gauss_legendre_01(time_points)
+    tg, wg = gauss_legendre_01(3)
     favg = np.zeros((len(pts), 2))
-    for g in range(time_points):
+    for g in range(3):
         favg += wg[g] * np.asarray(f(pts, t_a + (t_b - t_a) * tg[g]), dtype=float)
-    favg = favg.reshape(mesh.n_cells, len(rule), 2)
+    favg = favg.reshape(mesh.n_cells, len(DEFAULT_RULE), 2)
     # a non-finite load is reported by the caller, not as a warning
     with np.errstate(invalid="ignore", over="ignore"):
         cellvec = mesh.cell_areas[:, None, None] * (t.p2val_w @ favg)
@@ -414,10 +411,10 @@ def assemble_load(space2, f, t_a, t_b, rule=DEFAULT_RULE, time_points=3):
 # ---------------------------------------------------------------------------
 # norms and moments
 
-def h1_seminorm(field, rule=DEFAULT_RULE):
+def h1_seminorm(field):
     """L2 norm of the gradient of a P2 vector field."""
-    g = p2_gradients_at(field, rule)
-    t = _tables(field.space.mesh, rule)
+    g = p2_gradients_at(field)
+    t = _tables(field.space.mesh, DEFAULT_RULE)
     cell = np.einsum("q,cqxj,cqxj->c", t.weights, g, g)
     return float(np.sqrt(cell @ field.space.mesh.cell_areas))
 
@@ -439,24 +436,24 @@ def weak_div_moments(u, space1, grad=None, lap=None):
     return grad.rmatvec(u.flat())
 
 
-def cell_div_moments(mesh, local, cells=slice(None), rule=DEFAULT_RULE):
+def cell_div_moments(mesh, local, cells=slice(None)):
     """(m, 3) moments (div u, lambda_a)_K against the three vertex hats of
     each cell K, for local P2 coefficients ``local`` (m, 6, 2) on the cells
     ``cells`` (every cell by default; indices may repeat)."""
-    t = _tables(mesh, rule)
+    t = _tables(mesh, DEFAULT_RULE)
     divu = np.einsum("cax,caqx->cq", local, t.p2grad[cells])
     return np.einsum("c,q,cq,aq->ca", mesh.cell_areas[cells], t.weights, divu,
                      t.p1val)
 
 
-def div_moments(field, space1, rule=DEFAULT_RULE):
+def div_moments(field, space1):
     """((div u, phi_k))_k for a P2 vector field; quadrature exact.
 
     Differs from ``weak_div_moments`` by the boundary flux when the field
     does not vanish on the boundary.
     """
     mesh = field.space.mesh
-    cell = cell_div_moments(mesh, field.coeffs[field.space.gdof], rule=rule)
+    cell = cell_div_moments(mesh, field.coeffs[field.space.gdof])
     out = np.zeros(space1.ndof)
     np.add.at(out, mesh.cells.ravel(), cell.ravel())
     return out

@@ -186,20 +186,20 @@ def _boundary_node_values(w, space):
     return w.coeffs[idx]
 
 
-def divergence_correct(w, space, rule=None):
+def divergence_correct(w, space):
     """Edge-bubble field whose divergence has the same vertex moments as w.
 
     w must vanish on the boundary: a discrete field with any nonzero
     non-interior dof, or an analytic field with nonzero boundary node
-    values, is rejected.
+    values, is rejected.  A discrete w is integrated with DEFAULT_RULE,
+    an analytic one with ANALYTIC_RULE.
     """
     if isinstance(w, FieldP2Vector):
         if not w.in_velocity_space():
             raise InterpError(
                 "divergence correction requires vanishing boundary trace")
-        if rule is None:
-            rule = DEFAULT_RULE
-        vals = fem.p2_values_at(w, rule)
+        rule = DEFAULT_RULE
+        vals = fem.p2_values_at(w)
     else:
         bvals = _boundary_node_values(w, space)
         scale = 1.0 + float(np.abs(np.asarray(
@@ -207,8 +207,7 @@ def divergence_correct(w, space, rule=None):
         if np.abs(bvals).max() > 1e-12 * scale:
             raise InterpError(
                 "divergence correction requires vanishing boundary trace")
-        if rule is None:
-            rule = ANALYTIC_RULE
+        rule = ANALYTIC_RULE
         t = fem._tables(space.mesh, rule)
         vals = np.asarray(w.value(t.points.reshape(-1, 2)), dtype=float)
         vals = vals.reshape(space.mesh.n_cells, len(rule), 2)
@@ -216,7 +215,7 @@ def divergence_correct(w, space, rule=None):
     return _correction_from_coefficients(space, coeffs)
 
 
-def pi_n(v, space, rule=None):
+def pi_n(v, space):
     """Divergence-preserving interpolation of a smooth divergence-free field.
 
     Returns (field, status).  status == "corrected" when the bubble
@@ -227,15 +226,13 @@ def pi_n(v, space, rule=None):
     """
     if not isinstance(v, AnalyticVectorField) or not v.divergence_free:
         raise InterpError("input must be declared divergence free")
-    if rule is None:
-        rule = ANALYTIC_RULE
     mesh = space.mesh
     wl = lagrange_p2(v, space)
-    t = fem._tables(mesh, rule)
+    t = fem._tables(mesh, ANALYTIC_RULE)
     rvals = (np.asarray(v.value(t.points.reshape(-1, 2)), dtype=float)
-             .reshape(mesh.n_cells, len(rule), 2)
-             - fem.p2_values_at(wl, rule))
-    coeffs = _edge_coefficients(space, rvals, rule)
+             .reshape(mesh.n_cells, len(ANALYTIC_RULE), 2)
+             - fem.p2_values_at(wl, ANALYTIC_RULE))
+    coeffs = _edge_coefficients(space, rvals, ANALYTIC_RULE)
 
     lagrange_ok = wl.in_velocity_space()
     boundary_coeffs = coeffs[mesh.boundary_edges]
@@ -247,39 +244,40 @@ def pi_n(v, space, rule=None):
     return out, "corrected"
 
 
-def sample_points(mesh, rule=ANALYTIC_RULE):
-    """Per-cell sample points: the rule points plus the six nodes, (nc, nq+6, 2)."""
-    t = fem._tables(mesh, rule)
+def sample_points(mesh):
+    """Per-cell sample points: the ANALYTIC_RULE points plus the six nodes,
+    (nc, nq+6, 2)."""
+    t = fem._tables(mesh, ANALYTIC_RULE)
     corners = mesh.vertices[mesh.cells]
     mids = 0.5 * (np.roll(corners, -1, axis=1) + np.roll(corners, -2, axis=1))
     return np.concatenate([t.points, corners, mids], axis=1)
 
 
-def _field_at_samples(field, rule=ANALYTIC_RULE):
+def _field_at_samples(field):
     space = field.space
-    vals_q = fem.p2_values_at(field, rule)                     # (nc, nq, 2)
+    vals_q = fem.p2_values_at(field, ANALYTIC_RULE)                     # (nc, nq, 2)
     local = field.coeffs[space.gdof]                           # (nc, 6, 2)
     # node order must match sample_points: 3 corners then midpoints opposite
     # local vertices 0, 1, 2
     return np.concatenate([vals_q, local[:, :3], local[:, 3:]], axis=1)
 
 
-def linf_estimate(field, rule=ANALYTIC_RULE):
+def linf_estimate(field):
     """Max Euclidean magnitude over the per-cell quadrature and nodal points."""
-    vals = _field_at_samples(field, rule)
+    vals = _field_at_samples(field)
     return float(np.sqrt((vals ** 2).sum(axis=-1)).max())
 
 
-def _w1inf_errors(field, v, rule=ANALYTIC_RULE):
+def _w1inf_errors(field, v):
     """(value error, gradient error, H1 error) of field - v, sampled."""
     mesh = field.space.mesh
-    pts = sample_points(mesh, rule)
+    pts = sample_points(mesh)
     flat = pts.reshape(-1, 2)
-    vals = _field_at_samples(field, rule) - np.asarray(v.value(flat)).reshape(pts.shape)
+    vals = _field_at_samples(field) - np.asarray(v.value(flat)).reshape(pts.shape)
     err_linf = float(np.sqrt((vals ** 2).sum(axis=-1)).max())
 
-    t = fem._tables(mesh, rule)
-    gdisc = fem.p2_gradients_at(field, rule)
+    t = fem._tables(mesh, ANALYTIC_RULE)
+    gdisc = fem.p2_gradients_at(field, ANALYTIC_RULE)
     gexact = np.asarray(v.gradient(t.points.reshape(-1, 2))).reshape(gdisc.shape)
     gerr = gdisc - gexact
     err_ginf = float(np.abs(gerr).max())
@@ -288,7 +286,7 @@ def _w1inf_errors(field, v, rule=ANALYTIC_RULE):
     return err_linf, err_ginf, err_h1
 
 
-def pi_n_convergence_study(v, spaces, rule=None):
+def pi_n_convergence_study(v, spaces):
     """Interpolation errors of the corrected operator over a mesh sequence.
 
     Returns one dict per space with keys
@@ -296,14 +294,12 @@ def pi_n_convergence_study(v, spaces, rule=None):
     (order from the previous row's W1-inf error; nan on the first row)
     and field (the interpolant).
     """
-    if rule is None:
-        rule = ANALYTIC_RULE
     rows = []
     prev = None
     for space in spaces:
         h, _ = mesh_metrics(space.mesh)
-        field, status = pi_n(v, space, rule)
-        err_linf, err_ginf, err_h1 = _w1inf_errors(field, v, rule)
+        field, status = pi_n(v, space)
+        err_linf, err_ginf, err_h1 = _w1inf_errors(field, v)
         err_w1inf = err_linf + err_ginf
         order = float("nan")
         if prev is not None and err_w1inf > 0.0 and prev[1] > 0.0:
@@ -315,7 +311,7 @@ def pi_n_convergence_study(v, spaces, rule=None):
             "err_linf": err_linf,
             "err_w1inf": err_w1inf,
             "err_h1": err_h1,
-            "e_norm": fem.h1_seminorm(field) + linf_estimate(field, rule),
+            "e_norm": fem.h1_seminorm(field) + linf_estimate(field),
             "observed_order": order,
             "field": field,
         })

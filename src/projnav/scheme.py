@@ -393,12 +393,13 @@ def gap_l2l2(result):
     return float(np.sqrt(sum(dt * d.gap_l2 ** 2 for d in result.diagnostics)))
 
 
-def l2l2_velocity_error(result, exact, which="u", time_points=3):
+def l2l2_velocity_error(result, exact, which="u"):
     """L2(0,T;L2) distance between a stored trajectory and an exact field.
 
     ``exact(points, t)`` returns (m, 2).  which="u" compares the corrected
     velocity (left-value reconstruction), which="ut" the predicted one
-    (right-value reconstruction).
+    (right-value reconstruction).  Each step is integrated with
+    DEFAULT_RULE in space and a 3-point Gauss rule in time.
     """
     from .fem import p2_values_at, DEFAULT_RULE, _tables
     if not result.u_history and which == "u":
@@ -408,14 +409,14 @@ def l2l2_velocity_error(result, exact, which="u", time_points=3):
     t = _tables(mesh, DEFAULT_RULE)
     pts = t.points.reshape(-1, 2)
     dt = result.dt
-    tg, wg = gauss_legendre_01(time_points)
+    tg, wg = gauss_legendre_01(3)
     total = 0.0
     for n in range(result.config.n_steps):
         if which == "u":
-            vals = result.u_history[n].values_at(DEFAULT_RULE)
+            vals = result.u_history[n].values_at()
         else:
-            vals = p2_values_at(result.u_tilde_history[n], DEFAULT_RULE)
-        for g in range(time_points):
+            vals = p2_values_at(result.u_tilde_history[n])
+        for g in range(3):
             tau = (n + tg[g]) * dt
             diff = vals - np.asarray(exact(pts, tau)).reshape(vals.shape)
             cell = np.einsum("q,cqx,cqx->c", t.weights, diff, diff)

@@ -3,8 +3,10 @@
 ``l2_inner`` evaluates fields at the points of a triangle rule and sums
 cell by cell, independently of the assembled matrices the scheme applies;
 ``assemble_convection_unsplit`` is the other side of the identity the
-skew-symmetric convection form satisfies; ``edge_bubble_residuals_by_edge``
-checks the edge-bubble lemmas one bubble at a time over the whole mesh.
+skew-symmetric convection form satisfies; ``assemble_grad_coupling_coo``
+builds the gradient coupling from its triplets, without an element
+pattern; ``edge_bubble_residuals_by_edge`` checks the edge-bubble lemmas
+one bubble at a time over the whole mesh.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from projnav.fem import (DEFAULT_RULE, FieldP2Vector, SpaceP1,
                          _convection_oneside, _tables, div_moments,
                          p2_values_at)
 from projnav.interp import edge_bubble
+from projnav.sparse import CsrMatrix
 
 
 def p1_values_at(field, rule=DEFAULT_RULE):
@@ -40,7 +43,7 @@ def l2_inner(field_a, field_b, rule=DEFAULT_RULE):
     return float(cell @ mesh.cell_areas)
 
 
-def assemble_convection_unsplit(space, wind, rule=DEFAULT_RULE):
+def assemble_convection_unsplit(space, wind):
     """The right-hand form of the convection identity:
     ((wind . grad) phi_j, phi_i) + (1/2) (div wind phi_j, phi_i).
 
@@ -48,12 +51,32 @@ def assemble_convection_unsplit(space, wind, rule=DEFAULT_RULE):
     satisfies for exact integration.
     """
     mesh = space.mesh
-    t = _tables(mesh, rule)
-    elem = _convection_oneside(space, wind, rule)
+    t = _tables(mesh, DEFAULT_RULE)
+    elem = _convection_oneside(space, wind)
     divw = np.einsum("cax,caqx->cq", wind.coeffs[space.gdof], t.p2grad)
     elem2 = np.einsum("q,cq,bq,aq->cab", t.weights, divw, t.p2val, t.p2val)
     elem = elem + 0.5 * elem2 * mesh.cell_areas[:, None, None]
     return space.pattern.assemble(elem)
+
+
+def assemble_grad_coupling_coo(space2, space1):
+    """``fem.assemble_grad_coupling`` from one (row, col, value) triplet per
+    element entry, component by component, summed by
+    ``CsrMatrix.from_coo``."""
+    mesh = space2.mesh
+    t = _tables(mesh, DEFAULT_RULE)
+    ints = np.einsum("q,aq->a", t.weights, t.p2val)
+    elem = np.einsum("c,a,cix->caix", mesh.cell_areas, ints, t.p1grad)
+    n2 = space2.n_scalar
+    gdof = space2.gdof
+    rows, cols, vals = [], [], []
+    for x in range(2):
+        rows.append((gdof[:, :, None] + x * n2).repeat(3, axis=2).ravel())
+        cols.append(np.broadcast_to(mesh.cells[:, None, :],
+                                    gdof.shape + (3,)).ravel())
+        vals.append(elem[:, :, :, x].ravel())
+    return CsrMatrix.from_coo(np.concatenate(rows), np.concatenate(cols),
+                              np.concatenate(vals), (2 * n2, space1.ndof))
 
 
 def edge_bubble_residuals_by_edge(space):

@@ -13,7 +13,8 @@ from projnav.fem import (CompositeVelocity, FieldP1Scalar, FieldP2Vector,
 from projnav.mesh import build_from_arrays, build_structured_unit_square
 from projnav.scheme import SchemeOperators
 
-from oracles import assemble_convection_unsplit, l2_inner
+from oracles import (assemble_convection_unsplit, assemble_grad_coupling_coo,
+                     l2_inner)
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +167,15 @@ def test_grad_coupling_constant_pressure(pair2):
     s2, s1 = pair2
     g = assemble_grad_coupling(s2, s1)
     assert np.abs(g.matvec(np.ones(s1.ndof))).max() <= 1e-14
+
+
+def test_grad_coupling_matches_triplet_assembly_bitwise(irregular_mesh):
+    s2, s1 = SpaceP2Vector(irregular_mesh), SpaceP1(irregular_mesh)
+    g = assemble_grad_coupling(s2, s1)
+    ref = assemble_grad_coupling_coo(s2, s1)
+    assert g.shape == ref.shape == (2 * s2.n_scalar, s1.ndof)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(g, name), getattr(ref, name))
 
 
 def test_weak_div_moments_of_interpolated_divfree_field():
