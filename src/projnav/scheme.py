@@ -159,7 +159,7 @@ class SchemeOperators:
     def pressure_precond(self):
         """AMG hierarchy of the P1 Laplacian, built on the first projection
         and kept: it does not depend on the time step."""
-        return SmoothedAggregation(self.lap, constant_kernel=True)
+        return SmoothedAggregation(self.lap)
 
     def project(self, w, scale, tol, max_iter=None, step_index=0,
                 history=()):

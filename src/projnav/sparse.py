@@ -153,7 +153,7 @@ class CsrMatrix:
 # a_ij is a strong connection when |a_ij| >= STRENGTH sqrt(a_ii a_jj)
 STRENGTH = 0.08
 # levels are coarsened until at most this many unknowns remain, which are
-# then solved with a dense inverse
+# then solved with a dense pseudo-inverse
 COARSE_SIZE = 160
 # products expanded at once in a sparse matrix product; the expansion
 # arrays of one chunk stay near 128 KiB each
@@ -200,20 +200,6 @@ def _aggregate(indptr, indices):
         near = np.maximum.reduceat(agg[indices], starts)
         agg = np.where(agg < 0, near, agg)
     return agg, len(roots)
-
-
-def _components(adjacent):
-    """Connected component of every node of a symmetric boolean adjacency
-    matrix with a true diagonal, numbered 0, 1, ... in order of each
-    component's lowest node."""
-    n = len(adjacent)
-    label = np.arange(n)
-    while True:
-        # each node takes the lowest label among its neighbours
-        new = np.where(adjacent, label, n).min(axis=1)
-        if np.array_equal(new, label):
-            return np.unique(label, return_inverse=True)[1]
-        label = new
 
 
 def _spgemm(a, b):
@@ -273,10 +259,9 @@ class SmoothedAggregation:
     Each level aggregates the strength graph, smooths the piecewise
     constant tentative prolongator with one damped Jacobi step, omega =
     (4/3)/rho(D^-1 A), and forms the coarse matrix P^T A P.  The coarsest
-    level, at most COARSE_SIZE unknowns, is a dense inverse; with
-    ``constant_kernel`` (a matrix whose kernel is the constants of each
-    connected component of its graph, which prolongation preserves) one
-    rank-one constant term per component regularizes it.
+    level, at most COARSE_SIZE unknowns, is a dense pseudo-inverse, so a
+    singular matrix such as a Laplacian whose kernel holds one constant per
+    connected component needs no regularization.
 
     ``vcycle(a, r)`` applies one V-cycle with one damped-Jacobi sweep
     before and one after each coarse correction, so it is symmetric when
@@ -285,7 +270,7 @@ class SmoothedAggregation:
     diagonal (the skew convection), so no copy of it is kept.
     """
 
-    def __init__(self, a, constant_kernel=False):
+    def __init__(self, a):
         self.dinv = []           # per level: omega / diag, the smoother
         self.restrict = []       # per level: R = P^T
         self.restrict_rows = []  # per level: the row of each entry of R
@@ -330,14 +315,7 @@ class SmoothedAggregation:
             self.restrict.append(r)
             self.restrict_rows.append(r.row_indices())
         dense = level.to_dense()
-        dense = 0.5 * (dense + dense.T)
-        if constant_kernel and len(dense):
-            # per component c of n_c unknowns, trace / (n n_c) on its
-            # block lifts its constant to the mean diagonal
-            comp = _components(dense != 0.0)
-            scale = np.trace(dense) / (len(dense) * np.bincount(comp)[comp])
-            dense += np.where(comp[:, None] == comp, scale, 0.0)
-        self.coarse_inverse = np.linalg.inv(dense)
+        self.coarse_inverse = np.linalg.pinv(0.5 * (dense + dense.T))
 
     @property
     def sizes(self):

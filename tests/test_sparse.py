@@ -212,7 +212,7 @@ def _p1_laplacian(n):
 
 def test_vcycle_linear_and_symmetric_on_laplacian(rng):
     lap, _ = _p1_laplacian(48)
-    amg = SmoothedAggregation(lap, constant_kernel=True)
+    amg = SmoothedAggregation(lap)
     assert len(amg.sizes) >= 3
     x, y = rng.standard_normal((2, lap.shape[0]))
     vx, vy = amg.vcycle(lap, x), amg.vcycle(lap, y)
@@ -237,7 +237,7 @@ def test_pcg_on_two_component_laplacian(n, rng):
     space = SpaceP1(_two_square_mesh(n))
     lap = assemble_pressure_laplacian(space)
     w = space.mass_row_weights()
-    amg = SmoothedAggregation(lap, constant_kernel=True)
+    amg = SmoothedAggregation(lap)
     assert len(amg.sizes) == (1 if n == 3 else 2)
     assert np.isfinite(amg.coarse_inverse).all()
     half = lap.shape[0] // 2
@@ -258,9 +258,48 @@ def test_pcg_on_two_component_laplacian(n, rng):
         assert np.ptp(part) <= 1e-9 * np.linalg.norm(q_plain)
 
 
+def test_plain_hierarchy_preconditions_singular_laplacian():
+    # the coarsest level of the P1 Laplacian is singular; its
+    # pseudo-inverse needs no knowledge of the kernel
+    lap, w = _p1_laplacian(16)
+    amg = SmoothedAggregation(lap)
+    assert amg.sizes == [289, 41]
+    assert np.abs(amg.coarse_inverse).max() <= 10.0
+    q = np.cos(7.0 * np.arange(lap.shape[0]))
+    rhs = lap.matvec(q - (w @ q) / w.sum())
+    _, report = cg_solve(lap, rhs, deflate_constants=True, mean_weights=w,
+                         precond=amg)
+    assert report.converged
+    assert report.iterations <= 30
+
+
+def test_two_level_hierarchy_on_two_component_laplacian(rng):
+    space = SpaceP1(_two_square_mesh(12))
+    lap = assemble_pressure_laplacian(space)
+    amg = SmoothedAggregation(lap)
+    assert amg.sizes == [338, 53]
+    # no aggregate spans both squares, so each square's constant restricts
+    # to the indicator of its aggregates, a kernel vector of the coarsest
+    # matrix that its pseudo-inverse annihilates
+    half = lap.shape[0] // 2
+    restrict = amg.restrict[0]
+    for part in (slice(None, half), slice(half, None)):
+        ones = np.zeros(lap.shape[0])
+        ones[part] = 1.0
+        kernel = (restrict.matvec(ones) != 0.0).astype(float)
+        assert 0 < kernel.sum() < len(kernel)
+        assert np.abs(amg.coarse_inverse @ kernel).max() <= 1e-12
+    w = space.mass_row_weights()
+    q = rng.standard_normal(lap.shape[0])
+    _, report = cg_solve(lap, lap.matvec(q), deflate_constants=True,
+                         mean_weights=w, precond=amg)
+    assert report.converged
+    assert report.iterations <= 30
+
+
 def test_hierarchy_is_deterministic_and_coarsens():
     lap, _ = _p1_laplacian(32)
-    a, b = (SmoothedAggregation(lap, constant_kernel=True) for _ in range(2))
+    a, b = (SmoothedAggregation(lap) for _ in range(2))
     assert a.sizes == b.sizes
     assert all(2 * coarse <= fine
                for fine, coarse in zip(a.sizes, a.sizes[1:]))
@@ -279,8 +318,7 @@ def test_pcg_laplacian_iterations_flat():
         rhs = lap.matvec(q - (w @ q) / w.sum())
         _, report = cg_solve(lap, rhs, deflate_constants=True,
                              mean_weights=w,
-                             precond=SmoothedAggregation(
-                                 lap, constant_kernel=True))
+                             precond=SmoothedAggregation(lap))
         assert report.converged
         iters.append(report.iterations)
     assert max(iters) <= 30
