@@ -202,7 +202,7 @@ def _run_scheme(opts, store_fields=False):
     config = SchemeConfig(n_steps=opts["steps"], t_final=opts["T"],
                           pred_tol=opts["pred_tol"], corr_tol=opts["corr_tol"],
                           skip_convection=skip_conv,
-                          store_fields=store_fields or opts["emit_fields"])
+                          store_fields=store_fields)
     result = run(space2, space1, u0, f, config)
     return result, space2, space1
 

@@ -116,6 +116,31 @@ class StepDiagnostics:
                 self.corr_iters)
 
 
+def _solve(solver, a, rhs, history, step_index, what, component=None,
+           **options):
+    """x with a x = rhs from ``solver`` (``cg_solve`` or
+    ``bicgstab_solve``, passed in as the caller looks it up), started from
+    the combination of the earlier solutions in ``history`` whose residual
+    is smallest; ``options`` go to the solver.  Returns (x, iterations).
+
+    A solve the solver rejects or leaves unconverged raises SchemeError
+    naming ``what`` ("prediction" or "projection"), ``step_index`` and, for
+    a prediction solve, the velocity ``component``.
+    """
+    x0 = projected_guess(a, history, rhs)
+    try:
+        x, report = solver(a, rhs, x0=x0, **options)
+    except SolverError as err:
+        raise SchemeError(f"{what} solve rejected at step {step_index}: "
+                          f"{err}", step_index) from err
+    if not report.converged:
+        part = "" if component is None else f"component {component}, "
+        raise SchemeError(
+            f"{what} solve failed at step {step_index} "
+            f"({part}residual {report.residual:.3e})", step_index, report)
+    return x, report.iterations
+
+
 class SchemeOperators:
     """Time-independent operators of one (mesh, spaces) pair, and every
     product, norm and projection the scheme computes from them."""
@@ -173,21 +198,13 @@ class SchemeOperators:
         unconverged solve raises SchemeError naming ``step_index``.
         """
         rhs = self.grad.rmatvec(w.flat()) / scale
-        q0 = projected_guess(self.lap, history, rhs)
-        try:
-            q, report = cg_solve(self.lap, rhs, tol=tol, max_iter=max_iter,
-                                 deflate_constants=True,
-                                 mean_weights=self.p1_weights,
-                                 precond=self.pressure_precond, x0=q0)
-        except SolverError as err:
-            raise SchemeError(f"projection solve rejected at step "
-                              f"{step_index}: {err}", step_index) from err
-        if not report.converged:
-            raise SchemeError(
-                f"projection solve failed at step {step_index} "
-                f"(residual {report.residual:.3e})", step_index, report)
+        q, iters = _solve(cg_solve, self.lap, rhs, history, step_index,
+                          "projection", tol=tol, max_iter=max_iter,
+                          deflate_constants=True,
+                          mean_weights=self.p1_weights,
+                          precond=self.pressure_precond)
         u = CompositeVelocity(w, FieldP1Scalar(self.space1, q), scale)
-        return u, q, report.iterations
+        return u, q, iters
 
     @staticmethod
     def _componentwise(mat, coeffs):
@@ -274,17 +291,11 @@ def predict(state, load, ops, config, precond):
     iters = 0
     for comp in range(2):
         rhs = rhs_flat[comp * n2:(comp + 1) * n2][idx]
-        x0 = projected_guess(system, [h[:, comp] for h in state.ut_history],
-                             rhs)
-        x, report = bicgstab_solve(system, rhs, tol=config.pred_tol,
-                                   max_iter=config.max_iter, precond=precond,
-                                   x0=x0)
-        iters += report.iterations
-        if not report.converged:
-            raise SchemeError(
-                f"prediction solve failed at step {state.n + 1} "
-                f"(component {comp}, residual {report.residual:.3e})",
-                state.n + 1, report)
+        x, k = _solve(bicgstab_solve, system, rhs,
+                      [h[:, comp] for h in state.ut_history], state.n + 1,
+                      "prediction", comp, tol=config.pred_tol,
+                      max_iter=config.max_iter, precond=precond)
+        iters += k
         ut.coeffs[idx, comp] = x
     return ut, iters
 

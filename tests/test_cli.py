@@ -70,6 +70,27 @@ def test_emit_fields_vtk(tmp_path, capsys):
     assert any(line == "VECTORS u_corrected double" for line in text)
 
 
+def test_only_mms_stores_step_fields(tmp_path, capsys, monkeypatch):
+    # run and energy-audit write the final state alone, so emitting fields
+    # must not keep every step's fields
+    stored = []
+    real_run = cli.run
+
+    def recording_run(space2, space1, u0, f, config, **kwargs):
+        stored.append(config.store_fields)
+        return real_run(space2, space1, u0, f, config, **kwargs)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    cfg = tmp_path / "audit.cfg"
+    cfg.write_text("mesh = structured:2\nsteps = 2\nemit_fields = true\n")
+    for args in (["run", "--n", "2", "--steps", "2", "--emit-fields"],
+                 ["energy-audit", "--config", str(cfg)],
+                 ["mms", "--levels", "4,8"]):
+        code, _ = run_cli(args + ["--out", str(tmp_path)], capsys)
+        assert code == 0
+    assert stored == [False, False, True, True]
+
+
 def test_vtk_cell_data_matches_composite_evaluation(tmp_path, capsys):
     # the combined corrected-velocity cell data must equal the quadratic
     # part at the subcell centroid minus the scaled increment gradient

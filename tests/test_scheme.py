@@ -438,12 +438,16 @@ def test_gap_ratio_under_time_refinement():
 
 def test_solver_failure_aborts_with_step_index(setup4):
     s2, s1, ops = setup4
-    # at n=4 the preconditioner is a dense inverse of M/dt + K, which
-    # solves step 1 (no convection yet) in one iteration
+    # at n=4 the preconditioner is a dense pseudo-inverse of M/dt + K,
+    # which solves step 1 (no convection yet) in one iteration
     config = SchemeConfig(n_steps=3, t_final=1.0, max_iter=0)
     with pytest.raises(SchemeError) as err:
         run(s2, s1, mms.initial_velocity, mms.forcing, config, ops=ops)
     assert err.value.step_index == 1
+    assert str(err.value).startswith(
+        "prediction solve failed at step 1 (component 0, residual ")
+    assert err.value.report.iterations == 0
+    assert not err.value.report.converged
 
 
 # ---------------------------------------------------------------------------
