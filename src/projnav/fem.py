@@ -398,7 +398,7 @@ def assemble_load(space2, f, t_a, t_b):
     favg = np.zeros((len(pts), 2))
     for g in range(3):
         favg += wg[g] * np.asarray(f(pts, t_a + (t_b - t_a) * tg[g]), dtype=float)
-    favg = favg.reshape(mesh.n_cells, len(DEFAULT_RULE), 2)
+    favg = favg.reshape(t.points.shape)
     # a non-finite load is reported by the caller, not as a warning
     with np.errstate(invalid="ignore", over="ignore"):
         cellvec = mesh.cell_areas[:, None, None] * (t.p2val_w @ favg)

@@ -210,7 +210,7 @@ def divergence_correct(w, space):
         rule = ANALYTIC_RULE
         t = fem._tables(space.mesh, rule)
         vals = np.asarray(w.value(t.points.reshape(-1, 2)), dtype=float)
-        vals = vals.reshape(space.mesh.n_cells, len(rule), 2)
+        vals = vals.reshape(t.points.shape)
     coeffs = _edge_coefficients(space, vals, rule)
     return _correction_from_coefficients(space, coeffs)
 
@@ -230,8 +230,7 @@ def pi_n(v, space):
     wl = lagrange_p2(v, space)
     t = fem._tables(mesh, ANALYTIC_RULE)
     rvals = (np.asarray(v.value(t.points.reshape(-1, 2)), dtype=float)
-             .reshape(mesh.n_cells, len(ANALYTIC_RULE), 2)
-             - fem.p2_values_at(wl, ANALYTIC_RULE))
+             .reshape(t.points.shape) - fem.p2_values_at(wl, ANALYTIC_RULE))
     coeffs = _edge_coefficients(space, rvals, ANALYTIC_RULE)
 
     lagrange_ok = wl.in_velocity_space()
@@ -255,7 +254,7 @@ def sample_points(mesh):
 
 def _field_at_samples(field):
     space = field.space
-    vals_q = fem.p2_values_at(field, ANALYTIC_RULE)                     # (nc, nq, 2)
+    vals_q = fem.p2_values_at(field, ANALYTIC_RULE)            # (nc, nq, 2)
     local = field.coeffs[space.gdof]                           # (nc, 6, 2)
     # node order must match sample_points: 3 corners then midpoints opposite
     # local vertices 0, 1, 2

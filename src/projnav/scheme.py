@@ -118,15 +118,11 @@ class StepDiagnostics:
 
 def _solve(solver, a, rhs, history, step_index, what, component=None,
            **options):
-    """x with a x = rhs from ``solver`` (``cg_solve`` or
-    ``bicgstab_solve``, passed in as the caller looks it up), started from
-    the combination of the earlier solutions in ``history`` whose residual
-    is smallest; ``options`` go to the solver.  Returns (x, iterations).
-
-    A solve the solver rejects or leaves unconverged raises SchemeError
-    naming ``what`` ("prediction" or "projection"), ``step_index`` and, for
-    a prediction solve, the velocity ``component``.
-    """
+    """Solve a x = rhs with ``solver``, as the caller looks it up, from the
+    minimal-residual combination of ``history``; ``options`` go to the
+    solver.  Returns (x, iterations).  A rejected or unconverged solve
+    raises SchemeError naming ``what``, ``step_index`` and any velocity
+    ``component``."""
     x0 = projected_guess(a, history, rhs)
     try:
         x, report = solver(a, rhs, x0=x0, **options)
