@@ -296,9 +296,8 @@ class ElementPattern:
     def assemble(self, elem):
         """CSR matrix from element blocks, one per row of the dof maps."""
         # each slot sums as its first entry + (the others in cell order),
-        # the grouping of a sorted triplet assembly's add.reduceat, so both
-        # give the same floats (for up to 8 entries per slot, where
-        # reduceat sums in sequence)
+        # as add.reduceat over sorted triplets does, so both give the same
+        # floats (for up to 8 entries per slot, where it sums in sequence)
         vals = elem.reshape(-1).copy()
         first = vals[self.first]
         vals[self.first] = 0.0
