@@ -87,12 +87,15 @@ class SchemeState:
     step's solves start from, newest first and at most GUESS_HISTORY of
     each: ``ut_history`` holds the interior prediction coefficients, each
     (m, 2), and ``dp_history`` the pressure increments.  Empty histories
-    (``initialize``'s) give cold solves."""
+    (``initialize``'s) give cold solves.  ``u_sq`` and ``gradp_sq`` are
+    |u|^2 and |grad p|^2, which the next step's energy audit reads."""
     n: int
     t: float
     u_tilde: FieldP2Vector
     u: CompositeVelocity
     p: FieldP1Scalar
+    u_sq: float
+    gradp_sq: float
     ut_history: tuple = ()
     dp_history: tuple = ()
 
@@ -261,8 +264,12 @@ def initialize(space2, space1, u0, ops=None, tol=1e-12):
     if not np.isfinite(w.coeffs).all():
         raise SchemeError("non-finite initial velocity at step 0", 0)
     u, _, _ = ops.project(w, 1.0, tol)
-    return SchemeState(n=0, t=0.0, u_tilde=FieldP2Vector(space2),
-                       u=u, p=FieldP1Scalar(space1))
+    p = FieldP1Scalar(space1)
+    # an overflow is reported by the first step's audit, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_sq = ops.composite_norm_sq(u)
+    return SchemeState(n=0, t=0.0, u_tilde=FieldP2Vector(space2), u=u, p=p,
+                       u_sq=u_sq, gradp_sq=ops.gradp_norm_sq(p.coeffs))
 
 
 def predict(state, load, ops, config, precond):
@@ -324,15 +331,13 @@ def step(state, f, ops, config, precond):
     # an overflow (s * s for a huge dt) is reported as a SchemeError
     # below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        u_sq_prev = ops.composite_norm_sq(state.u)
         u_sq = ops.composite_norm_sq(u_next)
-        gradp_sq_prev = ops.gradp_norm_sq(state.p.coeffs)
         gradp_sq = ops.gradp_norm_sq(p_next.coeffs)
         gap_sq = ops.gap_norm_sq(ut_next, state.u)
         ut_h1_sq = ops.h1_seminorm_sq_p2(ut_next.coeffs)
         work = float(load @ ut_next.flat())
-        lhs = ((u_sq - u_sq_prev) / (2.0 * dt)
-               + dt * (gradp_sq - gradp_sq_prev) / 2.0
+        lhs = ((u_sq - state.u_sq) / (2.0 * dt)
+               + dt * (gradp_sq - state.gradp_sq) / 2.0
                + gap_sq / (2.0 * dt) + ut_h1_sq)
         residual = abs(lhs - work) / max(1.0, abs(work))
 
@@ -350,6 +355,7 @@ def step(state, f, ops, config, precond):
     keep = GUESS_HISTORY - 1
     new_state = SchemeState(
         n=state.n + 1, t=t_next, u_tilde=ut_next, u=u_next, p=p_next,
+        u_sq=u_sq, gradp_sq=gradp_sq,
         ut_history=(ut_next.coeffs[ops.interior],) + state.ut_history[:keep],
         dp_history=((p_next.coeffs - state.p.coeffs,)
                     + state.dp_history[:keep]))

@@ -412,6 +412,20 @@ def test_run_single_step_equals_step_call(setup4):
     assert result.diagnostics[0].energy_residual == diag.energy_residual
 
 
+def test_state_carries_the_audited_norms(setup4):
+    # the audit reads the previous state's norms from the state; they are
+    # the very floats a recomputation gives
+    s2, s1, ops = setup4
+    config = SchemeConfig(n_steps=3, t_final=1.0)
+    state = initialize(s2, s1, mms.initial_velocity, ops=ops)
+    precond = prediction_precond(ops, config)
+    for k in range(config.n_steps + 1):
+        if k:
+            state, _ = step(state, mms.forcing, ops, config, precond)
+        assert state.u_sq == ops.composite_norm_sq(state.u)
+        assert state.gradp_sq == ops.gradp_norm_sq(state.p.coeffs)
+
+
 def test_global_energy_bound_reported(setup4):
     s2, s1, ops = setup4
     config = SchemeConfig(n_steps=8, t_final=1.0)
