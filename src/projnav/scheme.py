@@ -412,10 +412,15 @@ def l2l2_velocity_error(result, exact, which="u"):
     ``exact(points, t)`` returns (m, 2).  which="u" compares the corrected
     velocity (left-value reconstruction), which="ut" the predicted one
     (right-value reconstruction).  Each step is integrated with
-    DEFAULT_RULE in space and a 3-point Gauss rule in time.
+    DEFAULT_RULE in space and a 3-point Gauss rule in time.  Any other
+    ``which``, or a run that did not store that trajectory, raises
+    ValueError.
     """
     from .fem import p2_values_at, DEFAULT_RULE, _tables
-    if not result.u_history and which == "u":
+    histories = {"u": result.u_history, "ut": result.u_tilde_history}
+    if which not in histories:
+        raise ValueError(f'which must be "u" or "ut", not {which!r}')
+    if not histories[which]:
         raise ValueError("run must store fields for error evaluation")
     ops = result.ops
     mesh = ops.space2.mesh

@@ -13,7 +13,8 @@ from projnav.mesh import (build_from_arrays, build_pathological_mesh,
                           build_structured_unit_square)
 from projnav.scheme import (SchemeConfig, SchemeError, SchemeOperators,
                             correct, diagnostics_csv, gap_l2l2, initialize,
-                            predict, run, step, time_translate_diagnostic)
+                            l2l2_velocity_error, predict, run, step,
+                            time_translate_diagnostic)
 from projnav.sparse import (CsrMatrix, SmoothedAggregation, bicgstab_solve,
                             cg_solve)
 
@@ -513,6 +514,23 @@ def test_time_translate_rejects_bad_tau(setup4):
         time_translate_diagnostic(result, 1.5)
     with pytest.raises(ValueError):
         time_translate_diagnostic(result, 0.0)
+
+
+def test_l2l2_error_rejects_an_unknown_trajectory(setup4):
+    s2, s1, ops = setup4
+    config = SchemeConfig(n_steps=2, t_final=1.0, store_fields=True)
+    result = run(s2, s1, zero_u0, zero_f, config, ops=ops)
+    with pytest.raises(ValueError, match="which"):
+        l2l2_velocity_error(result, mms.velocity, which="uu")
+
+
+@pytest.mark.parametrize("which", ["u", "ut"])
+def test_l2l2_error_needs_stored_fields(setup4, which):
+    s2, s1, ops = setup4
+    config = SchemeConfig(n_steps=2, t_final=1.0)
+    result = run(s2, s1, zero_u0, zero_f, config, ops=ops)
+    with pytest.raises(ValueError, match="store fields"):
+        l2l2_velocity_error(result, mms.velocity, which=which)
 
 
 # ---------------------------------------------------------------------------
