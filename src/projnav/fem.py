@@ -103,6 +103,9 @@ class _Tables:
         gl = _cell_geometry(mesh)                               # (nc, 3, 2)
         self.p1grad = gl
         self.p2grad = np.einsum("aqi,cix->caqx", dlam, gl)      # (nc, 6, nq, 2)
+        # T[(q, i), (a, b)] = w_q phi_a(q) d phi_b / d lambda_i (q)
+        self.T = np.einsum("aq,bqi->qiab", self.p2val_w,
+                           dlam).reshape(3 * len(self.weights), 36)
         corners = mesh.vertices[mesh.cells]                     # (nc, 3, 2)
         self.points = rule.physical_points(corners)             # (nc, nq, 2)
 
@@ -327,12 +330,18 @@ def assemble_stiffness_p2(space):
 
 
 def _convection_oneside(space, wind):
-    """B[i, j] = integral (wind . grad phi_j) phi_i, as element blocks."""
+    """B[i, j] = integral (wind . grad phi_j) phi_i, as element blocks.
+
+    With grad phi_b = sum_i d phi_b / d lambda_i grad lambda_i, the wind
+    enters only through v[c, q, i] = wind(q) . grad lambda_i on cell c, and
+    all blocks are one matrix product of v with the reference table T.
+    """
     mesh = space.mesh
     t = _tables(mesh, DEFAULT_RULE)
+    nc = mesh.n_cells
     wq = t.p2val.T @ wind.coeffs[space.gdof]                  # (nc, nq, 2)
-    adv = np.einsum("cqx,cbqx->cqb", wq, t.p2grad)            # (nc, nq, 6)
-    elem = t.p2val_w @ adv
+    v = wq @ t.p1grad.transpose(0, 2, 1)                      # (nc, nq, 3)
+    elem = (v.reshape(nc, -1) @ t.T).reshape(nc, 6, 6)
     elem *= mesh.cell_areas[:, None, None]
     return elem
 

@@ -3,10 +3,11 @@
 ``l2_inner`` evaluates fields at the points of a triangle rule and sums
 cell by cell, independently of the assembled matrices the scheme applies;
 ``assemble_convection_unsplit`` is the other side of the identity the
-skew-symmetric convection form satisfies; ``assemble_grad_coupling_coo``
-builds the gradient coupling from its triplets, without an element
-pattern; ``edge_bubble_residuals_by_edge`` checks the edge-bubble lemmas
-one bubble at a time over the whole mesh.
+skew-symmetric convection form satisfies, and ``convection_blocks_einsum``
+its one-sided element blocks from the physical basis gradients;
+``assemble_grad_coupling_coo`` builds the gradient coupling from its
+triplets, without an element pattern; ``edge_bubble_residuals_by_edge``
+checks the edge-bubble lemmas one bubble at a time over the whole mesh.
 """
 
 import numpy as np
@@ -41,6 +42,18 @@ def l2_inner(field_a, field_b, rule=DEFAULT_RULE):
         vb = p1_values_at(field_b, rule=rule)
         cell = np.einsum("q,cq,cq->c", t.weights, va, vb)
     return float(cell @ mesh.cell_areas)
+
+
+def convection_blocks_einsum(space, wind):
+    """``fem._convection_oneside`` contracted against the stored physical
+    P2 gradients, quadrature point by quadrature point."""
+    mesh = space.mesh
+    t = _tables(mesh, DEFAULT_RULE)
+    wq = t.p2val.T @ wind.coeffs[space.gdof]                  # (nc, nq, 2)
+    adv = np.einsum("cqx,cbqx->cqb", wq, t.p2grad)            # (nc, nq, 6)
+    elem = t.p2val_w @ adv
+    elem *= mesh.cell_areas[:, None, None]
+    return elem
 
 
 def assemble_convection_unsplit(space, wind):

@@ -14,7 +14,7 @@ from projnav.mesh import build_from_arrays, build_structured_unit_square
 from projnav.scheme import SchemeOperators
 
 from oracles import (assemble_convection_unsplit, assemble_grad_coupling_coo,
-                     l2_inner)
+                     convection_blocks_einsum, l2_inner)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +147,19 @@ def test_convection_identity_equivalence(pair2, rng):
     d = assemble_convection_unsplit(s2, wind).to_dense()
     scale = max(1.0, np.abs(c).max())
     assert np.abs(c - d).max() <= 1e-12 * scale
+
+
+def test_convection_blocks_match_einsum_reference(irregular_mesh, rng):
+    # the one-GEMM element blocks against the contraction over the stored
+    # physical gradients; the assembled split stays exactly skew
+    s2 = SpaceP2Vector(irregular_mesh)
+    for _ in range(5):
+        wind = FieldP2Vector(s2, rng.standard_normal((s2.n_scalar, 2)))
+        elem = fem._convection_oneside(s2, wind)
+        ref = convection_blocks_einsum(s2, wind)
+        assert np.abs(elem - ref).max() <= 1e-14 * np.abs(ref).max()
+        c = assemble_convection(s2, wind)
+        assert np.array_equal(c.data, -c.data[s2.pattern.transpose])
 
 
 def test_grad_coupling_affine_pressure(pair2, rng):
