@@ -5,7 +5,8 @@ cell by cell, independently of the assembled matrices the scheme applies;
 ``assemble_convection_unsplit`` is the other side of the identity the
 skew-symmetric convection form satisfies, and ``convection_blocks_einsum``
 its one-sided element blocks from the physical basis gradients;
-``assemble_grad_coupling_coo`` builds the gradient coupling from its
+``mms_forcing_expanded`` is the manufactured forcing written term by
+term; ``assemble_grad_coupling_coo`` builds the gradient coupling from its
 triplets, without an element pattern; ``edge_bubble_residuals_by_edge``
 checks the edge-bubble lemmas one bubble at a time over the whole mesh.
 """
@@ -54,6 +55,47 @@ def convection_blocks_einsum(space, wind):
     elem = t.p2val_w @ adv
     elem *= mesh.cell_areas[:, None, None]
     return elem
+
+
+def mms_forcing_expanded(points, t):
+    """``mms.forcing`` from u*, its partial derivatives and the powers of
+    the one-dimensional profile g(s) = s^2 (1 - s)^2, term by term."""
+    p = np.asarray(points, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    s, c = np.sin(t), np.cos(t)
+
+    def g(z):
+        return z * z * (1.0 - z) ** 2
+
+    def dg(z):
+        return 2.0 * z - 6.0 * z ** 2 + 4.0 * z ** 3
+
+    def d2g(z):
+        return 2.0 - 12.0 * z + 12.0 * z ** 2
+
+    def d3g(z):
+        return -12.0 + 24.0 * z
+
+    gx, gy = g(x), g(y)
+    dgx, dgy = dg(x), dg(y)
+    d2gx, d2gy = d2g(x), d2g(y)
+    d3gx, d3gy = d3g(x), d3g(y)
+
+    u1 = s * gx * dgy
+    u2 = -s * dgx * gy
+    du1dx = s * dgx * dgy
+    du1dy = s * gx * d2gy
+    du2dx = -s * d2gx * gy
+    du2dy = -s * dgx * dgy
+
+    f1 = (c * gx * dgy
+          + u1 * du1dx + u2 * du1dy
+          - s * (d2gx * dgy + gx * d3gy)
+          + s)
+    f2 = (-c * dgx * gy
+          + u1 * du2dx + u2 * du2dy
+          + s * (d3gx * gy + dgx * d2gy))
+    return np.stack([f1, f2], axis=-1)
 
 
 def assemble_convection_unsplit(space, wind):

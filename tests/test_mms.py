@@ -7,7 +7,10 @@ any convergence number is trusted.
 
 import numpy as np
 
-from projnav import mms
+from projnav import fem, mms
+from projnav.mesh import build_structured_unit_square
+
+from oracles import mms_forcing_expanded
 
 
 def fd_forcing(points, t, h=1e-5):
@@ -40,6 +43,20 @@ def test_forcing_matches_finite_difference_oracle():
         closed = mms.forcing(pts, t)
         fd = fd_forcing(pts, t)
         assert np.abs(closed - fd).max() <= 1e-6
+
+
+def test_forcing_matches_expanded_reference():
+    # the expanded reference rounds worse than the factored form: against
+    # a long double evaluation its error reaches 5.7e-15 max|f| at t = 0,
+    # from the cancellation in g'(s) = 2s - 6s^2 + 4s^3, and about
+    # 1.2e-15 max|f| at the later times, where the factored form's stays
+    # below 5e-16 max|f|
+    mesh = build_structured_unit_square(16)
+    pts = fem._tables(mesh, fem.DEFAULT_RULE).points.reshape(-1, 2)
+    for t in (0.0, 0.13, 0.77, 1.9, 3.0):
+        ref = mms_forcing_expanded(pts, t)
+        assert (np.abs(mms.forcing(pts, t) - ref).max()
+                <= 1e-14 * np.abs(ref).max())
 
 
 def test_velocity_gradient_matches_finite_differences():
