@@ -35,10 +35,6 @@ def _d2g(s):
     return 2.0 - 12.0 * s + 12.0 * s ** 2
 
 
-def _d3g(s):
-    return -12.0 + 24.0 * s
-
-
 def velocity(points, t):
     """u*(x, t) = sin(t) (g(x) g'(y), -g'(x) g(y)); shape (m, 2)."""
     p = np.asarray(points, dtype=float)
