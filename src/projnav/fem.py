@@ -23,7 +23,7 @@ from .sparse import CsrMatrix
 __all__ = [
     "SpaceP1", "SpaceP2Vector",
     "FieldP1Scalar", "FieldP2Vector", "CompositeVelocity",
-    "DEFAULT_RULE", "eval_basis",
+    "DEFAULT_RULE",
     "assemble_mass_p2", "assemble_stiffness_p2", "assemble_convection",
     "assemble_grad_coupling", "assemble_pressure_laplacian", "assemble_load",
     "h1_seminorm", "weak_div_moments", "cell_div_moments", "div_moments",
@@ -234,23 +234,6 @@ class CompositeVelocity:
 
 # ---------------------------------------------------------------------------
 # pointwise evaluation
-
-def eval_basis(space, cell, bary):
-    """Values and physical gradients of the local basis at one barycentric point.
-
-    P1 spaces return 3 values and gradients, P2 spaces 6.
-    """
-    bary = np.asarray(bary, dtype=float).reshape(1, 3)
-    if np.any(bary < -1e-12) or abs(bary.sum() - 1.0) > 1e-12:
-        raise ValueError("barycentric point outside the reference triangle")
-    gl = _cell_geometry(space.mesh)[cell]
-    if isinstance(space, SpaceP1):
-        vals = p1_reference_values(bary)[:, 0]
-        return vals, gl.copy()
-    vals = p2_reference_values(bary)[:, 0]
-    dlam = p2_reference_dlambda(bary)[:, 0, :]
-    return vals, dlam @ gl
-
 
 def p2_values_at(field, rule=DEFAULT_RULE):
     """(nc, nq, 2) values of a P2 vector field at the rule points of each cell."""

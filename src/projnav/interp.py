@@ -50,25 +50,6 @@ class AnalyticVectorField:
     support: tuple = None
     divergence_free: bool = False
 
-    def check_divergence_free(self, points, tol=1e-12):
-        g = np.asarray(self.gradient(points))
-        tr = g[:, 0, 0] + g[:, 1, 1]
-        scale = max(1.0, float(np.abs(g).max()))
-        return float(np.abs(tr).max()) <= tol * scale
-
-    def check_support(self, points, tol=0.0):
-        """Value must vanish (to tol) at sample points outside the box."""
-        if self.support is None:
-            return True
-        xmin, xmax, ymin, ymax = self.support
-        pts = np.asarray(points)
-        outside = ((pts[:, 0] < xmin) | (pts[:, 0] > xmax)
-                   | (pts[:, 1] < ymin) | (pts[:, 1] > ymax))
-        if not outside.any():
-            return True
-        vals = np.asarray(self.value(pts[outside]))
-        return float(np.abs(vals).max()) <= tol
-
 
 def lagrange_p2(v, space):
     """Nodal interpolation: coefficients are the field values at the nodes."""

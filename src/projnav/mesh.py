@@ -15,7 +15,6 @@ __all__ = [
     "build_structured_unit_square",
     "build_pathological_mesh",
     "mesh_metrics",
-    "patch_stats",
     "write_mesh_file",
     "read_mesh_file",
 ]
@@ -258,17 +257,6 @@ def mesh_metrics(mesh):
     h_t = float(mesh.cell_diameters.max())
     theta_t = float((mesh.cell_diameters / mesh.cell_inball).max())
     return h_t, theta_t
-
-
-def patch_stats(mesh, edge):
-    """(card, area, diameter) of the patch of cells sharing the given edge."""
-    if not 0 <= edge < mesh.n_edges:
-        raise MeshError(f"edge index {edge} out of range")
-    cells = mesh.edge_cells[edge]
-    pts = mesh.vertices[np.unique(mesh.cells[cells])]
-    diff = pts[:, None, :] - pts[None, :, :]
-    diam = float(np.sqrt((diff ** 2).sum(axis=2)).max())
-    return len(cells), float(mesh.edge_patch_area[edge]), diam
 
 
 def write_mesh_file(mesh, path):

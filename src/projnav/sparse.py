@@ -251,6 +251,29 @@ def _jacobi_spectral_radius(a, dinv):
     return rho
 
 
+def _smoothed_prolongator(a, diag, omega):
+    """P = (I - omega D^-1 A) P_tent, P_tent[i, agg[i]] = 1, over the
+    aggregates of the strength graph of the symmetric matrix ``a`` with
+    diagonal ``diag``."""
+    rows = a.row_indices()
+    dinv = 1.0 / diag
+    strong = ((np.abs(a.data) >= STRENGTH * np.sqrt(
+        diag[rows] * diag[a.indices])) | (rows == a.indices))
+    gptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[strong], minlength=a.shape[0]), out=gptr[1:])
+    # at most n/2 aggregates: a root and its strong neighbours are not
+    # shared with another root
+    agg, n_agg = _aggregate(gptr, a.indices[strong])
+    cols = agg[a.indices]
+    kept = cols >= 0
+    return CsrMatrix.from_coo(
+        np.concatenate([rows[kept], np.flatnonzero(agg >= 0)]),
+        np.concatenate([cols[kept], agg[agg >= 0]]),
+        np.concatenate([-omega * (dinv[rows] * a.data)[kept],
+                        np.ones(np.count_nonzero(agg >= 0))]),
+        (a.shape[0], n_agg))
+
+
 class SmoothedAggregation:
     """Smoothed-aggregation AMG hierarchy of the symmetric part of a matrix
     with a structurally symmetric pattern and a positive diagonal (Vanek,
@@ -263,6 +286,15 @@ class SmoothedAggregation:
     singular matrix such as a Laplacian whose kernel holds one constant per
     connected component needs no regularization.
 
+    ``prolongator``, when given and holding at least one column, replaces
+    the first level's aggregation: it is used unsmoothed, with R = P^T,
+    and aggregation starts on P^T A P (a nested coarse space, such as the
+    P1 functions inside P2, makes this p-multigrid; Helenbrook, Mavriplis
+    & Atkins, AIAA 2003-3989).  One with no column, such as the embedding
+    of a mesh without an interior vertex, leaves the first level to
+    aggregation.  A matrix of at most COARSE_SIZE unknowns is inverted
+    densely either way.
+
     ``vcycle(a, r)`` applies one V-cycle with one damped-Jacobi sweep
     before and one after each coarse correction, so it is symmetric when
     ``a`` is.  The finest level smooths with ``a``, the matrix being
@@ -270,11 +302,13 @@ class SmoothedAggregation:
     diagonal (the skew convection), so no copy of it is kept.
     """
 
-    def __init__(self, a):
+    def __init__(self, a, prolongator=None):
         self.dinv = []           # per level: omega / diag, the smoother
         self.restrict = []       # per level: R = P^T
         self.restrict_rows = []  # per level: the row of each entry of R
         self.coarse = []         # the matrices of levels 1 .. L-1
+        if prolongator is not None and not prolongator.shape[1]:
+            prolongator = None
         level = a
         while level.shape[0] > COARSE_SIZE:
             # the symmetric part, exactly, so the strength graph is
@@ -287,29 +321,13 @@ class SmoothedAggregation:
             if not np.all(diag > 0.0):
                 raise ValueError("smoothed aggregation needs a positive "
                                  "diagonal")
-            rows = level.row_indices()
-            strong = ((np.abs(level.data) >= STRENGTH * np.sqrt(
-                diag[rows] * diag[level.indices])) | (rows == level.indices))
-            gptr = np.zeros(level.shape[0] + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows[strong], minlength=level.shape[0]),
-                      out=gptr[1:])
-            # at most n/2 aggregates: a root and its strong neighbours are
-            # not shared with another root
-            agg, n_agg = _aggregate(gptr, level.indices[strong])
             dinv = 1.0 / diag
             omega = (4.0 / 3.0) / _jacobi_spectral_radius(level, dinv)
-            n = level.shape[0]
-            # P = (I - omega D^-1 A) P_tent, P_tent[i, agg[i]] = 1
-            cols = agg[level.indices]
-            kept = cols >= 0
-            p = CsrMatrix.from_coo(
-                np.concatenate([rows[kept], np.flatnonzero(agg >= 0)]),
-                np.concatenate([cols[kept], agg[agg >= 0]]),
-                np.concatenate([-omega * (dinv[rows] * level.data)[kept],
-                                np.ones(np.count_nonzero(agg >= 0))]),
-                (n, n_agg))
+            p = (_smoothed_prolongator(level, diag, omega)
+                 if prolongator is None else prolongator)
+            prolongator = None
             r = CsrMatrix.from_coo(p.indices, p.row_indices(), p.data,
-                                   (n_agg, n))
+                                   p.shape[::-1])
             level = _spgemm(r, _spgemm(level, p))
             self.dinv.append(omega * dinv)
             self.restrict.append(r)

@@ -33,6 +33,13 @@ def _lines(fmt, rows):
     return "\n".join([fmt] * len(rows)) % tuple(rows.ravel().tolist())
 
 
+def _write(fh, *blocks):
+    """Each block, then a newline."""
+    for block in blocks:
+        fh.write(block)
+        fh.write("\n")
+
+
 def write_vtk_fields(path, space2, u_tilde=None, u=None, pressure=None,
                      title="projnav fields"):
     """Write point/cell data for the given discrete fields.
@@ -45,51 +52,48 @@ def write_vtk_fields(path, space2, u_tilde=None, u=None, pressure=None,
     mesh = space2.mesh
     points = space2.node_coordinates()
     gdof = space2.gdof
-
-    lines = ["# vtk DataFile Version 2.0", title, "ASCII",
-             "DATASET UNSTRUCTURED_GRID", f"POINTS {len(points)} double"]
-    lines.append(_lines("%.17g %.17g 0", points))
     nsub = 4 * mesh.n_cells
-    lines.append(f"CELLS {nsub} {4 * nsub}")
-    lines.append(_lines("3 %d %d %d", gdof[:, _SUBTRIANGLES].reshape(-1, 3)))
-    lines.append(f"CELL_TYPES {nsub}")
-    lines.extend(["5"] * nsub)
-
-    point_blocks = []
-    if u_tilde is not None:
-        point_blocks.append(("u_tilde", u_tilde.coeffs))
-    if u is not None:
-        point_blocks.append(("u_p2_part", u.p2_part.coeffs))
-    if pressure is not None:
-        vals = np.empty(space2.n_scalar)
-        vals[:mesh.n_vertices] = pressure.coeffs
-        vals[mesh.n_vertices:] = 0.5 * (pressure.coeffs[mesh.edges[:, 0]]
-                                        + pressure.coeffs[mesh.edges[:, 1]])
-        point_blocks.append(("pressure", vals))
-    if point_blocks:
-        lines.append(f"POINT_DATA {len(points)}")
-        for name, data in point_blocks:
-            if data.ndim == 2:
-                lines.append(f"VECTORS {name} double")
-                lines.append(_lines("%.17g %.17g 0", data))
-            else:
-                lines.append(f"SCALARS {name} double 1")
-                lines.append("LOOKUP_TABLE default")
-                lines.append(_lines("%.17g", data[:, None]))
-
-    if u is not None:
-        grads = u.grad_part_cell_gradients()
-        bary = _centroid_bary()
-        p2v = p2_reference_values(bary)            # (6, 4)
-        local = u.p2_part.coeffs[gdof]             # (nc, 6, 2)
-        centers = np.einsum("cax,as->csx", local, p2v)
-        lines.append(f"CELL_DATA {nsub}")
-        lines.append("VECTORS grad_part double")
-        lines.append(_lines("%.17g %.17g 0",
-                            np.repeat(-u.scale * grads, 4, axis=0)))
-        lines.append("VECTORS u_corrected double")
-        corrected = centers - u.scale * grads[:, None, :]
-        lines.append(_lines("%.17g %.17g 0", corrected.reshape(-1, 2)))
-
+    # each block is written as soon as it is formatted, so the file's
+    # text is never held whole
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        _write(fh, "# vtk DataFile Version 2.0", title, "ASCII",
+               "DATASET UNSTRUCTURED_GRID", f"POINTS {len(points)} double",
+               _lines("%.17g %.17g 0", points))
+        _write(fh, f"CELLS {nsub} {4 * nsub}",
+               _lines("3 %d %d %d", gdof[:, _SUBTRIANGLES].reshape(-1, 3)))
+        _write(fh, f"CELL_TYPES {nsub}", "\n".join(["5"] * nsub))
+
+        point_blocks = []
+        if u_tilde is not None:
+            point_blocks.append(("u_tilde", u_tilde.coeffs))
+        if u is not None:
+            point_blocks.append(("u_p2_part", u.p2_part.coeffs))
+        if pressure is not None:
+            vals = np.empty(space2.n_scalar)
+            vals[:mesh.n_vertices] = pressure.coeffs
+            vals[mesh.n_vertices:] = 0.5 * (
+                pressure.coeffs[mesh.edges[:, 0]]
+                + pressure.coeffs[mesh.edges[:, 1]])
+            point_blocks.append(("pressure", vals))
+        if point_blocks:
+            _write(fh, f"POINT_DATA {len(points)}")
+            for name, data in point_blocks:
+                if data.ndim == 2:
+                    _write(fh, f"VECTORS {name} double",
+                           _lines("%.17g %.17g 0", data))
+                else:
+                    _write(fh, f"SCALARS {name} double 1",
+                           "LOOKUP_TABLE default",
+                           _lines("%.17g", data[:, None]))
+
+        if u is not None:
+            grads = u.grad_part_cell_gradients()
+            p2v = p2_reference_values(_centroid_bary())    # (6, 4)
+            local = u.p2_part.coeffs[gdof]                 # (nc, 6, 2)
+            centers = np.einsum("cax,as->csx", local, p2v)
+            _write(fh, f"CELL_DATA {nsub}", "VECTORS grad_part double",
+                   _lines("%.17g %.17g 0",
+                          np.repeat(-u.scale * grads, 4, axis=0)))
+            corrected = centers - u.scale * grads[:, None, :]
+            _write(fh, "VECTORS u_corrected double",
+                   _lines("%.17g %.17g 0", corrected.reshape(-1, 2)))

@@ -9,14 +9,20 @@ its one-sided element blocks from the physical basis gradients;
 term; ``assemble_grad_coupling_coo`` builds the gradient coupling from its
 triplets, without an element pattern; ``edge_bubble_residuals_by_edge``
 checks the edge-bubble lemmas one bubble at a time over the whole mesh.
+``eval_basis``, ``patch_stats``, ``check_divergence_free`` and
+``check_support`` evaluate a basis, an edge patch or an analytic field at
+single points.
 """
 
 import numpy as np
 
 from projnav.fem import (DEFAULT_RULE, FieldP2Vector, SpaceP1,
-                         _convection_oneside, _tables, div_moments,
+                         _cell_geometry, _convection_oneside, _tables,
+                         div_moments, p1_reference_values,
+                         p2_reference_dlambda, p2_reference_values,
                          p2_values_at)
 from projnav.interp import edge_bubble
+from projnav.mesh import MeshError
 from projnav.sparse import CsrMatrix
 
 
@@ -154,3 +160,51 @@ def edge_bubble_residuals_by_edge(space):
             report["antisymmetry"],
             float(np.abs(b.coeffs + b_rev.coeffs).max()))
     return report
+
+
+def eval_basis(space, cell, bary):
+    """Values and physical gradients of the local basis at one barycentric
+    point: 3 of each for a P1 space, 6 for a P2 space."""
+    bary = np.asarray(bary, dtype=float).reshape(1, 3)
+    if np.any(bary < -1e-12) or abs(bary.sum() - 1.0) > 1e-12:
+        raise ValueError("barycentric point outside the reference triangle")
+    gl = _cell_geometry(space.mesh)[cell]
+    if isinstance(space, SpaceP1):
+        return p1_reference_values(bary)[:, 0], gl.copy()
+    dlam = p2_reference_dlambda(bary)[:, 0, :]
+    return p2_reference_values(bary)[:, 0], dlam @ gl
+
+
+def patch_stats(mesh, edge):
+    """(card, area, diameter) of the patch of cells sharing the given edge."""
+    if not 0 <= edge < mesh.n_edges:
+        raise MeshError(f"edge index {edge} out of range")
+    cells = mesh.edge_cells[edge]
+    pts = mesh.vertices[np.unique(mesh.cells[cells])]
+    diff = pts[:, None, :] - pts[None, :, :]
+    diam = float(np.sqrt((diff ** 2).sum(axis=2)).max())
+    return len(cells), float(mesh.edge_patch_area[edge]), diam
+
+
+def check_divergence_free(field, points, tol=1e-12):
+    """Whether the trace of an ``AnalyticVectorField``'s gradient vanishes
+    at ``points``, relative to the largest gradient entry (at least 1)."""
+    g = np.asarray(field.gradient(points))
+    tr = g[:, 0, 0] + g[:, 1, 1]
+    scale = max(1.0, float(np.abs(g).max()))
+    return float(np.abs(tr).max()) <= tol * scale
+
+
+def check_support(field, points, tol=0.0):
+    """Whether an ``AnalyticVectorField`` vanishes (to ``tol``) at the
+    ``points`` outside its support box; True without a box."""
+    if field.support is None:
+        return True
+    xmin, xmax, ymin, ymax = field.support
+    pts = np.asarray(points)
+    outside = ((pts[:, 0] < xmin) | (pts[:, 0] > xmax)
+               | (pts[:, 1] < ymin) | (pts[:, 1] > ymax))
+    if not outside.any():
+        return True
+    vals = np.asarray(field.value(pts[outside]))
+    return float(np.abs(vals).max()) <= tol

@@ -8,13 +8,13 @@ from projnav.fem import (CompositeVelocity, FieldP1Scalar, FieldP2Vector,
                          SpaceP1, SpaceP2Vector, assemble_convection,
                          assemble_grad_coupling, assemble_load,
                          assemble_mass_p2, assemble_pressure_laplacian,
-                         assemble_stiffness_p2, div_moments, eval_basis,
-                         h1_seminorm, p2_values_at, weak_div_moments)
+                         assemble_stiffness_p2, div_moments, h1_seminorm,
+                         p2_values_at, weak_div_moments)
 from projnav.mesh import build_from_arrays, build_structured_unit_square
 from projnav.scheme import SchemeOperators
 
 from oracles import (assemble_convection_unsplit, assemble_grad_coupling_coo,
-                     convection_blocks_einsum, l2_inner)
+                     convection_blocks_einsum, eval_basis, l2_inner)
 
 
 @pytest.fixture(scope="module")

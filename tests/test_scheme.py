@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from projnav import mms, scheme
-from projnav.fem import (FieldP2Vector, SpaceP1, SpaceP2Vector,
-                         assemble_convection, assemble_load, weak_div_moments)
+from projnav.fem import (FieldP1Scalar, FieldP2Vector, SpaceP1, SpaceP2Vector,
+                         assemble_convection, assemble_load, p2_values_at,
+                         weak_div_moments)
 from projnav.interp import pi_n
 from projnav.mesh import (build_from_arrays, build_pathological_mesh,
                           build_structured_unit_square)
@@ -18,7 +19,7 @@ from projnav.scheme import (SchemeConfig, SchemeError, SchemeOperators,
 from projnav.sparse import (CsrMatrix, SmoothedAggregation, bicgstab_solve,
                             cg_solve)
 
-from oracles import l2_inner
+from oracles import l2_inner, p1_values_at
 
 
 def zero_u0(pts):
@@ -39,7 +40,7 @@ def setup4():
 
 def prediction_precond(ops, config):
     """The prediction hierarchy that ``run`` builds for ``config``."""
-    return SmoothedAggregation(ops.prediction_system(config.dt))
+    return ops.prediction_precond(config.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +281,98 @@ def test_prediction_system_matches_dense_reference(setup4, irregular_mesh,
         expected = ((1 / dt) * mass + (stiff + dense_c))[np.ix_(idx, idx)]
         assert system.shape == (len(idx), len(idx))
         assert np.array_equal(system.to_dense(), expected)
+
+
+def _ops_for(which, irregular_mesh):
+    mesh = (build_structured_unit_square(8) if which == "structured"
+            else irregular_mesh)
+    return SchemeOperators(SpaceP2Vector(mesh), SpaceP1(mesh))
+
+
+@pytest.mark.parametrize("which", ["structured", "irregular"])
+def test_p1_embedding_reproduces_piecewise_affine_fields(which,
+                                                         irregular_mesh, rng):
+    # a continuous piecewise-affine field vanishing on the boundary is its
+    # own P2 interpolant: P q, evaluated with the P2 basis, is q evaluated
+    # with the P1 basis at every quadrature point of every cell
+    ops = _ops_for(which, irregular_mesh)
+    mesh = ops.space2.mesh
+    q = FieldP1Scalar(ops.space1)
+    q.coeffs[mesh.interior_vertices] = rng.standard_normal(
+        len(mesh.interior_vertices))
+    u = FieldP2Vector(ops.space2)
+    u.coeffs[ops.interior, 0] = ops.p1_embedding().matvec(
+        q.coeffs[mesh.interior_vertices])
+    expected = p1_values_at(q)
+    assert (np.abs(p2_values_at(u)[:, :, 0] - expected).max()
+            <= 1e-14 * np.abs(expected).max())
+    # and, node by node, the interpolant: vertex values, then the mean of
+    # the two ends at each interior edge midpoint
+    nodes = np.concatenate([q.coeffs,
+                            q.coeffs[mesh.edges].mean(axis=1)])
+    assert np.array_equal(u.coeffs[ops.interior, 0], nodes[ops.interior])
+
+
+@pytest.mark.parametrize("which", ["structured", "irregular"])
+def test_p1_embedding_galerkin_stiffness_is_the_p1_laplacian(which,
+                                                             irregular_mesh):
+    ops = _ops_for(which, irregular_mesh)
+    inner = ops.space2.mesh.interior_vertices
+    p = ops.p1_embedding().to_dense()
+    assert p.shape == (len(ops.interior), len(inner))
+    k2 = ops.stiffness.to_dense()[np.ix_(ops.interior, ops.interior)]
+    lap = ops.lap.to_dense()[np.ix_(inner, inner)]
+    assert np.abs(p.T @ k2 @ p - lap).max() <= 1e-12 * np.abs(lap).max()
+
+
+def test_prediction_hierarchy_coarsens_through_the_embedding():
+    # the first level restricts by P^T, unsmoothed, to P^T (M/dt + K) P
+    mesh = build_structured_unit_square(16)
+    ops = SchemeOperators(SpaceP2Vector(mesh), SpaceP1(mesh))
+    dt = 0.1
+    hierarchy = ops.prediction_precond(dt)
+    p = ops.p1_embedding().to_dense()
+    assert hierarchy.sizes[:2] == [len(ops.interior),
+                                   len(mesh.interior_vertices)]
+    assert np.array_equal(hierarchy.restrict[0].to_dense(), p.T)
+    galerkin = p.T @ ops.prediction_system(dt).to_dense() @ p
+    assert (np.abs(hierarchy.coarse[0].to_dense() - galerkin).max()
+            <= 1e-12 * np.abs(galerkin).max())
+
+
+def _column_strip(k, height):
+    """(0, 1) x (0, height) cut into k columns, each into two triangles:
+    no vertex is interior, and the 2k - 1 interior edges carry every
+    interior velocity dof."""
+    xs = np.linspace(0.0, 1.0, k + 1)
+    verts = np.vstack([np.column_stack([xs, np.zeros(k + 1)]),
+                       np.column_stack([xs, np.full(k + 1, height)])])
+    i = np.arange(k)
+    cells = np.concatenate([np.stack([i, i + 1, k + 2 + i], axis=1),
+                            np.stack([i, k + 2 + i, k + 1 + i], axis=1)])
+    return build_from_arrays(verts, cells)
+
+
+def test_prediction_hierarchy_without_interior_vertex_aggregates(rng):
+    # the embedding has no column, so aggregation makes the first coarse
+    # level, as in a hierarchy built without it; coarsening to the empty
+    # P1 space would leave every dof to the smoother (about 150 iterations
+    # instead of 13 to 16)
+    mesh = _column_strip(200, 0.1)
+    s2 = SpaceP2Vector(mesh)
+    ops = SchemeOperators(s2, SpaceP1(mesh))
+    assert len(ops.interior) == 399 and ops.p1_embedding().shape == (399, 0)
+    dt = 0.1
+    hierarchy = ops.prediction_precond(dt)
+    aggregated = SmoothedAggregation(ops.prediction_system(dt))
+    assert hierarchy.sizes == aggregated.sizes
+    wind = FieldP2Vector(s2, mms.velocity(s2.node_coordinates(), 0.7))
+    system = ops.prediction_system(dt, assemble_convection(s2, wind))
+    rhs = rng.standard_normal(system.shape[0])
+    _, report = bicgstab_solve(system, rhs, precond=hierarchy)
+    _, reference = bicgstab_solve(system, rhs, precond=aggregated)
+    assert report.converged
+    assert report.iterations <= min(reference.iterations, 20)
 
 
 def test_step_makes_no_from_coo_call(monkeypatch):
@@ -617,7 +710,7 @@ def test_preconditioned_solves_agree_with_plain(which, irregular_mesh, rng):
     wind = FieldP2Vector(s2, mms.velocity(s2.node_coordinates(), 0.7))
     system = ops.prediction_system(dt, assemble_convection(s2, wind))
     rhs = rng.standard_normal(system.shape[0])
-    amg = SmoothedAggregation(ops.prediction_system(dt))
+    amg = ops.prediction_precond(dt)
     x_plain, plain = bicgstab_solve(system, rhs)
     x_amg, report = bicgstab_solve(system, rhs, precond=amg)
     assert plain.converged and report.converged

@@ -332,8 +332,7 @@ def _warm_start_solves():
     wind = FieldP2Vector(s2, velocity(s2.node_coordinates(), 0.7))
     system = ops.prediction_system(0.05, assemble_convection(s2, wind))
     return [
-        (bicgstab_solve, 0.1, system,
-         SmoothedAggregation(ops.prediction_system(0.05)), {}),
+        (bicgstab_solve, 0.1, system, ops.prediction_precond(0.05), {}),
         (cg_solve, 0.5, ops.lap, ops.pressure_precond,
          {"deflate_constants": True, "mean_weights": ops.p1_weights}),
     ]
