@@ -92,20 +92,26 @@ def _cell_geometry(mesh):
 
 
 class _Tables:
-    """Basis values/gradients of one mesh at the points of one rule."""
+    """Basis values of one mesh at the points of one rule; P2 gradients go
+    through the reference tables D, S and T and the hat gradients p1grad,
+    grad phi_a = sum_i d phi_a / d lambda_i grad lambda_i."""
 
     def __init__(self, mesh, rule):
         self.weights = rule.weights
+        nq = len(self.weights)
         self.p1val = p1_reference_values(rule.points)           # (3, nq)
         self.p2val = p2_reference_values(rule.points)           # (6, nq)
         self.p2val_w = rule.weights * self.p2val                # (6, nq)
         dlam = p2_reference_dlambda(rule.points)                # (6, nq, 3)
-        gl = _cell_geometry(mesh)                               # (nc, 3, 2)
-        self.p1grad = gl
-        self.p2grad = np.einsum("aqi,cix->caqx", dlam, gl)      # (nc, 6, nq, 2)
+        self.p1grad = _cell_geometry(mesh)                      # (nc, 3, 2)
+        # D[(i, q), a] = d phi_a / d lambda_i (q)
+        self.D = dlam.transpose(2, 1, 0).reshape(3 * nq, 6)
+        # S[(i, j), (a, b)] = sum_q w_q d phi_a / d lambda_i d phi_b / d lambda_j
+        self.S = np.einsum("q,aqi,bqj->ijab", rule.weights, dlam,
+                           dlam).reshape(9, 36)
         # T[(q, i), (a, b)] = w_q phi_a(q) d phi_b / d lambda_i (q)
         self.T = np.einsum("aq,bqi->qiab", self.p2val_w,
-                           dlam).reshape(3 * len(self.weights), 36)
+                           dlam).reshape(3 * nq, 36)
         corners = mesh.vertices[mesh.cells]                     # (nc, 3, 2)
         self.points = rule.physical_points(corners)             # (nc, nq, 2)
 
@@ -238,15 +244,22 @@ class CompositeVelocity:
 def p2_values_at(field, rule=DEFAULT_RULE):
     """(nc, nq, 2) values of a P2 vector field at the rule points of each cell."""
     t = _tables(field.space.mesh, rule)
-    local = field.coeffs[field.space.gdof]          # (nc, 6, 2)
-    return np.einsum("cax,aq->cqx", local, t.p2val)
+    return t.p2val.T @ field.coeffs[field.space.gdof]
 
 
 def p2_gradients_at(field, rule=DEFAULT_RULE):
     """(nc, nq, 2, 2) gradients d u_x / d x_j at the rule points."""
     t = _tables(field.space.mesh, rule)
-    local = field.coeffs[field.space.gdof]
-    return np.einsum("cax,caqj->cqxj", local, t.p2grad)
+    return _local_gradients(t, field.coeffs[field.space.gdof], t.p1grad)
+
+
+def _local_gradients(t, local, gl):
+    """(m, nq, 2, 2) gradients d u_x / d x_j at the points of ``t`` from the
+    local P2 coefficients (m, 6, 2) and hat gradients (m, 3, 2) of m cells:
+    two small products per cell, the second the sum over the three hats,
+    so a cell's values do not depend on which other cells are passed."""
+    dl = (t.D @ local).reshape(len(local), 3, -1)   # d u_x / d lambda_i
+    return (dl.transpose(0, 2, 1) @ gl).reshape(len(local), -1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +319,9 @@ def assemble_stiffness_p2(space):
     """Scalar P2 stiffness matrix (grad-grad)."""
     mesh = space.mesh
     t = _tables(mesh, DEFAULT_RULE)
-    elem = np.einsum("q,caqx,cbqx->cab", t.weights, t.p2grad, t.p2grad)
+    # elem[c, a, b] = sum_ij (grad lambda_i . grad lambda_j) S[(i, j), (a, b)]
+    gl = t.p1grad
+    elem = ((gl @ gl.transpose(0, 2, 1)).reshape(-1, 9) @ t.S).reshape(-1, 6, 6)
     elem = 0.5 * (elem + elem.transpose(0, 2, 1))
     elem *= mesh.cell_areas[:, None, None]
     return space.pattern.assemble(elem)
@@ -406,8 +421,7 @@ def assemble_load(space2, f, t_a, t_b):
 def h1_seminorm(field):
     """L2 norm of the gradient of a P2 vector field."""
     g = p2_gradients_at(field)
-    t = _tables(field.space.mesh, DEFAULT_RULE)
-    cell = np.einsum("q,cqxj,cqxj->c", t.weights, g, g)
+    cell = (g * g).sum(axis=(2, 3)) @ DEFAULT_RULE.weights
     return float(np.sqrt(cell @ field.space.mesh.cell_areas))
 
 
@@ -433,9 +447,11 @@ def cell_div_moments(mesh, local, cells=slice(None)):
     each cell K, for local P2 coefficients ``local`` (m, 6, 2) on the cells
     ``cells`` (every cell by default; indices may repeat)."""
     t = _tables(mesh, DEFAULT_RULE)
-    divu = np.einsum("cax,caqx->cq", local, t.p2grad[cells])
-    return np.einsum("c,q,cq,aq->ca", mesh.cell_areas[cells], t.weights, divu,
-                     t.p1val)
+    g = _local_gradients(t, local, t.p1grad[cells])
+    divu = g[..., 0, 0] + g[..., 1, 1]                          # (m, nq)
+    # one (1, nq) x (nq, 3) product per cell, again independent of the others
+    moments = (divu[:, None, :] @ (t.weights * t.p1val).T)[:, 0]
+    return mesh.cell_areas[cells, None] * moments
 
 
 def div_moments(field, space1):

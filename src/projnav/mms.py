@@ -23,36 +23,26 @@ __all__ = [
 ]
 
 
-def _g(s):
-    return s * s * (1.0 - s) ** 2
-
-
-def _dg(s):
-    return 2.0 * s - 6.0 * s ** 2 + 4.0 * s ** 3
-
-
-def _d2g(s):
-    return 2.0 - 12.0 * s + 12.0 * s ** 2
-
-
 def velocity(points, t):
     """u*(x, t) = sin(t) (g(x) g'(y), -g'(x) g(y)); shape (m, 2)."""
     p = np.asarray(points, dtype=float)
-    x, y = p[..., 0], p[..., 1]
+    gx, dgx, _, _ = _g_derivatives(p[..., 0])
+    gy, dgy, _, _ = _g_derivatives(p[..., 1])
     s = np.sin(t)
-    return np.stack([s * _g(x) * _dg(y), -s * _dg(x) * _g(y)], axis=-1)
+    return np.stack([s * gx * dgy, -s * dgx * gy], axis=-1)
 
 
 def velocity_gradient(points, t):
     """Jacobian d u_i / d x_j, shape (m, 2, 2)."""
     p = np.asarray(points, dtype=float)
-    x, y = p[..., 0], p[..., 1]
+    gx, dgx, d2gx, _ = _g_derivatives(p[..., 0])
+    gy, dgy, d2gy, _ = _g_derivatives(p[..., 1])
     s = np.sin(t)
     out = np.empty(p.shape[:-1] + (2, 2))
-    out[..., 0, 0] = s * _dg(x) * _dg(y)
-    out[..., 0, 1] = s * _g(x) * _d2g(y)
-    out[..., 1, 0] = -s * _d2g(x) * _g(y)
-    out[..., 1, 1] = -s * _dg(x) * _dg(y)
+    out[..., 0, 0] = s * dgx * dgy
+    out[..., 0, 1] = s * gx * d2gy
+    out[..., 1, 0] = -s * d2gx * gy
+    out[..., 1, 1] = -s * dgx * dgy
     return out
 
 
@@ -108,69 +98,59 @@ def curl_bump_field():
                                divergence_free=True)
 
 
-# cubic B-spline on [0, 4]
-def _b3(t):
+# The cubic B-spline on [0, 4] times 6, its first derivative times 2 and
+# its second derivative: on the unit piece k, a polynomial in u = t - k
+# with these integer coefficients, highest power first
+_B3 = np.array([[1, 0, 0, 0], [-3, 3, 3, 1], [3, -6, 0, 4], [-1, 3, -3, 1]],
+               dtype=float)
+_DB3 = np.array([[1, 0, 0], [-3, 2, 1], [3, -4, 0], [-1, 2, -1]], dtype=float)
+_D2B3 = np.array([[1, 0], [-3, 1], [3, -2], [-1, 1]], dtype=float)
+
+
+def _piecewise(t, coeffs):
+    """Horner evaluation, without powers, of the polynomials ``coeffs`` on
+    the unit pieces of [0, 4]; 0 outside [0, 4]."""
     t = np.asarray(t, dtype=float)
-    return np.select(
-        [(t >= 0) & (t < 1), (t >= 1) & (t < 2), (t >= 2) & (t < 3),
-         (t >= 3) & (t <= 4)],
-        [t ** 3 / 6.0,
-         (-3.0 * t ** 3 + 12.0 * t ** 2 - 12.0 * t + 4.0) / 6.0,
-         (3.0 * t ** 3 - 24.0 * t ** 2 + 60.0 * t - 44.0) / 6.0,
-         (4.0 - t) ** 3 / 6.0],
-        0.0)
+    # the piece, floor(t) on [0, 4); fmax sends a NaN to piece 0, masked below
+    k = np.fmin(np.fmax(t, 0.0), 3.0).astype(np.intp)
+    u = t - k
+    acc = coeffs[:, 0].take(k)
+    for c in coeffs.T[1:]:
+        acc *= u
+        acc += c.take(k)
+    return np.where((t >= 0.0) & (t <= 4.0), acc, 0.0)
+
+
+def _b3(t):
+    return _piecewise(t, _B3) / 6.0
 
 
 def _db3(t):
-    t = np.asarray(t, dtype=float)
-    return np.select(
-        [(t >= 0) & (t < 1), (t >= 1) & (t < 2), (t >= 2) & (t < 3),
-         (t >= 3) & (t <= 4)],
-        [t ** 2 / 2.0,
-         (-9.0 * t ** 2 + 24.0 * t - 12.0) / 6.0,
-         (9.0 * t ** 2 - 48.0 * t + 60.0) / 6.0,
-         -((4.0 - t) ** 2) / 2.0],
-        0.0)
+    return _piecewise(t, _DB3) / 2.0
 
 
 def _d2b3(t):
-    t = np.asarray(t, dtype=float)
-    return np.select(
-        [(t >= 0) & (t < 1), (t >= 1) & (t < 2), (t >= 2) & (t < 3),
-         (t >= 3) & (t <= 4)],
-        [t, 4.0 - 3.0 * t, 3.0 * t - 8.0, 4.0 - t],
-        0.0)
-
-
-def _spline(x):
-    return _b3(8.0 * x - 2.0)
-
-
-def _dspline(x):
-    return 8.0 * _db3(8.0 * x - 2.0)
-
-
-def _d2spline(x):
-    return 64.0 * _d2b3(8.0 * x - 2.0)
+    return _piecewise(t, _D2B3)
 
 
 def spline_bump_field():
-    """curl(S(x) S(y)) with S a cubic B-spline bump on [1/4, 3/4]."""
+    """curl(S(x) S(y)) with S(s) = B(8s - 2), B the cubic B-spline on
+    [0, 4]: a bump on [1/4, 3/4]."""
 
     def value(points):
         p = np.asarray(points, dtype=float)
-        x, y = p[..., 0], p[..., 1]
-        return np.stack([_spline(x) * _dspline(y), -_dspline(x) * _spline(y)],
+        tx, ty = 8.0 * p[..., 0] - 2.0, 8.0 * p[..., 1] - 2.0
+        return np.stack([8.0 * _b3(tx) * _db3(ty), -8.0 * _db3(tx) * _b3(ty)],
                         axis=-1)
 
     def gradient(points):
         p = np.asarray(points, dtype=float)
-        x, y = p[..., 0], p[..., 1]
+        tx, ty = 8.0 * p[..., 0] - 2.0, 8.0 * p[..., 1] - 2.0
         out = np.empty(p.shape[:-1] + (2, 2))
-        out[..., 0, 0] = _dspline(x) * _dspline(y)
-        out[..., 0, 1] = _spline(x) * _d2spline(y)
-        out[..., 1, 0] = -_d2spline(x) * _spline(y)
-        out[..., 1, 1] = -_dspline(x) * _dspline(y)
+        out[..., 0, 0] = 64.0 * _db3(tx) * _db3(ty)
+        out[..., 0, 1] = 64.0 * _b3(tx) * _d2b3(ty)
+        out[..., 1, 0] = -64.0 * _d2b3(tx) * _b3(ty)
+        out[..., 1, 1] = -out[..., 0, 0]
         return out
 
     return AnalyticVectorField(value=value, gradient=gradient,

@@ -28,8 +28,7 @@ class QuadratureRule:
 
     def physical_points(self, vertices):
         """Map to physical coordinates. vertices: (..., 3, 2) -> (..., n, 2)."""
-        v = np.asarray(vertices, dtype=float)
-        return np.einsum("qi,...ij->...qj", self.points, v)
+        return self.points @ np.asarray(vertices, dtype=float)
 
 
 def _rule_degree5():

@@ -290,10 +290,11 @@ class SmoothedAggregation:
     the first level's aggregation: it is used unsmoothed, with R = P^T,
     and aggregation starts on P^T A P (a nested coarse space, such as the
     P1 functions inside P2, makes this p-multigrid; Helenbrook, Mavriplis
-    & Atkins, AIAA 2003-3989).  One with no column, such as the embedding
-    of a mesh without an interior vertex, leaves the first level to
-    aggregation.  A matrix of at most COARSE_SIZE unknowns is inverted
-    densely either way.
+    & Atkins, AIAA 2003-3989).  Its symmetric part is not formed, so a
+    matrix given with a prolongator must be symmetric.  One with no
+    column, such as the embedding of a mesh without an interior vertex,
+    leaves the first level to aggregation.  A matrix of at most
+    COARSE_SIZE unknowns is inverted densely either way.
 
     ``vcycle(a, r)`` applies one V-cycle with one damped-Jacobi sweep
     before and one after each coarse correction, so it is symmetric when
@@ -311,10 +312,11 @@ class SmoothedAggregation:
             prolongator = None
         level = a
         while level.shape[0] > COARSE_SIZE:
-            # the symmetric part, exactly, so the strength graph is
-            # symmetric; a no-op on a symmetric matrix
-            level = level.with_data(
-                0.5 * (level.data + level.data[level.transpose_order()]))
+            if prolongator is None:
+                # the symmetric part, exactly, so the strength graph is
+                # symmetric; a no-op on a symmetric matrix
+                level = level.with_data(
+                    0.5 * (level.data + level.data[level.transpose_order()]))
             if self.restrict:
                 self.coarse.append(level)
             diag = level.diagonal()

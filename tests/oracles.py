@@ -3,15 +3,20 @@
 ``l2_inner`` evaluates fields at the points of a triangle rule and sums
 cell by cell, independently of the assembled matrices the scheme applies;
 ``assemble_convection_unsplit`` is the other side of the identity the
-skew-symmetric convection form satisfies, and ``convection_blocks_einsum``
-its one-sided element blocks from the physical basis gradients;
-``mms_forcing_expanded`` is the manufactured forcing written term by
-term; ``assemble_grad_coupling_coo`` builds the gradient coupling from its
-triplets, without an element pattern; ``edge_bubble_residuals_by_edge``
-checks the edge-bubble lemmas one bubble at a time over the whole mesh.
-``eval_basis``, ``patch_stats``, ``check_divergence_free`` and
-``check_support`` evaluate a basis, an edge patch or an analytic field at
-single points.
+skew-symmetric convection form satisfies.  ``p2_gradient_table`` is the
+per-cell table of physical P2 basis gradients that ``fem`` evaluates
+through reference tables instead; ``p2_gradients_einsum``,
+``stiffness_blocks_einsum``, ``cell_div_moments_einsum`` and
+``convection_blocks_einsum`` contract it against the coefficients.
+``mms_forcing_expanded``, ``mms_velocity_expanded`` and
+``mms_velocity_gradient_expanded`` write the manufactured fields term by
+term in the powers of g(s) = s^2 (1 - s)^2; ``b3_pow`` is the cubic
+B-spline and its derivatives in powers of t, piece by piece.  ``assemble_grad_coupling_coo`` builds the gradient
+coupling from its triplets, without an element pattern;
+``edge_bubble_residuals_by_edge`` checks the edge-bubble lemmas one
+bubble at a time over the whole mesh.  ``eval_basis``, ``patch_stats``,
+``check_divergence_free`` and ``check_support`` evaluate a basis, an edge
+patch or an analytic field at single points.
 """
 
 import numpy as np
@@ -51,16 +56,85 @@ def l2_inner(field_a, field_b, rule=DEFAULT_RULE):
     return float(cell @ mesh.cell_areas)
 
 
+def p2_gradient_table(mesh, rule=DEFAULT_RULE):
+    """(nc, 6, nq, 2) physical gradients of the P2 basis at the rule
+    points of every cell."""
+    dlam = p2_reference_dlambda(rule.points)                  # (6, nq, 3)
+    return np.einsum("aqi,cix->caqx", dlam, _cell_geometry(mesh))
+
+
+def p2_gradients_einsum(field, rule=DEFAULT_RULE):
+    """``fem.p2_gradients_at`` contracted against ``p2_gradient_table``."""
+    local = field.coeffs[field.space.gdof]
+    return np.einsum("cax,caqj->cqxj", local,
+                     p2_gradient_table(field.space.mesh, rule))
+
+
+def stiffness_blocks_einsum(space):
+    """The symmetrized, area-scaled element blocks of
+    ``fem.assemble_stiffness_p2``, quadrature point by quadrature point."""
+    mesh = space.mesh
+    g = p2_gradient_table(mesh)
+    elem = np.einsum("q,caqx,cbqx->cab", DEFAULT_RULE.weights, g, g)
+    elem = 0.5 * (elem + elem.transpose(0, 2, 1))
+    return elem * mesh.cell_areas[:, None, None]
+
+
+def cell_div_moments_einsum(mesh, local, cells=slice(None)):
+    """``fem.cell_div_moments`` contracted against ``p2_gradient_table``."""
+    t = _tables(mesh, DEFAULT_RULE)
+    divu = np.einsum("cax,caqx->cq", local, p2_gradient_table(mesh)[cells])
+    return np.einsum("c,q,cq,aq->ca", mesh.cell_areas[cells], t.weights,
+                     divu, t.p1val)
+
+
 def convection_blocks_einsum(space, wind):
-    """``fem._convection_oneside`` contracted against the stored physical
-    P2 gradients, quadrature point by quadrature point."""
+    """``fem._convection_oneside`` contracted against the physical P2
+    gradients, quadrature point by quadrature point."""
     mesh = space.mesh
     t = _tables(mesh, DEFAULT_RULE)
     wq = t.p2val.T @ wind.coeffs[space.gdof]                  # (nc, nq, 2)
-    adv = np.einsum("cqx,cbqx->cqb", wq, t.p2grad)            # (nc, nq, 6)
+    adv = np.einsum("cqx,cbqx->cqb", wq, p2_gradient_table(mesh))
     elem = t.p2val_w @ adv
     elem *= mesh.cell_areas[:, None, None]
     return elem
+
+
+def _g(z):
+    return z * z * (1.0 - z) ** 2
+
+
+def _dg(z):
+    return 2.0 * z - 6.0 * z ** 2 + 4.0 * z ** 3
+
+
+def _d2g(z):
+    return 2.0 - 12.0 * z + 12.0 * z ** 2
+
+
+def _d3g(z):
+    return -12.0 + 24.0 * z
+
+
+def mms_velocity_expanded(points, t):
+    """``mms.velocity`` from the powers of g."""
+    p = np.asarray(points, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    s = np.sin(t)
+    return np.stack([s * _g(x) * _dg(y), -s * _dg(x) * _g(y)], axis=-1)
+
+
+def mms_velocity_gradient_expanded(points, t):
+    """``mms.velocity_gradient`` from the powers of g."""
+    p = np.asarray(points, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    s = np.sin(t)
+    out = np.empty(p.shape[:-1] + (2, 2))
+    out[..., 0, 0] = s * _dg(x) * _dg(y)
+    out[..., 0, 1] = s * _g(x) * _d2g(y)
+    out[..., 1, 0] = -s * _d2g(x) * _g(y)
+    out[..., 1, 1] = -s * _dg(x) * _dg(y)
+    return out
 
 
 def mms_forcing_expanded(points, t):
@@ -69,23 +143,10 @@ def mms_forcing_expanded(points, t):
     p = np.asarray(points, dtype=float)
     x, y = p[..., 0], p[..., 1]
     s, c = np.sin(t), np.cos(t)
-
-    def g(z):
-        return z * z * (1.0 - z) ** 2
-
-    def dg(z):
-        return 2.0 * z - 6.0 * z ** 2 + 4.0 * z ** 3
-
-    def d2g(z):
-        return 2.0 - 12.0 * z + 12.0 * z ** 2
-
-    def d3g(z):
-        return -12.0 + 24.0 * z
-
-    gx, gy = g(x), g(y)
-    dgx, dgy = dg(x), dg(y)
-    d2gx, d2gy = d2g(x), d2g(y)
-    d3gx, d3gy = d3g(x), d3g(y)
+    gx, gy = _g(x), _g(y)
+    dgx, dgy = _dg(x), _dg(y)
+    d2gx, d2gy = _d2g(x), _d2g(y)
+    d3gx, d3gy = _d3g(x), _d3g(y)
 
     u1 = s * gx * dgy
     u2 = -s * dgx * gy
@@ -104,6 +165,35 @@ def mms_forcing_expanded(points, t):
     return np.stack([f1, f2], axis=-1)
 
 
+# the cubic B-spline on [0, 4] and its first two derivatives, piece by
+# piece on [0, 1), [1, 2), [2, 3) and [3, 4], in powers of t; the integer
+# constants let a piece take an exact Fraction as well as an array
+B3_PIECES = (
+    (lambda t: t ** 3 / 6,
+     lambda t: (-3 * t ** 3 + 12 * t ** 2 - 12 * t + 4) / 6,
+     lambda t: (3 * t ** 3 - 24 * t ** 2 + 60 * t - 44) / 6,
+     lambda t: (4 - t) ** 3 / 6),
+    (lambda t: t ** 2 / 2,
+     lambda t: (-9 * t ** 2 + 24 * t - 12) / 6,
+     lambda t: (9 * t ** 2 - 48 * t + 60) / 6,
+     lambda t: -(4 - t) ** 2 / 2),
+    (lambda t: t,
+     lambda t: 4 - 3 * t,
+     lambda t: 3 * t - 8,
+     lambda t: 4 - t),
+)
+
+
+def b3_pow(t, derivative=0):
+    """The cubic B-spline on [0, 4] (or its first or second derivative)
+    from ``B3_PIECES``, every piece evaluated at every point."""
+    t = np.asarray(t, dtype=float)
+    return np.select(
+        [(t >= 0) & (t < 1), (t >= 1) & (t < 2), (t >= 2) & (t < 3),
+         (t >= 3) & (t <= 4)],
+        [piece(t) for piece in B3_PIECES[derivative]], 0.0)
+
+
 def assemble_convection_unsplit(space, wind):
     """The right-hand form of the convection identity:
     ((wind . grad) phi_j, phi_i) + (1/2) (div wind phi_j, phi_i).
@@ -114,7 +204,8 @@ def assemble_convection_unsplit(space, wind):
     mesh = space.mesh
     t = _tables(mesh, DEFAULT_RULE)
     elem = _convection_oneside(space, wind)
-    divw = np.einsum("cax,caqx->cq", wind.coeffs[space.gdof], t.p2grad)
+    divw = np.einsum("cax,caqx->cq", wind.coeffs[space.gdof],
+                     p2_gradient_table(mesh))
     elem2 = np.einsum("q,cq,bq,aq->cab", t.weights, divw, t.p2val, t.p2val)
     elem = elem + 0.5 * elem2 * mesh.cell_areas[:, None, None]
     return space.pattern.assemble(elem)

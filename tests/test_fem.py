@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,13 +9,17 @@ from projnav.fem import (CompositeVelocity, FieldP1Scalar, FieldP2Vector,
                          SpaceP1, SpaceP2Vector, assemble_convection,
                          assemble_grad_coupling, assemble_load,
                          assemble_mass_p2, assemble_pressure_laplacian,
-                         assemble_stiffness_p2, div_moments, h1_seminorm,
-                         p2_values_at, weak_div_moments)
+                         assemble_stiffness_p2, cell_div_moments, div_moments,
+                         h1_seminorm, p2_gradients_at, p2_values_at,
+                         weak_div_moments)
+from projnav.interp import ANALYTIC_RULE
 from projnav.mesh import build_from_arrays, build_structured_unit_square
 from projnav.scheme import SchemeOperators
 
 from oracles import (assemble_convection_unsplit, assemble_grad_coupling_coo,
-                     convection_blocks_einsum, eval_basis, l2_inner)
+                     cell_div_moments_einsum, convection_blocks_einsum,
+                     eval_basis, l2_inner, p2_gradients_einsum,
+                     stiffness_blocks_einsum)
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +165,57 @@ def test_convection_blocks_match_einsum_reference(irregular_mesh, rng):
         assert np.abs(elem - ref).max() <= 1e-14 * np.abs(ref).max()
         c = assemble_convection(s2, wind)
         assert np.array_equal(c.data, -c.data[s2.pattern.transpose])
+
+
+@pytest.mark.parametrize("rule", [fem.DEFAULT_RULE, ANALYTIC_RULE],
+                         ids=["default", "analytic"])
+def test_p2_gradients_match_einsum_reference(irregular_mesh, rng, rule):
+    # the reference-table evaluation against the contraction over the
+    # per-cell table of physical basis gradients
+    s2 = SpaceP2Vector(irregular_mesh)
+    for _ in range(5):
+        u = FieldP2Vector(s2, rng.standard_normal((s2.n_scalar, 2)))
+        ref = p2_gradients_einsum(u, rule)
+        assert (np.abs(p2_gradients_at(u, rule) - ref).max()
+                <= 1e-14 * np.abs(ref).max())
+
+
+def test_stiffness_matches_einsum_blocks_and_is_bitwise_symmetric(
+        irregular_mesh):
+    s2 = SpaceP2Vector(irregular_mesh)
+    k = assemble_stiffness_p2(s2)
+    ref = s2.pattern.assemble(stiffness_blocks_einsum(s2)).data
+    assert np.abs(k.data - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(k.data, k.data[s2.pattern.transpose])
+
+
+def test_cell_div_moments_match_einsum_reference(irregular_mesh, rng):
+    mesh = irregular_mesh
+    local = rng.standard_normal((mesh.n_cells, 6, 2))
+    cells = np.array([3, 0, 3, mesh.n_cells - 1])
+    for args in ((local,), (local[cells], cells)):
+        ref = cell_div_moments_einsum(mesh, *args)
+        assert (np.abs(cell_div_moments(mesh, *args) - ref).max()
+                <= 1e-14 * np.abs(ref).max())
+
+
+def test_tables_keep_no_per_cell_gradient_table():
+    # the largest array is the (nc, nq, 2) rule points; the per-cell P2
+    # gradient table this replaces, (nc, 6, nq, 2), took 7 MiB here and
+    # the build peaked at 8.0 MiB against 1.27 MiB now
+    mesh = build_structured_unit_square(32)
+    fem._cell_geometry(mesh)
+    tracemalloc.start()
+    try:
+        t = fem._Tables(mesh, ANALYTIC_RULE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(t, "p2grad")
+    per_cell_table = mesh.n_cells * 6 * len(ANALYTIC_RULE)
+    assert all(a.size < per_cell_table for a in vars(t).values()
+               if isinstance(a, np.ndarray))
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_grad_coupling_affine_pressure(pair2, rng):

@@ -5,13 +5,16 @@ values of the exact velocity and pressure via central differences before
 any convergence number is trusted.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from projnav import fem, mms
 from projnav.mesh import build_structured_unit_square
 
-from oracles import (check_divergence_free, check_support,
-                     mms_forcing_expanded)
+from oracles import (B3_PIECES, b3_pow, check_divergence_free, check_support,
+                     mms_forcing_expanded, mms_velocity_expanded,
+                     mms_velocity_gradient_expanded)
 
 
 def fd_forcing(points, t, h=1e-5):
@@ -58,6 +61,38 @@ def test_forcing_matches_expanded_reference():
         ref = mms_forcing_expanded(pts, t)
         assert (np.abs(mms.forcing(pts, t) - ref).max()
                 <= 1e-14 * np.abs(ref).max())
+
+
+def test_velocity_matches_expanded_reference():
+    # the same points and bound as the forcing: g and g' in r = s(1 - s)
+    # against their expanded powers
+    mesh = build_structured_unit_square(16)
+    pts = fem._tables(mesh, fem.DEFAULT_RULE).points.reshape(-1, 2)
+    for t in (0.13, 0.77, 1.9, 3.0):
+        for got, ref in ((mms.velocity(pts, t),
+                          mms_velocity_expanded(pts, t)),
+                         (mms.velocity_gradient(pts, t),
+                          mms_velocity_gradient_expanded(pts, t))):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_spline_pieces_match_exact_and_power_forms():
+    # a dense grid over [-1, 5] with every knot; the exact value is the
+    # power form evaluated in rationals, correctly rounded.  The power
+    # form in floats rounds worse: near t = 3 its terms reach 216 for a
+    # value below 1, and it errs by up to 1.2e-14 max|B| on this grid
+    # where the form in u = t - k stays below 2e-16
+    t = np.concatenate([np.linspace(-1.0, 5.0, 6001), np.arange(-1.0, 6.0)])
+    for d, f in enumerate((mms._b3, mms._db3, mms._d2b3)):
+        pieces = B3_PIECES[d]
+        exact = np.array([float(pieces[min(int(x), 3)](Fraction(x)))
+                          if 0.0 <= x <= 4.0 else 0.0 for x in t])
+        scale = np.abs(exact).max()
+        got = f(t)
+        assert np.abs(got - exact).max() <= 1e-15 * scale
+        assert np.abs(got - b3_pow(t, d)).max() <= 3e-14 * scale
+        # a NaN lies on no piece, in both forms
+        assert f(np.array([np.nan]))[0] == b3_pow(np.nan, d) == 0.0
 
 
 def test_velocity_gradient_matches_finite_differences():

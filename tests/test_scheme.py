@@ -290,6 +290,13 @@ def _ops_for(which, irregular_mesh):
 
 
 @pytest.mark.parametrize("which", ["structured", "irregular"])
+def test_prediction_system_is_bitwise_symmetric(which, irregular_mesh):
+    # the prediction hierarchy takes it as given, without its symmetric part
+    system = _ops_for(which, irregular_mesh).prediction_system(0.1)
+    assert np.array_equal(system.data, system.data[system.transpose_order()])
+
+
+@pytest.mark.parametrize("which", ["structured", "irregular"])
 def test_p1_embedding_reproduces_piecewise_affine_fields(which,
                                                          irregular_mesh, rng):
     # a continuous piecewise-affine field vanishing on the boundary is its
