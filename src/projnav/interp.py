@@ -24,7 +24,7 @@ __all__ = [
     "AnalyticVectorField", "InterpError",
     "lagrange_p2", "edge_bubble", "edge_bubble_residuals",
     "divergence_correct", "pi_n",
-    "pi_n_convergence_study", "sample_points", "linf_estimate",
+    "pi_n_convergence_study", "linf_estimate",
 ]
 
 ANALYTIC_RULE = triangle_rule(10)
@@ -129,71 +129,79 @@ def edge_bubble_residuals(space):
 def _edge_coefficients(space, values_at_rule, rule):
     """Integrals (w, phi_j grad phi_i - phi_i grad phi_j) per canonical edge.
 
-    ``values_at_rule``: (nc, nq, 2) samples of w at the rule points.
+    ``values_at_rule``: (..., nc, nq, 2) samples of w at the rule points;
+    the result is (..., ne), one row of coefficients per leading index.
     """
     mesh = space.mesh
     t = fem._tables(mesh, rule)
-    coeffs = np.zeros(mesh.n_edges)
-    # m[c, k, i] = integral over the reference cell of phi_k w . grad phi_i
-    wgrad = values_at_rule @ t.p1grad.transpose(0, 2, 1)      # (nc, nq, 3)
-    m = (t.weights * t.p1val) @ wgrad                         # (nc, 3, 3)
-    for l, (p, q) in enumerate(_LOCAL_EDGE_VERTICES):
-        # integrand w . (phi_q grad phi_p - phi_p grad phi_q) on each cell
-        integ = (m[:, q, p] - m[:, p, q]) * mesh.cell_areas
-        gi = mesh.cells[:, p]
-        gj = mesh.cells[:, q]
-        sign = np.where(gi < gj, 1.0, -1.0)
-        np.add.at(coeffs, mesh.cell_edges[:, l], sign * integ)
-    return coeffs
+    # m[..., c, k, i] = reference-cell integral of phi_k w . grad phi_i
+    wgrad = values_at_rule @ t.p1grad.transpose(0, 2, 1)   # (..., nc, nq, 3)
+    m = (t.weights * t.p1val) @ wgrad                      # (..., nc, 3, 3)
+    p, q = np.array(_LOCAL_EDGE_VERTICES).T
+    # integrand w . (phi_q grad phi_p - phi_p grad phi_q) on each cell
+    integ = (m[..., q, p] - m[..., p, q]) * mesh.cell_areas[:, None]
+    sign = np.where(mesh.cells[:, p] < mesh.cells[:, q], 1.0, -1.0)
+    rows = (sign * integ).reshape(-1, 3 * mesh.n_cells)   # one per field
+    ne = mesh.n_edges
+    keys = np.arange(len(rows))[:, None] * ne + mesh.cell_edges.ravel()
+    return np.bincount(keys.ravel(), rows.ravel()).reshape(
+        values_at_rule.shape[:-3] + (ne,))
 
 
 def _correction_from_coefficients(space, coeffs):
+    """(..., n_scalar, 2) dofs of the bubble fields of ``coeffs`` (..., ne)."""
     mesh = space.mesh
-    field = FieldP2Vector(space)
     lo = mesh.vertices[mesh.edges[:, 0]]
     hi = mesh.vertices[mesh.edges[:, 1]]
-    field.coeffs[mesh.n_vertices:] = (
-        coeffs[:, None] * 3.0 * (lo - hi) / mesh.edge_patch_area[:, None])
-    return field
+    out = np.zeros(coeffs.shape[:-1] + (space.n_scalar, 2))
+    out[..., mesh.n_vertices:, :] = (
+        coeffs[..., None] * 3.0 * (lo - hi) / mesh.edge_patch_area[:, None])
+    return out
 
 
-def _boundary_node_values(w, space):
-    mesh = space.mesh
-    nodes = space.node_coordinates()
-    idx = np.concatenate([mesh.boundary_vertices,
-                          mesh.n_vertices + mesh.boundary_edges])
-    if isinstance(w, AnalyticVectorField):
-        return np.asarray(w.value(nodes[idx]), dtype=float)
-    return w.coeffs[idx]
+def _values_at(v, points):
+    """Values (..., 2) of an analytic field at the points (..., 2)."""
+    return (np.asarray(v.value(points.reshape(-1, 2)), dtype=float)
+            .reshape(points.shape))
 
 
 def divergence_correct(w, space):
     """Edge-bubble field whose divergence has the same vertex moments as w.
 
+    w is a FieldP2Vector, an AnalyticVectorField, or an (..., n_scalar, 2)
+    array of P2 coefficients, for which the result is such an array too.
     w must vanish on the boundary: a discrete field with any nonzero
     non-interior dof, or an analytic field with nonzero boundary node
     values, is rejected.  A discrete w is integrated with DEFAULT_RULE,
     an analytic one with ANALYTIC_RULE.
     """
-    if isinstance(w, FieldP2Vector):
-        if not w.in_velocity_space():
-            raise InterpError(
-                "divergence correction requires vanishing boundary trace")
-        rule = DEFAULT_RULE
-        vals = fem.p2_values_at(w)
-    else:
-        bvals = _boundary_node_values(w, space)
-        scale = 1.0 + float(np.abs(np.asarray(
-            w.value(space.node_coordinates()))).max())
-        if np.abs(bvals).max() > 1e-12 * scale:
-            raise InterpError(
-                "divergence correction requires vanishing boundary trace")
+    if isinstance(w, AnalyticVectorField):
+        at_nodes = _values_at(w, space.node_coordinates())
+        bad = (np.abs(at_nodes[~space.interior_mask]).max()
+               > 1e-12 * (1.0 + np.abs(at_nodes).max()))
         rule = ANALYTIC_RULE
-        t = fem._tables(space.mesh, rule)
-        vals = np.asarray(w.value(t.points.reshape(-1, 2)), dtype=float)
-        vals = vals.reshape(t.points.shape)
-    coeffs = _edge_coefficients(space, vals, rule)
-    return _correction_from_coefficients(space, coeffs)
+        vals = _values_at(w, fem._tables(space.mesh, rule).points)
+    else:
+        coeffs = w.coeffs if isinstance(w, FieldP2Vector) else np.asarray(
+            w, dtype=float)
+        bad = np.any(coeffs[..., ~space.interior_mask, :] != 0.0)
+        rule = DEFAULT_RULE
+        vals = (fem._tables(space.mesh, rule).p2val.T
+                @ coeffs[..., space.gdof, :])
+    if bad:
+        raise InterpError(
+            "divergence correction requires vanishing boundary trace")
+    out = _correction_from_coefficients(
+        space, _edge_coefficients(space, vals, rule))
+    return out if isinstance(w, np.ndarray) else FieldP2Vector(space, out)
+
+
+def _nodal_and_rule_values(v, space):
+    """v at the nodes and the ANALYTIC_RULE points; v is divergence free."""
+    if not isinstance(v, AnalyticVectorField) or not v.divergence_free:
+        raise InterpError("input must be declared divergence free")
+    t = fem._tables(space.mesh, ANALYTIC_RULE)
+    return _values_at(v, space.node_coordinates()), _values_at(v, t.points)
 
 
 def pi_n(v, space):
@@ -205,13 +213,13 @@ def pi_n(v, space):
     non-boundary edge.  Otherwise the result is the zero field and
     status == "zeroed".
     """
-    if not isinstance(v, AnalyticVectorField) or not v.divergence_free:
-        raise InterpError("input must be declared divergence free")
+    return _pi_n(space, *_nodal_and_rule_values(v, space))
+
+
+def _pi_n(space, at_nodes, at_rule):
     mesh = space.mesh
-    wl = lagrange_p2(v, space)
-    t = fem._tables(mesh, ANALYTIC_RULE)
-    rvals = (np.asarray(v.value(t.points.reshape(-1, 2)), dtype=float)
-             .reshape(t.points.shape) - fem.p2_values_at(wl, ANALYTIC_RULE))
+    wl = FieldP2Vector(space, at_nodes)
+    rvals = at_rule - fem.p2_values_at(wl, ANALYTIC_RULE)
     coeffs = _edge_coefficients(space, rvals, ANALYTIC_RULE)
 
     lagrange_ok = wl.in_velocity_space()
@@ -220,50 +228,35 @@ def pi_n(v, space):
     if not (lagrange_ok and bubbles_ok):
         return FieldP2Vector(space), "zeroed"
     correction = _correction_from_coefficients(space, coeffs)
-    out = FieldP2Vector(space, wl.coeffs + correction.coeffs)
+    out = FieldP2Vector(space, wl.coeffs + correction)
     return out, "corrected"
 
 
-def sample_points(mesh):
-    """Per-cell sample points: the ANALYTIC_RULE points plus the six nodes,
-    (nc, nq+6, 2)."""
-    t = fem._tables(mesh, ANALYTIC_RULE)
-    corners = mesh.vertices[mesh.cells]
-    mids = 0.5 * (np.roll(corners, -1, axis=1) + np.roll(corners, -2, axis=1))
-    return np.concatenate([t.points, corners, mids], axis=1)
-
-
 def _field_at_samples(field):
-    space = field.space
+    """(nc, nq+6, 2) values at the ANALYTIC_RULE points, then at the six
+    nodes of each cell in ``gdof`` order."""
     vals_q = fem.p2_values_at(field, ANALYTIC_RULE)            # (nc, nq, 2)
-    local = field.coeffs[space.gdof]                           # (nc, 6, 2)
-    # node order must match sample_points: 3 corners then midpoints opposite
-    # local vertices 0, 1, 2
-    return np.concatenate([vals_q, local[:, :3], local[:, 3:]], axis=1)
+    return np.concatenate([vals_q, field.coeffs[field.space.gdof]], axis=1)
+
+
+def _max_norm(vals):
+    return float(np.sqrt((vals ** 2).sum(axis=-1)).max())
 
 
 def linf_estimate(field):
     """Max Euclidean magnitude over the per-cell quadrature and nodal points."""
-    vals = _field_at_samples(field)
-    return float(np.sqrt((vals ** 2).sum(axis=-1)).max())
+    return _max_norm(_field_at_samples(field))
 
 
-def _w1inf_errors(field, v):
-    """(value error, gradient error, H1 error) of field - v, sampled."""
+def _gradient_errors(field, v):
+    """(max gradient error, H1 error) of field - v at ANALYTIC_RULE points."""
     mesh = field.space.mesh
-    pts = sample_points(mesh)
-    flat = pts.reshape(-1, 2)
-    vals = _field_at_samples(field) - np.asarray(v.value(flat)).reshape(pts.shape)
-    err_linf = float(np.sqrt((vals ** 2).sum(axis=-1)).max())
-
     t = fem._tables(mesh, ANALYTIC_RULE)
     gdisc = fem.p2_gradients_at(field, ANALYTIC_RULE)
     gexact = np.asarray(v.gradient(t.points.reshape(-1, 2))).reshape(gdisc.shape)
     gerr = gdisc - gexact
-    err_ginf = float(np.abs(gerr).max())
     cell = (gerr * gerr).sum(axis=(2, 3)) @ t.weights
-    err_h1 = float(np.sqrt(cell @ mesh.cell_areas))
-    return err_linf, err_ginf, err_h1
+    return float(np.abs(gerr).max()), float(np.sqrt(cell @ mesh.cell_areas))
 
 
 def pi_n_convergence_study(v, spaces):
@@ -278,8 +271,12 @@ def pi_n_convergence_study(v, spaces):
     prev = None
     for space in spaces:
         h, _ = mesh_metrics(space.mesh)
-        field, status = pi_n(v, space)
-        err_linf, err_ginf, err_h1 = _w1inf_errors(field, v)
+        at_nodes, at_rule = _nodal_and_rule_values(v, space)
+        field, status = _pi_n(space, at_nodes, at_rule)
+        samples = _field_at_samples(field)
+        err_linf = _max_norm(samples - np.concatenate(
+            [at_rule, at_nodes[space.gdof]], axis=1))
+        err_ginf, err_h1 = _gradient_errors(field, v)
         err_w1inf = err_linf + err_ginf
         order = float("nan")
         if prev is not None and err_w1inf > 0.0 and prev[1] > 0.0:
@@ -291,7 +288,7 @@ def pi_n_convergence_study(v, spaces):
             "err_linf": err_linf,
             "err_w1inf": err_w1inf,
             "err_h1": err_h1,
-            "e_norm": fem.h1_seminorm(field) + linf_estimate(field),
+            "e_norm": fem.h1_seminorm(field) + _max_norm(samples),
             "observed_order": order,
             "field": field,
         })

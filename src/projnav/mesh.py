@@ -1,10 +1,12 @@
 """Conforming 2D triangular meshes: connectivity, patches, regularity metrics.
 
 Vertices and cells are the primary data; edges, boundary classification,
-vertex/edge patches and per-cell geometry are derived at construction and
-frozen afterwards.  Boundary detection is purely combinatorial: an edge is
-a boundary edge iff it has exactly one incident cell.
+patch areas and per-cell geometry are derived at construction, incident
+cells per edge and vertex on first read.  Boundary detection is purely
+combinatorial: an edge is a boundary edge iff it has one incident cell.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +39,8 @@ class SimplicialMesh:
     boundary_edges : int array of edge indices with one incident cell
     boundary_vertices, interior_vertices : int arrays partitioning vertices
     edge_cells : list of int arrays, incident cells per edge
-    vertex_cells : list of int arrays, incident cells per vertex
+    vertex_cells : list of int arrays, incident cells per vertex; both are
+        computed on first read, and only the tests read them
     cell_areas, cell_diameters, cell_inball : (nc,) float arrays; ``cell_inball``
         is the diameter of the largest disk inscribed in the cell
     edge_patch_area : (ne,) float array, total area of the incident cells
@@ -112,7 +115,10 @@ class SimplicialMesh:
         # edges: unordered pairs, canonical i<j, lexicographic order
         raw = np.concatenate([cells[:, [1, 2]], cells[:, [0, 2]], cells[:, [0, 1]]])
         raw.sort(axis=1)
-        edges, inverse = np.unique(raw, axis=0, return_inverse=True)
+        # row-major keys of sorted pairs order them as the rows do
+        keys, inverse = np.unique(raw[:, 0] * nv + raw[:, 1],
+                                  return_inverse=True)
+        edges = np.stack([keys // nv, keys % nv], axis=1)
         self.edges = edges
         self.n_edges = len(edges)
         self.cell_edges = inverse.reshape(3, self.n_cells).T.copy()
@@ -144,9 +150,6 @@ class SimplicialMesh:
         self.is_boundary_edge = np.zeros(self.n_edges, dtype=bool)
         self.is_boundary_edge[self.boundary_edges] = True
 
-        self.edge_cells = _incident_cells(self.cell_edges, self.n_edges)
-        self.vertex_cells = _incident_cells(cells, nv)
-
         # geometry
         self.cell_areas = 0.5 * twice_area
         self.cell_diameters = np.maximum(np.maximum(s01, s12), s02)
@@ -156,6 +159,14 @@ class SimplicialMesh:
                   np.repeat(self.cell_areas, 3))
 
         self.core_cells = None
+
+    @cached_property
+    def edge_cells(self):
+        return _incident_cells(self.cell_edges, self.n_edges)
+
+    @cached_property
+    def vertex_cells(self):
+        return _incident_cells(self.cells, self.n_vertices)
 
     def edge_midpoints(self):
         return 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])

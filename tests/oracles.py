@@ -14,7 +14,11 @@ term in the powers of g(s) = s^2 (1 - s)^2; ``b3_pow`` is the cubic
 B-spline and its derivatives in powers of t, piece by piece.  ``assemble_grad_coupling_coo`` builds the gradient
 coupling from its triplets, without an element pattern;
 ``edge_bubble_residuals_by_edge`` checks the edge-bubble lemmas one
-bubble at a time over the whole mesh.  ``eval_basis``, ``patch_stats``,
+bubble at a time over the whole mesh.  ``edge_numbering_unique_rows``
+numbers a mesh's edges as rows of ``np.unique(axis=0)``;
+``piddiv_gaps_by_field`` runs the divergence-preservation trials one
+field at a time; ``sample_points`` forms the per-cell sample points of the
+interpolation study from the cell corners.  ``eval_basis``, ``patch_stats``,
 ``check_divergence_free`` and ``check_support`` evaluate a basis, an edge
 patch or an analytic field at single points.
 """
@@ -26,7 +30,7 @@ from projnav.fem import (DEFAULT_RULE, FieldP2Vector, SpaceP1,
                          div_moments, p1_reference_values,
                          p2_reference_dlambda, p2_reference_values,
                          p2_values_at)
-from projnav.interp import edge_bubble
+from projnav.interp import ANALYTIC_RULE, divergence_correct, edge_bubble
 from projnav.mesh import MeshError
 from projnav.sparse import CsrMatrix
 
@@ -299,3 +303,47 @@ def check_support(field, points, tol=0.0):
         return True
     vals = np.asarray(field.value(pts[outside]))
     return float(np.abs(vals).max()) <= tol
+
+
+def edge_numbering_unique_rows(mesh):
+    """edges, cell_edges, boundary_edges and edge_patch_area of ``mesh``
+    with the edges numbered as the rows of ``np.unique(axis=0)`` over the
+    sorted vertex pairs of every cell's three edges."""
+    cells = mesh.cells
+    raw = np.concatenate([cells[:, [1, 2]], cells[:, [0, 2]],
+                          cells[:, [0, 1]]])
+    raw.sort(axis=1)
+    edges, inverse = np.unique(raw, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    cell_edges = inverse.reshape(3, len(cells)).T.copy()
+    area = np.zeros(len(edges))
+    np.add.at(area, cell_edges.ravel(), np.repeat(mesh.cell_areas, 3))
+    return {"edges": edges, "cell_edges": cell_edges,
+            "boundary_edges": np.flatnonzero(np.bincount(inverse) == 1),
+            "edge_patch_area": area}
+
+
+def piddiv_gaps_by_field(space2, rng, count):
+    """(count, nv) gaps div_moments(divergence_correct(w)) - div_moments(w)
+    of ``count`` random interior fields w, drawn and corrected one at a
+    time."""
+    space1 = SpaceP1(space2.mesh)
+    gaps = []
+    for _ in range(count):
+        field = FieldP2Vector(space2)
+        field.coeffs[space2.interior_dofs] = rng.standard_normal(
+            (len(space2.interior_dofs), 2))
+        corrected = divergence_correct(field, space2)
+        gaps.append(div_moments(corrected, space1)
+                    - div_moments(field, space1))
+    return np.array(gaps)
+
+
+def sample_points(mesh):
+    """(nc, nq+6, 2) per-cell sample points: the ANALYTIC_RULE points, the
+    corners, then the midpoints opposite local vertices 0, 1, 2 formed
+    from the corners."""
+    t = _tables(mesh, ANALYTIC_RULE)
+    corners = mesh.vertices[mesh.cells]
+    mids = 0.5 * (np.roll(corners, -1, axis=1) + np.roll(corners, -2, axis=1))
+    return np.concatenate([t.points, corners, mids], axis=1)

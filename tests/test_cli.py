@@ -2,13 +2,16 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from projnav import cli, mms
-from projnav.fem import div_moments
-from projnav.mesh import (build_from_arrays, build_structured_unit_square,
-                          read_mesh_file, write_mesh_file)
+from projnav.fem import SpaceP1, SpaceP2Vector
+from projnav.mesh import (SimplicialMesh, build_from_arrays,
+                          build_structured_unit_square, read_mesh_file,
+                          write_mesh_file)
+from projnav.scheme import SchemeConfig, SchemeOperators, initialize, step
 
-from oracles import eval_basis
+from oracles import eval_basis, piddiv_gaps_by_field
 
 
 def run_cli(args, capsys):
@@ -173,18 +176,66 @@ def test_interp_verify_div_moments_calls_do_not_grow_with_edges(
         tmp_path, capsys, monkeypatch):
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return div_moments(*args, **kwargs)
+    def counting(name):
+        fn = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "div_moments", counting)
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(cli, "div_moments", counting("div_moments"))
+    monkeypatch.setattr(cli, "cell_div_moments",
+                        counting("cell_div_moments"))
+    monkeypatch.setattr(cli, "divergence_correct",
+                        counting("divergence_correct"))
     code, _ = run_cli(["interp-verify", "--levels", "8,16", "--out",
                        str(tmp_path)], capsys)
     assert code == 0
-    # two per random field of the divergence-preservation lemma and one per
-    # level aligned with the test field's knots; none per edge (the two
-    # levels and the two small meshes have 1 020 edges)
-    assert len(calls) == 2 * 200 + 2
+    # the 200 random fields of the divergence-preservation lemma are one
+    # batch: one correction, one moment pass for the corrections and one
+    # for the fields; then one div_moments per level aligned with the test
+    # field's knots.  None per field or per edge (the two levels and the
+    # two small meshes have 1 020 edges)
+    assert calls == ["divergence_correct", "cell_div_moments",
+                     "cell_div_moments", "div_moments", "div_moments"]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_piddiv_batch_equals_field_by_field(seed):
+    space2 = SpaceP2Vector(build_structured_unit_square(4))
+    batched = cli._piddiv_gaps(space2, np.random.default_rng(seed), 200)
+    expected = piddiv_gaps_by_field(space2, np.random.default_rng(seed), 200)
+    assert batched.shape == expected.shape == (200, 25)
+    assert np.array_equal(batched, expected)
+
+
+def test_program_paths_leave_incidence_lists_unbuilt(tmp_path, capsys,
+                                                     monkeypatch):
+    meshes = []
+    init = SimplicialMesh.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        meshes.append(self)
+
+    monkeypatch.setattr(SimplicialMesh, "__init__", recording)
+    mesh = build_structured_unit_square(4)
+    s2, s1 = SpaceP2Vector(mesh), SpaceP1(mesh)
+    ops = SchemeOperators(s2, s1)
+    config = SchemeConfig(n_steps=1, t_final=0.25)
+    state = initialize(s2, s1, mms.initial_velocity, ops=ops)
+    step(state, mms.forcing, ops, config, ops.prediction_precond(config.dt))
+    code, _ = run_cli(["interp-verify", "--levels", "8", "--out",
+                       str(tmp_path)], capsys)
+    assert code == 0
+    # the scheme's mesh, the level, the two pathological meshes and the
+    # mesh of the random trials
+    assert len(meshes) == 5
+    for m in meshes:
+        assert "edge_cells" not in m.__dict__
+        assert "vertex_cells" not in m.__dict__
 
 
 def test_interp_verify_respects_seed(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,7 @@ from projnav.interp import (AnalyticVectorField, InterpError,
 from projnav.mesh import (build_from_arrays, build_pathological_mesh,
                           build_structured_unit_square, mesh_metrics)
 
-from oracles import edge_bubble_residuals_by_edge
+from oracles import edge_bubble_residuals_by_edge, sample_points
 
 
 def spaces(n):
@@ -392,3 +392,18 @@ def test_pi_n_convergence_study_rows():
     assert rows[1]["err_w1inf"] < rows[0]["err_w1inf"]
     assert rows[1]["err_h1"] < rows[0]["err_h1"]
     assert rows[1]["observed_order"] > 0.8
+
+
+def test_study_samples_v_at_the_cell_points(irregular_mesh):
+    # the study reuses v at the nodes for the six nodes of each cell, the
+    # same floats as the midpoints formed from each cell's corners
+    v = mms.spline_bump_field()
+    levels = [spaces(8)[0], SpaceP2Vector(irregular_mesh)]
+    for row, s2 in zip(pi_n_convergence_study(v, levels), levels):
+        assert np.array_equal(row["field"].coeffs, pi_n(v, s2)[0].coeffs)
+        pts = sample_points(s2.mesh)
+        exact = v.value(pts.reshape(-1, 2)).reshape(pts.shape)
+        diff = interp._field_at_samples(row["field"]) - exact
+        assert row["err_linf"] == float(np.sqrt((diff ** 2).sum(-1)).max())
+        assert row["e_norm"] == (fem.h1_seminorm(row["field"])
+                                 + linf_estimate(row["field"]))

@@ -6,7 +6,7 @@ from projnav.mesh import (MeshError, build_from_arrays,
                           build_structured_unit_square, mesh_metrics,
                           read_mesh_file, write_mesh_file)
 
-from oracles import patch_stats
+from oracles import edge_numbering_unique_rows, patch_stats
 
 
 def test_structured_n1_counts():
@@ -133,6 +133,29 @@ def test_patches_match_brute_force(irregular_mesh, which):
         for g, e in zip(got, expected):
             assert g.dtype == np.int64
             assert g.tolist() == e
+
+
+@pytest.mark.parametrize("which", ["n1", "n2", "n3", "n8", "irregular",
+                                   "all_boundary_cell_1",
+                                   "all_boundary_cell_3", "boundary_strip",
+                                   "file_round_trip"])
+def test_edge_numbering_matches_unique_rows(irregular_mesh, tmp_path, which):
+    if which.startswith("n"):
+        mesh = build_structured_unit_square(int(which[1:]))
+    elif which.startswith("all_boundary_cell"):
+        mesh = build_pathological_mesh("all_boundary_cell",
+                                       n_cells=int(which[-1]))
+    elif which == "boundary_strip":
+        mesh = build_pathological_mesh("boundary_strip")
+    elif which == "file_round_trip":
+        write_mesh_file(irregular_mesh, tmp_path / "mesh.txt")
+        mesh = read_mesh_file(tmp_path / "mesh.txt")
+    else:
+        mesh = irregular_mesh
+    for name, expected in edge_numbering_unique_rows(mesh).items():
+        got = getattr(mesh, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name
 
 
 def test_structured_cells_follow_rows():
