@@ -304,7 +304,7 @@ def _piddiv_gaps(space2, rng, count):
 
     # one pass per side: a single pass over both raised the peak RSS
     def moments(w):
-        local = w[:, space2.gdof].reshape(-1, 6, 2)
+        local = space2.local(w).reshape(-1, 6, 2)
         cell = cell_div_moments(mesh, local, cells)
         return np.bincount(keys.ravel(), cell.ravel()).reshape(count, -1)
 

@@ -180,6 +180,11 @@ class SpaceP2Vector:
     def node_coordinates(self):
         return np.vstack([self.mesh.vertices, self.mesh.edge_midpoints()])
 
+    def local(self, coeffs):
+        """(..., nc, 6, 2) cell-local copies of (..., n_scalar, 2) values;
+        ``np.take`` gathers them several times faster than fancy indexing."""
+        return np.take(coeffs, self.gdof, axis=-2)
+
 
 class FieldP1Scalar:
     def __init__(self, space, coeffs=None):
@@ -244,13 +249,13 @@ class CompositeVelocity:
 def p2_values_at(field, rule=DEFAULT_RULE):
     """(nc, nq, 2) values of a P2 vector field at the rule points of each cell."""
     t = _tables(field.space.mesh, rule)
-    return t.p2val.T @ field.coeffs[field.space.gdof]
+    return t.p2val.T @ field.space.local(field.coeffs)
 
 
 def p2_gradients_at(field, rule=DEFAULT_RULE):
     """(nc, nq, 2, 2) gradients d u_x / d x_j at the rule points."""
     t = _tables(field.space.mesh, rule)
-    return _local_gradients(t, field.coeffs[field.space.gdof], t.p1grad)
+    return _local_gradients(t, field.space.local(field.coeffs), t.p1grad)
 
 
 def _local_gradients(t, local, gl):
@@ -337,7 +342,7 @@ def _convection_oneside(space, wind):
     mesh = space.mesh
     t = _tables(mesh, DEFAULT_RULE)
     nc = mesh.n_cells
-    wq = t.p2val.T @ wind.coeffs[space.gdof]                  # (nc, nq, 2)
+    wq = t.p2val.T @ space.local(wind.coeffs)                 # (nc, nq, 2)
     v = wq @ t.p1grad.transpose(0, 2, 1)                      # (nc, nq, 3)
     elem = (v.reshape(nc, -1) @ t.T).reshape(nc, 6, 6)
     elem *= mesh.cell_areas[:, None, None]
@@ -461,7 +466,7 @@ def div_moments(field, space1):
     does not vanish on the boundary.
     """
     mesh = field.space.mesh
-    cell = cell_div_moments(mesh, field.coeffs[field.space.gdof])
+    cell = cell_div_moments(mesh, field.space.local(field.coeffs))
     out = np.zeros(space1.ndof)
     np.add.at(out, mesh.cells.ravel(), cell.ravel())
     return out

@@ -186,8 +186,7 @@ def divergence_correct(w, space):
             w, dtype=float)
         bad = np.any(coeffs[..., ~space.interior_mask, :] != 0.0)
         rule = DEFAULT_RULE
-        vals = (fem._tables(space.mesh, rule).p2val.T
-                @ coeffs[..., space.gdof, :])
+        vals = fem._tables(space.mesh, rule).p2val.T @ space.local(coeffs)
     if bad:
         raise InterpError(
             "divergence correction requires vanishing boundary trace")
@@ -236,7 +235,7 @@ def _field_at_samples(field):
     """(nc, nq+6, 2) values at the ANALYTIC_RULE points, then at the six
     nodes of each cell in ``gdof`` order."""
     vals_q = fem.p2_values_at(field, ANALYTIC_RULE)            # (nc, nq, 2)
-    return np.concatenate([vals_q, field.coeffs[field.space.gdof]], axis=1)
+    return np.concatenate([vals_q, field.space.local(field.coeffs)], axis=1)
 
 
 def _max_norm(vals):
@@ -252,11 +251,12 @@ def _gradient_errors(field, v):
     """(max gradient error, H1 error) of field - v at ANALYTIC_RULE points."""
     mesh = field.space.mesh
     t = fem._tables(mesh, ANALYTIC_RULE)
-    gdisc = fem.p2_gradients_at(field, ANALYTIC_RULE)
-    gexact = np.asarray(v.gradient(t.points.reshape(-1, 2))).reshape(gdisc.shape)
-    gerr = gdisc - gexact
-    cell = (gerr * gerr).sum(axis=(2, 3)) @ t.weights
-    return float(np.abs(gerr).max()), float(np.sqrt(cell @ mesh.cell_areas))
+    # in place, so two (nc, nq, 2, 2) arrays are live, not four
+    gerr = fem.p2_gradients_at(field, ANALYTIC_RULE)
+    gerr -= np.asarray(v.gradient(t.points.reshape(-1, 2))).reshape(gerr.shape)
+    err_max = float(np.abs(gerr).max())
+    cell = np.square(gerr, out=gerr).sum(axis=(2, 3)) @ t.weights
+    return err_max, float(np.sqrt(cell @ mesh.cell_areas))
 
 
 def pi_n_convergence_study(v, spaces):
@@ -275,7 +275,7 @@ def pi_n_convergence_study(v, spaces):
         field, status = _pi_n(space, at_nodes, at_rule)
         samples = _field_at_samples(field)
         err_linf = _max_norm(samples - np.concatenate(
-            [at_rule, at_nodes[space.gdof]], axis=1))
+            [at_rule, space.local(at_nodes)], axis=1))
         err_ginf, err_h1 = _gradient_errors(field, v)
         err_w1inf = err_linf + err_ginf
         order = float("nan")

@@ -26,10 +26,13 @@ __all__ = [
 def velocity(points, t):
     """u*(x, t) = sin(t) (g(x) g'(y), -g'(x) g(y)); shape (m, 2)."""
     p = np.asarray(points, dtype=float)
-    gx, dgx, _, _ = _g_derivatives(p[..., 0])
-    gy, dgy, _, _ = _g_derivatives(p[..., 1])
+    gx, dgx = _g_and_slope(p[..., 0])
+    gy, dgy = _g_and_slope(p[..., 1])
     s = np.sin(t)
-    return np.stack([s * gx * dgy, -s * dgx * gy], axis=-1)
+    out = np.empty(p.shape[:-1] + (2,))
+    out[..., 0] = s * gx * dgy
+    out[..., 1] = -s * dgx * gy
+    return out
 
 
 def velocity_gradient(points, t):
@@ -49,6 +52,12 @@ def velocity_gradient(points, t):
 def pressure(points, t):
     p = np.asarray(points, dtype=float)
     return np.sin(t) * (p[..., 0] - 0.5)
+
+
+def _g_and_slope(s):
+    """g and g' at s, as ``_g_derivatives`` forms them."""
+    r = s * (1.0 - s)
+    return r * r, 2.0 * r * (1.0 - 2.0 * s)
 
 
 def _g_derivatives(s):

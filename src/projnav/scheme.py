@@ -472,7 +472,9 @@ def l2l2_velocity_error(result, exact, which="u"):
         for g in range(3):
             tau = (n + tg[g]) * dt
             diff = vals - np.asarray(exact(pts, tau)).reshape(vals.shape)
-            cell = (diff * diff).sum(axis=2) @ t.weights
+            # two adds, not a length-2 reduce: the same bits, far faster
+            sq = diff * diff
+            cell = (sq[..., 0] + sq[..., 1]) @ t.weights
             total += dt * wg[g] * float(cell @ mesh.cell_areas)
     return float(np.sqrt(total))
 

@@ -77,10 +77,16 @@ def write_vtk_fields(path, space2, u_tilde=None, u=None, pressure=None,
             point_blocks.append(("pressure", vals))
         if point_blocks:
             _write(fh, f"POINT_DATA {len(points)}")
+            last = text = None
             for name, data in point_blocks:
                 if data.ndim == 2:
-                    _write(fh, f"VECTORS {name} double",
-                           _lines("%.17g %.17g 0", data))
+                    # a block bitwise equal to the one before (u_p2_part
+                    # is u_tilde in every state ``run`` returns) reuses its
+                    # text; bits, not ==, since -0.0 and 0.0 print apart
+                    if last is None or not np.array_equal(
+                            data.view(np.uint64), last.view(np.uint64)):
+                        last, text = data, _lines("%.17g %.17g 0", data)
+                    _write(fh, f"VECTORS {name} double", text)
                 else:
                     _write(fh, f"SCALARS {name} double 1",
                            "LOOKUP_TABLE default",
@@ -89,11 +95,12 @@ def write_vtk_fields(path, space2, u_tilde=None, u=None, pressure=None,
         if u is not None:
             grads = u.grad_part_cell_gradients()
             p2v = p2_reference_values(_centroid_bary())    # (6, 4)
-            local = u.p2_part.coeffs[gdof]                 # (nc, 6, 2)
+            local = space2.local(u.p2_part.coeffs)         # (nc, 6, 2)
             centers = np.einsum("cax,as->csx", local, p2v)
+            # one line per parent cell, written once per subtriangle
+            lines = _lines("%.17g %.17g 0", -u.scale * grads).split("\n")
             _write(fh, f"CELL_DATA {nsub}", "VECTORS grad_part double",
-                   _lines("%.17g %.17g 0",
-                          np.repeat(-u.scale * grads, 4, axis=0)))
+                   "\n".join(map("\n".join, zip(*[lines] * 4))))
             corrected = centers - u.scale * grads[:, None, :]
             _write(fh, "VECTORS u_corrected double",
                    _lines("%.17g %.17g 0", corrected.reshape(-1, 2)))

@@ -20,7 +20,12 @@ numbers a mesh's edges as rows of ``np.unique(axis=0)``;
 field at a time; ``sample_points`` forms the per-cell sample points of the
 interpolation study from the cell corners.  ``eval_basis``, ``patch_stats``,
 ``check_divergence_free`` and ``check_support`` evaluate a basis, an edge
-patch or an analytic field at single points.
+patch or an analytic field at single points.  ``l2l2_velocity_error_reduce``,
+``mms_velocity_stacked`` and ``write_vtk_fields_each_block`` are the
+earlier forms of ``scheme.l2l2_velocity_error``, ``mms.velocity`` and
+``vtk.write_vtk_fields``: fancy-index gathers, a length-2 ``sum`` reduce,
+all four of g, g', g'', g''' with ``np.stack``, and every block formatted
+in full.
 """
 
 import numpy as np
@@ -32,7 +37,10 @@ from projnav.fem import (DEFAULT_RULE, FieldP2Vector, SpaceP1,
                          p2_values_at)
 from projnav.interp import ANALYTIC_RULE, divergence_correct, edge_bubble
 from projnav.mesh import MeshError
+from projnav.mms import _g_derivatives
+from projnav.quadrature import gauss_legendre_01
 from projnav.sparse import CsrMatrix
+from projnav.vtk import _SUBTRIANGLES, _centroid_bary, _lines, _write
 
 
 def p1_values_at(field, rule=DEFAULT_RULE):
@@ -347,3 +355,86 @@ def sample_points(mesh):
     corners = mesh.vertices[mesh.cells]
     mids = 0.5 * (np.roll(corners, -1, axis=1) + np.roll(corners, -2, axis=1))
     return np.concatenate([t.points, corners, mids], axis=1)
+
+
+def l2l2_velocity_error_reduce(result, exact, which="u"):
+    """``scheme.l2l2_velocity_error`` with fancy-index gathers and the
+    squared difference summed by ``.sum(axis=2)``."""
+    mesh = result.ops.space2.mesh
+    t = _tables(mesh, DEFAULT_RULE)
+    pts = t.points.reshape(-1, 2)
+    tg, wg = gauss_legendre_01(3)
+    total = 0.0
+    for n in range(result.config.n_steps):
+        if which == "u":
+            u = result.u_history[n]
+            vals = t.p2val.T @ u.p2_part.coeffs[u.p2_part.space.gdof]
+            vals = vals - u.scale * u.grad_part_cell_gradients()[:, None, :]
+        else:
+            ut = result.u_tilde_history[n]
+            vals = t.p2val.T @ ut.coeffs[ut.space.gdof]
+        for g in range(3):
+            tau = (n + tg[g]) * result.dt
+            diff = vals - np.asarray(exact(pts, tau)).reshape(vals.shape)
+            cell = (diff * diff).sum(axis=2) @ t.weights
+            total += result.dt * wg[g] * float(cell @ mesh.cell_areas)
+    return float(np.sqrt(total))
+
+
+def mms_velocity_stacked(points, t):
+    """``mms.velocity`` through all four of ``_g_derivatives`` and
+    ``np.stack``."""
+    p = np.asarray(points, dtype=float)
+    gx, dgx, _, _ = _g_derivatives(p[..., 0])
+    gy, dgy, _, _ = _g_derivatives(p[..., 1])
+    s = np.sin(t)
+    return np.stack([s * gx * dgy, -s * dgx * gy], axis=-1)
+
+
+def write_vtk_fields_each_block(path, space2, u_tilde=None, u=None,
+                                pressure=None, title="projnav fields"):
+    """``vtk.write_vtk_fields`` formatting every block in full: each point
+    vector block, and the grad_part rows repeated four times."""
+    mesh = space2.mesh
+    points = space2.node_coordinates()
+    gdof = space2.gdof
+    nsub = 4 * mesh.n_cells
+    with open(path, "w") as fh:
+        _write(fh, "# vtk DataFile Version 2.0", title, "ASCII",
+               "DATASET UNSTRUCTURED_GRID", f"POINTS {len(points)} double",
+               _lines("%.17g %.17g 0", points))
+        _write(fh, f"CELLS {nsub} {4 * nsub}",
+               _lines("3 %d %d %d", gdof[:, _SUBTRIANGLES].reshape(-1, 3)))
+        _write(fh, f"CELL_TYPES {nsub}", "\n".join(["5"] * nsub))
+        point_blocks = []
+        if u_tilde is not None:
+            point_blocks.append(("u_tilde", u_tilde.coeffs))
+        if u is not None:
+            point_blocks.append(("u_p2_part", u.p2_part.coeffs))
+        if pressure is not None:
+            vals = np.empty(space2.n_scalar)
+            vals[:mesh.n_vertices] = pressure.coeffs
+            vals[mesh.n_vertices:] = 0.5 * (
+                pressure.coeffs[mesh.edges[:, 0]]
+                + pressure.coeffs[mesh.edges[:, 1]])
+            point_blocks.append(("pressure", vals))
+        if point_blocks:
+            _write(fh, f"POINT_DATA {len(points)}")
+            for name, data in point_blocks:
+                if data.ndim == 2:
+                    _write(fh, f"VECTORS {name} double",
+                           _lines("%.17g %.17g 0", data))
+                else:
+                    _write(fh, f"SCALARS {name} double 1",
+                           "LOOKUP_TABLE default",
+                           _lines("%.17g", data[:, None]))
+        if u is not None:
+            grads = u.grad_part_cell_gradients()
+            p2v = p2_reference_values(_centroid_bary())
+            centers = np.einsum("cax,as->csx", u.p2_part.coeffs[gdof], p2v)
+            _write(fh, f"CELL_DATA {nsub}", "VECTORS grad_part double",
+                   _lines("%.17g %.17g 0",
+                          np.repeat(-u.scale * grads, 4, axis=0)))
+            corrected = centers - u.scale * grads[:, None, :]
+            _write(fh, "VECTORS u_corrected double",
+                   _lines("%.17g %.17g 0", corrected.reshape(-1, 2)))

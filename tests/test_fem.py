@@ -199,6 +199,15 @@ def test_cell_div_moments_match_einsum_reference(irregular_mesh, rng):
                 <= 1e-14 * np.abs(ref).max())
 
 
+def test_local_gather_matches_fancy_indexing(irregular_mesh, rng):
+    s2 = SpaceP2Vector(irregular_mesh)
+    one = rng.standard_normal((s2.n_scalar, 2))
+    batch = rng.standard_normal((3, s2.n_scalar, 2))
+    assert np.array_equal(s2.local(one), one[s2.gdof])
+    assert np.array_equal(s2.local(batch), batch[..., s2.gdof, :])
+    assert s2.local(batch).shape == (3, irregular_mesh.n_cells, 6, 2)
+
+
 def test_tables_keep_no_per_cell_gradient_table():
     # the largest array is the (nc, nq, 2) rule points; the per-cell P2
     # gradient table this replaces, (nc, 6, nq, 2), took 7 MiB here and

@@ -14,7 +14,7 @@ from projnav.mesh import build_structured_unit_square
 
 from oracles import (B3_PIECES, b3_pow, check_divergence_free, check_support,
                      mms_forcing_expanded, mms_velocity_expanded,
-                     mms_velocity_gradient_expanded)
+                     mms_velocity_gradient_expanded, mms_velocity_stacked)
 
 
 def fd_forcing(points, t, h=1e-5):
@@ -74,6 +74,15 @@ def test_velocity_matches_expanded_reference():
                          (mms.velocity_gradient(pts, t),
                           mms_velocity_gradient_expanded(pts, t))):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_velocity_bitwise_equals_the_stacked_form():
+    # g and g' from the expressions _g_derivatives uses, so the same bits
+    mesh = build_structured_unit_square(16)
+    pts = fem._tables(mesh, fem.DEFAULT_RULE).points.reshape(-1, 2)
+    for t in (0.0, 0.13, 0.77, 1.9, 3.0):
+        assert np.array_equal(mms.velocity(pts, t),
+                              mms_velocity_stacked(pts, t))
 
 
 def test_spline_pieces_match_exact_and_power_forms():

@@ -19,7 +19,7 @@ from projnav.scheme import (SchemeConfig, SchemeError, SchemeOperators,
 from projnav.sparse import (CsrMatrix, SmoothedAggregation, bicgstab_solve,
                             cg_solve)
 
-from oracles import l2_inner, p1_values_at
+from oracles import l2_inner, l2l2_velocity_error_reduce, p1_values_at
 
 
 def zero_u0(pts):
@@ -631,6 +631,28 @@ def test_l2l2_error_needs_stored_fields(setup4, which):
     result = run(s2, s1, zero_u0, zero_f, config, ops=ops)
     with pytest.raises(ValueError, match="store fields"):
         l2l2_velocity_error(result, mms.velocity, which=which)
+
+
+@pytest.fixture(scope="module")
+def stored_mms_runs(irregular_mesh):
+    runs = {}
+    for name, mesh in (("irregular", irregular_mesh),
+                       ("structured8", build_structured_unit_square(8))):
+        s2, s1 = SpaceP2Vector(mesh), SpaceP1(mesh)
+        config = SchemeConfig(n_steps=4, t_final=1.0, store_fields=True)
+        runs[name] = run(s2, s1, mms.initial_velocity, mms.forcing, config)
+    return runs
+
+
+@pytest.mark.parametrize("name", ["irregular", "structured8"])
+@pytest.mark.parametrize("which", ["u", "ut"])
+def test_l2l2_error_bitwise_equals_the_reduce_form(stored_mms_runs, name,
+                                                   which):
+    # sq[..., 0] + sq[..., 1] is the length-2 reduce's own a0 + a1
+    result = stored_mms_runs[name]
+    got = l2l2_velocity_error(result, mms.velocity, which=which)
+    assert got > 0.0
+    assert got == l2l2_velocity_error_reduce(result, mms.velocity, which)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from projnav import mms
 from projnav.fem import (CompositeVelocity, FieldP1Scalar, FieldP2Vector,
                          SpaceP1, SpaceP2Vector)
 from projnav.mesh import build_structured_unit_square
+from projnav.scheme import SchemeConfig, run
 from projnav.vtk import _SUBTRIANGLES, write_vtk_fields
+
+from oracles import write_vtk_fields_each_block
 
 
 def _block(lines, header, count, width):
@@ -79,3 +84,46 @@ def test_write_holds_less_than_twice_the_file(rng, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * path.stat().st_size
+
+
+def _same_bytes_as_each_block(tmp_path, s2, **fields):
+    write_vtk_fields(tmp_path / "a.vtk", s2, **fields)
+    write_vtk_fields_each_block(tmp_path / "b.vtk", s2, **fields)
+    text = (tmp_path / "a.vtk").read_bytes()
+    assert text == (tmp_path / "b.vtk").read_bytes()
+    return text.decode()
+
+
+def test_run_state_bytes_equal_every_block_formatted(tmp_path):
+    mesh = build_structured_unit_square(4)
+    s2, s1 = SpaceP2Vector(mesh), SpaceP1(mesh)
+    state = run(s2, s1, mms.initial_velocity, mms.forcing,
+                SchemeConfig(n_steps=2, t_final=1.0)).state
+    # the prediction is the corrected velocity's P2 part, so its text is
+    # formatted once and written twice
+    assert np.array_equal(state.u.p2_part.coeffs, state.u_tilde.coeffs)
+    _same_bytes_as_each_block(tmp_path, s2, u_tilde=state.u_tilde,
+                              u=state.u, pressure=state.p)
+
+
+@pytest.mark.parametrize("with_u_tilde", [True, False])
+def test_signed_zero_block_bytes_equal_every_block_formatted(
+        rng, tmp_path, with_u_tilde):
+    mesh = build_structured_unit_square(4)
+    s2, s1 = SpaceP2Vector(mesh), SpaceP1(mesh)
+    ut = FieldP2Vector(s2, rng.standard_normal((s2.n_scalar, 2)))
+    ut.coeffs[3, 1] = 0.0
+    p2 = FieldP2Vector(s2, ut.coeffs.copy())
+    p2.coeffs[3, 1] = -0.0
+    # equal under ==, not bit for bit: the blocks must print apart
+    assert np.array_equal(p2.coeffs, ut.coeffs)
+    u = CompositeVelocity(p2, FieldP1Scalar(s1, rng.standard_normal(s1.ndof)),
+                          0.3)
+    fields = {"u_tilde": ut} if with_u_tilde else {}
+    text = _same_bytes_as_each_block(tmp_path, s2, u=u, **fields)
+    lines = text.splitlines()
+    start = lines.index("VECTORS u_p2_part double") + 1
+    assert lines[start + 3].split()[1] == "-0"
+    if with_u_tilde:
+        start = lines.index("VECTORS u_tilde double") + 1
+        assert lines[start + 3].split()[1] == "0"
