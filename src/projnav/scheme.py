@@ -12,7 +12,8 @@ Diagnostics record every term of the exact per-step energy balance
     (|u^{n+1}|^2 - |u^n|^2) / (2 dt) + dt (|grad p^{n+1}|^2 - |grad p^n|^2) / 2
     + |ut^{n+1} - u^n|^2 / (2 dt) + |ut^{n+1}|_{H1}^2 = <f^{n+1}, ut^{n+1}>
 
-whose residual is limited only by the solver tolerances.
+whose residual is limited only by the solver tolerances; ``step`` fails
+a step whose relative residual exceeds ENERGY_BOUND.
 
 From the second step on, both solves start from the combination of their
 last GUESS_HISTORY solutions whose residual is smallest
@@ -22,7 +23,7 @@ to step, so the guess leaves the Krylov solvers only a few decades to gain.
 
 import csv
 import io
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +41,7 @@ __all__ = [
     "SchemeOperators", "RunResult", "interpolate_p2",
     "initialize", "predict", "correct", "step", "run",
     "gap_l2l2", "l2l2_velocity_error", "time_translate_diagnostic",
-    "diagnostics_csv", "DIAGNOSTICS_HEADER",
+    "diagnostics_csv", "DIAGNOSTICS_HEADER", "ENERGY_BOUND",
 ]
 
 # earlier solutions each solve's starting guess combines.  On ns-long
@@ -49,8 +50,9 @@ __all__ = [
 # matvecs and least-squares columns cost about what they save
 GUESS_HISTORY = 6
 
-DIAGNOSTICS_HEADER = ("n", "t", "energy_residual", "u_l2", "ut_l2", "ut_h1",
-                      "gradp_l2", "gap_l2", "pred_iters", "corr_iters")
+# largest relative energy residual a step may leave, for any solver
+# tolerance; the default 1e-12 solves leave ~1e-17
+ENERGY_BOUND = 1e-8
 
 
 class SchemeError(RuntimeError):
@@ -114,9 +116,10 @@ class StepDiagnostics:
     corr_iters: int
 
     def row(self):
-        return (self.n, self.t, self.energy_residual, self.u_l2, self.ut_l2,
-                self.ut_h1, self.gradp_l2, self.gap_l2, self.pred_iters,
-                self.corr_iters)
+        return tuple(getattr(self, name) for name in DIAGNOSTICS_HEADER)
+
+
+DIAGNOSTICS_HEADER = tuple(f.name for f in fields(StepDiagnostics))
 
 
 def _solve(solver, a, rhs, history, step_index, what, component=None,
@@ -351,8 +354,9 @@ def correct(state, ut_next, ops, config):
 
 def step(state, f, ops, config, precond):
     """One prediction/correction step with the energy audit; a non-finite
-    load vector or energy audit raises SchemeError naming the step.
-    ``precond`` is passed to ``predict``."""
+    load vector or energy audit, or an energy residual above
+    ENERGY_BOUND, raises SchemeError naming the step.  ``precond`` is
+    passed to ``predict``."""
     dt = config.dt
     t_next = state.t + dt
     load = assemble_load(ops.space2, f, state.t, t_next)
@@ -385,6 +389,10 @@ def step(state, f, ops, config, precond):
         pred_iters=pred_iters, corr_iters=corr_iters)
     if not np.isfinite(diag.row()).all():
         raise SchemeError(f"non-finite energy audit at step {state.n + 1}",
+                          state.n + 1)
+    if not residual <= ENERGY_BOUND:
+        raise SchemeError(f"energy identity residual {residual:.3e} exceeds "
+                          f"{ENERGY_BOUND:g} at step {state.n + 1}",
                           state.n + 1)
     keep = GUESS_HISTORY - 1
     new_state = SchemeState(

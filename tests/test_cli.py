@@ -9,7 +9,8 @@ from projnav.fem import SpaceP1, SpaceP2Vector
 from projnav.mesh import (SimplicialMesh, build_from_arrays,
                           build_structured_unit_square, read_mesh_file,
                           write_mesh_file)
-from projnav.scheme import SchemeConfig, SchemeOperators, initialize, step
+from projnav.scheme import (ENERGY_BOUND, SchemeConfig, SchemeOperators,
+                            initialize, step)
 
 from oracles import eval_basis, piddiv_gaps_by_field
 
@@ -76,8 +77,8 @@ def test_emit_fields_vtk(tmp_path, capsys):
 
 
 def test_only_mms_stores_step_fields(tmp_path, capsys, monkeypatch):
-    # run and energy-audit write the final state alone, so emitting fields
-    # must not keep every step's fields
+    # run writes the final state alone, so emitting fields must not keep
+    # every step's fields
     stored = []
     real_run = cli.run
 
@@ -86,14 +87,11 @@ def test_only_mms_stores_step_fields(tmp_path, capsys, monkeypatch):
         return real_run(space2, space1, u0, f, config, **kwargs)
 
     monkeypatch.setattr(cli, "run", recording_run)
-    cfg = tmp_path / "audit.cfg"
-    cfg.write_text("mesh = structured:2\nsteps = 2\nemit_fields = true\n")
     for args in (["run", "--n", "2", "--steps", "2", "--emit-fields"],
-                 ["energy-audit", "--config", str(cfg)],
                  ["mms", "--levels", "4,8"]):
         code, _ = run_cli(args + ["--out", str(tmp_path)], capsys)
         assert code == 0
-    assert stored == [False, False, True, True]
+    assert stored == [False, True, True]
 
 
 def test_vtk_cell_data_matches_composite_evaluation(tmp_path, capsys):
@@ -135,11 +133,23 @@ def test_vtk_cell_data_matches_composite_evaluation(tmp_path, capsys):
 
 
 def test_energy_audit_pass(tmp_path, capsys):
-    code, out = run_cli(["energy-audit", "--n", "4", "--steps", "4",
-                         "--out", str(tmp_path)], capsys)
+    code, _ = run_cli(["run", "--n", "4", "--steps", "4",
+                       "--out", str(tmp_path)], capsys)
     assert code == 0
-    assert "energy audit: PASS" in out
-    assert (tmp_path / "energy_audit.csv").exists()
+    with open(tmp_path / "diagnostics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for row in rows:
+        assert float(row["energy_residual"]) <= ENERGY_BOUND
+
+
+def test_loose_tolerance_run_fails_energy_audit(tmp_path, capsys):
+    code, out = run_cli(["run", "--n", "16", "--steps", "8", "--tol", "1e-2",
+                         "--out", str(tmp_path)], capsys)
+    assert code == 3
+    reason = _fail_payload(out)["reason"]
+    assert reason.startswith("energy identity residual ")
+    assert reason.endswith(" exceeds 1e-08 at step 2")
 
 
 def test_mms_levels_pass_and_csv(tmp_path, capsys):
@@ -243,6 +253,46 @@ def test_interp_verify_respects_seed(tmp_path, capsys, monkeypatch):
     code, _ = run_cli(["interp-verify", "--levels", "2", "--out",
                        str(tmp_path)], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--bogus"], ["run", "--n", "abc"], [], ["mms", "--steps", "4"],
+    ["energy-audit"]])
+def test_command_line_usage_error_exits_1_with_json(args, capsys):
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    payload = _fail_payload(captured.out)
+    assert payload["code"] == 1
+    assert payload["reason"].startswith("projnav")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["run", "--help"])
+    assert err.value.code == 0
+    assert "--emit-fields" in capsys.readouterr().out
+
+
+def test_commands_reject_the_flags_they_do_not_read(tmp_path, capsys):
+    # 16 registered flags; the 12 others are usage errors, not ignored
+    assert sum(len(flags) for _, _, flags in cli._COMMANDS.values()) == 16
+    for name, (_, _, flags) in cli._COMMANDS.items():
+        for flag in set(cli._FLAGS) - set(flags):
+            code = cli.main([name, f"--{flag}", "4", "--out", str(tmp_path)])
+            assert code == 1
+            reason = _fail_payload(capsys.readouterr().out)["reason"]
+            assert f"--{flag}" in reason
+
+
+def test_non_integer_structured_size_names_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("mesh = structured:abc\n")
+    code, out = run_cli(["mesh", "--config", str(cfg), "--out",
+                         str(tmp_path)], capsys)
+    assert code == 1
+    assert "'mesh'" in _fail_payload(out)["reason"]
 
 
 def test_unknown_config_key_names_it(tmp_path, capsys):
@@ -401,10 +451,9 @@ def test_overflowing_energy_audit_fails(tmp_path, capsys):
     # dt = 2.5e199, so dt * dt overflows in the composite norms
     cfg = tmp_path / "run.cfg"
     cfg.write_text("T = 1e200\nsteps = 4\nmesh = structured:2\n")
-    code, out = run_cli(["energy-audit", "--config", str(cfg), "--out",
+    code, out = run_cli(["run", "--config", str(cfg), "--out",
                          str(tmp_path)], capsys)
     assert code == 3
-    assert "PASS" not in out
     payload = _fail_payload(out)
     assert payload["reason"] == "non-finite energy audit at step 1"
 
@@ -416,21 +465,6 @@ def test_overflowing_run_fails(tmp_path, capsys):
                          str(tmp_path)], capsys)
     assert code == 3
     assert _fail_payload(out)["reason"] == "non-finite energy audit at step 1"
-
-
-def test_energy_audit_fails_on_nan_residual(tmp_path, capsys, monkeypatch):
-    real_run = cli.run
-
-    def nan_run(*args, **kwargs):
-        result = real_run(*args, **kwargs)
-        result.diagnostics[-1].energy_residual = float("nan")
-        return result
-
-    monkeypatch.setattr(cli, "run", nan_run)
-    code, out = run_cli(["energy-audit", "--n", "2", "--steps", "2",
-                         "--out", str(tmp_path)], capsys)
-    assert code == 3
-    assert "PASS" not in out
 
 
 def test_non_finite_final_time_rejected(tmp_path, capsys):

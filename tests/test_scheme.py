@@ -565,6 +565,25 @@ def test_solver_failure_aborts_with_step_index(setup4):
     assert not err.value.report.converged
 
 
+def test_energy_bound_fails_the_first_step_above_it():
+    # loose solves: step 1 leaves 1.9e-9 and step 2 1.8e-8
+    mesh = build_structured_unit_square(16)
+    s2, s1 = SpaceP2Vector(mesh), SpaceP1(mesh)
+    ops = SchemeOperators(s2, s1)
+    config = SchemeConfig(n_steps=8, t_final=1.0, pred_tol=1e-2,
+                          corr_tol=1e-2)
+    precond = ops.prediction_precond(config.dt)
+    state = initialize(s2, s1, mms.initial_velocity, ops=ops,
+                       tol=config.corr_tol)
+    state, diag = step(state, mms.forcing, ops, config, precond)
+    assert diag.energy_residual <= scheme.ENERGY_BOUND
+    with pytest.raises(SchemeError) as err:
+        step(state, mms.forcing, ops, config, precond)
+    assert err.value.step_index == 2
+    assert str(err.value).startswith("energy identity residual ")
+    assert str(err.value).endswith(" exceeds 1e-08 at step 2")
+
+
 # ---------------------------------------------------------------------------
 # trajectory diagnostics
 
