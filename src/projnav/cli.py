@@ -8,11 +8,14 @@ Subcommands and the flags each reads (``_COMMANDS``):
     interp-verify   --config --out --levels
 
 Options come from an optional flat "key = value" config file plus flag
-overrides; every reject path names the offending key.  Every step of
-``run`` and ``mms`` passes ``scheme.ENERGY_BOUND`` or fails the command.
-Exit codes: 0 success, 1 usage errors, 2 bad input data, 3 numerical
-failures, each failure with one JSON line.  PROJNAV_SEED seeds the random
-trials of the property suites (default 42).
+overrides; every reject path names the offending key.  A config file may
+hold only the keys its command reads (``_COMMANDS``), as the command line
+may hold only its flags.  Every step of ``run`` and ``mms`` passes
+``scheme.ENERGY_BOUND`` or fails the command.  Exit codes: 0 success,
+1 usage errors, 2 bad input data, 3 numerical failures, each failure with
+one JSON line.  A closed stdout also exits 1, with nothing on stderr: no
+JSON line can be written there.  PROJNAV_SEED seeds the random trials of
+the property suites (default 42).
 """
 
 import argparse
@@ -51,6 +54,14 @@ _DEFAULTS = {
     "out": ".", "emit_fields": False, "levels": "8,16,32", "omega": 1.5,
 }
 
+# the numeric keys with a range, each checked where its command reads it
+_RANGES = {
+    "steps": (lambda v: v >= 1, "must be >= 1"),
+    "T": (lambda v: 0 < v < np.inf, "must be positive and finite"),
+    "pred_tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "corr_tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+}
+
 
 class CliError(Exception):
     def __init__(self, message, code):
@@ -80,8 +91,10 @@ def _parse_bool(text, key):
                    USAGE_ERROR)
 
 
-def load_config(path):
-    """Flat 'key = value' file; '#' starts a comment."""
+def load_config(path, command=None):
+    """Flat 'key = value' file; '#' starts a comment.  With ``command``, a
+    key that command does not read is a usage error."""
+    keys = _CONFIG_KEYS if command is None else _COMMANDS[command][3]
     values = {}
     try:
         with open(path) as fh:
@@ -99,6 +112,9 @@ def load_config(path):
         if key not in _CONFIG_KEYS:
             raise CliError(f"{path}:{lineno}: unknown config key '{key}'",
                            USAGE_ERROR)
+        if key not in keys:
+            raise CliError(f"{path}:{lineno}: config key '{key}' is not read "
+                           f"by command '{command}'", USAGE_ERROR)
         caster = _CONFIG_KEYS[key]
         try:
             values[key] = (_parse_bool(value, key) if caster is bool
@@ -116,18 +132,13 @@ def gather_options(args):
     opts = dict(_DEFAULTS)
     config = given.pop("config", None)
     if config:
-        opts.update(load_config(config))
+        opts.update(load_config(config, args.command))
     if "tol" in given:
         opts["pred_tol"] = opts["corr_tol"] = given.pop("tol")
     opts.update(given)
-    if opts["steps"] < 1:
-        raise CliError("config key 'steps': must be >= 1", USAGE_ERROR)
-    if not 0 < opts["T"] < np.inf:
-        raise CliError("config key 'T': must be positive and finite",
-                       USAGE_ERROR)
-    for key in ("pred_tol", "corr_tol"):
-        if not 0 < opts[key] < 1:
-            raise CliError(f"config key '{key}': must lie in (0, 1)",
+    for key in _COMMANDS[args.command][3]:
+        if key in _RANGES and not _RANGES[key][0](opts[key]):
+            raise CliError(f"config key '{key}': {_RANGES[key][1]}",
                            USAGE_ERROR)
     return opts
 
@@ -384,15 +395,20 @@ _FLAGS = {
     "levels": {"help": "comma separated resolutions"},
 }
 
+# per command: its function, help text, flags and the config keys it reads
 _COMMANDS = {
-    "mesh": (cmd_mesh, "generate and inspect a mesh", ("config", "out", "n")),
+    "mesh": (cmd_mesh, "generate and inspect a mesh", ("config", "out", "n"),
+             ("mesh", "n", "omega", "out")),
     "run": (cmd_run, "run the projection scheme",
-            ("config", "out", "n", "steps", "tol", "emit-fields")),
+            ("config", "out", "n", "steps", "tol", "emit-fields"),
+            ("mesh", "n", "omega", "steps", "T", "pred_tol", "corr_tol",
+             "problem", "out", "emit_fields")),
     "mms": (cmd_mms, "manufactured-solution convergence",
-            ("config", "out", "tol", "levels")),
+            ("config", "out", "tol", "levels"),
+            ("T", "pred_tol", "corr_tol", "problem", "out", "levels")),
     "interp-verify": (cmd_interp_verify,
                       "interpolation lemma suite and study",
-                      ("config", "out", "levels")),
+                      ("config", "out", "levels"), ("out", "levels")),
 }
 
 
@@ -402,12 +418,22 @@ def main(argv=None):
         description="Incremental projection Navier-Stokes on Taylor-Hood "
                     "triangles: audited runs and interpolation checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text, flags) in _COMMANDS.items():
+    for name, (_, text, flags, _) in _COMMANDS.items():
         # a flag not given sets no attribute for gather_options to copy
         p = sub.add_parser(name, help=text,
                            argument_default=argparse.SUPPRESS)
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
+    try:
+        return _dispatch(parser, argv)
+    except BrokenPipeError:
+        # as the Python docs' note on SIGPIPE does: the interpreter's own
+        # flush at exit then has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE_ERROR
+
+
+def _dispatch(parser, argv):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command][0](args)
@@ -417,6 +443,10 @@ def main(argv=None):
         return _fail(str(err), DATA_ERROR)
     except SchemeError as err:
         return _fail(str(err), NUMERICAL_ERROR)
+    finally:
+        # a buffered stdout meets a closed reader here, not at exit;
+        # --help too, whose SystemExit this replaces
+        sys.stdout.flush()
 
 
 if __name__ == "__main__":

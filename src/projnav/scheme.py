@@ -68,7 +68,6 @@ class SchemeConfig:
     t_final: float
     pred_tol: float = 1e-12
     corr_tol: float = 1e-12
-    max_iter: int = None
     skip_convection: bool = False
     store_fields: bool = False
 
@@ -222,8 +221,7 @@ class SchemeOperators:
         and kept: it does not depend on the time step."""
         return SmoothedAggregation(self.lap)
 
-    def project(self, w, scale, tol, max_iter=None, step_index=0,
-                history=()):
+    def project(self, w, scale, tol, step_index=0, history=()):
         """Discrete Helmholtz projection of a P2 field onto the weakly
         divergence free space: u = w - scale grad q with
         (grad q, grad r) = (w, grad r) / scale for every P1 r.
@@ -235,9 +233,7 @@ class SchemeOperators:
         """
         rhs = self.grad.rmatvec(w.flat()) / scale
         q, iters = _solve(cg_solve, self.lap, rhs, history, step_index,
-                          "projection", tol=tol, max_iter=max_iter,
-                          deflate_constants=True,
-                          mean_weights=self.p1_weights,
+                          "projection", tol=tol, mean_weights=self.p1_weights,
                           precond=self.pressure_precond)
         u = CompositeVelocity(w, FieldP1Scalar(self.space1, q), scale)
         return u, q, iters
@@ -333,8 +329,7 @@ def predict(state, load, ops, config, precond):
         rhs = rhs_flat[comp * n2:(comp + 1) * n2][idx]
         x, k = _solve(bicgstab_solve, system, rhs,
                       [h[:, comp] for h in state.ut_history], state.n + 1,
-                      "prediction", comp, tol=config.pred_tol,
-                      max_iter=config.max_iter, precond=precond)
+                      "prediction", comp, tol=config.pred_tol, precond=precond)
         iters += k
         ut.coeffs[idx, comp] = x
     return ut, iters
@@ -345,8 +340,7 @@ def correct(state, ut_next, ops, config):
     ``state.dp_history`` whose residual is smallest, and velocity
     correction."""
     u_new, dp, iters = ops.project(ut_next, config.dt, config.corr_tol,
-                                   config.max_iter, state.n + 1,
-                                   history=state.dp_history)
+                                   state.n + 1, state.dp_history)
     p_new = state.p.coeffs + dp
     p_new = p_new - (ops.p1_weights @ p_new) / ops.p1_weights.sum()
     return FieldP1Scalar(ops.space1, p_new), u_new, iters

@@ -6,11 +6,13 @@ The correction (pressure Poisson) system is symmetric positive semidefinite
 with the constants in its kernel; ``cg_solve`` handles it by deflating the
 constant direction every iteration and re-centering the result with
 mass-row weights.  The prediction system is nonsymmetric (skew convection
-part) and goes through ``bicgstab_solve``.  Both take an optional
-``SmoothedAggregation`` hierarchy built on a symmetric matrix, applied as
-one symmetric V-cycle per preconditioner call.  ``projected_guess``
-starts a solve from the combination of earlier solutions whose residual
-is smallest.
+part) and goes through ``bicgstab_solve``.  Each solver holds only its
+recursion and the residual share it aims at (CG 0.5 tol, BiCGStab 0.1
+tol); one driver, ``_krylov``, gives both the same restart and acceptance
+policy.  Both take an optional ``SmoothedAggregation`` hierarchy built on
+a symmetric matrix, applied as one symmetric V-cycle per preconditioner
+call.  ``projected_guess`` starts a solve from the combination of earlier
+solutions whose residual is smallest.
 """
 
 import copy
@@ -30,7 +32,7 @@ class SolverError(RuntimeError):
 class SolverReport:
     """``restarts`` counts the recursions started again from a fresh true
     residual after the first one; ``breakdowns`` the recursions stopped by
-    a vanishing denominator."""
+    a vanishing denominator (in CG, a nonpositive one)."""
     iterations: int
     residual: float
     converged: bool
@@ -364,6 +366,10 @@ class SmoothedAggregation:
 # ---------------------------------------------------------------------------
 # Krylov solvers
 
+# recursions one solve may start, each from a fresh true residual
+MAX_CYCLES = 8
+
+
 def _deflate(v):
     # the same bits as v - v.mean(), without numpy's Python-level _mean
     return v - v.sum() / len(v)
@@ -397,64 +403,96 @@ def projected_guess(a, basis, rhs):
     return x @ np.linalg.lstsq(ax, rhs, rcond=None)[0]
 
 
-def cg_solve(a, rhs, tol=1e-12, max_iter=None, deflate_constants=False,
-             mean_weights=None, precond=None, x0=None):
-    """Preconditioned conjugate gradients for SPD (or, with deflation,
-    SPSD) systems; ``precond`` is a ``SmoothedAggregation`` hierarchy of
-    ``a`` (None: no preconditioning), ``x0`` the starting guess (None:
-    zero).
+def _krylov(cycle, a, rhs, tol, max_iter, x0, share, mean_weights=None):
+    """The restart loop of both solvers, with their ``tol``, ``max_iter``
+    (None: ten per unknown, at least 100), ``x0`` and ``mean_weights``.
 
-    With ``deflate_constants`` the right-hand side must be orthogonal to
-    the constant vector (checked); residuals and preconditioned residuals
-    are projected off the constant direction every iteration and the
-    result is finally re-centered to a zero weighted mean using
-    ``mean_weights`` (integration weights of the nodal basis; plain mean
-    if omitted).
-
-    Convergence is judged on the recursive residual but re-verified on the
-    true one; if rounding drift leaves the true residual above tolerance,
-    the iteration restarts from the current iterate (a few times at most).
-    A guess is accepted without iterating only when its true residual
-    meets the recursion's own target, 0.5 tol, so that a warm start never
-    stops looser than a cold solve would.
+    ``cycle(x, r, target, budget)`` runs one recursion from the true
+    residual r of x until its own residual meets ``target`` = ``share``
+    tol |rhs|, and returns its iterations (at most ``budget``) and whether
+    a breakdown stopped it.  It updates x in place and changes no other
+    vector in place, so it starts from r without a copy.  A guess is
+    accepted only at that target, so a warm start never stops looser than
+    a cold solve; after a recursion a true residual at tol is enough, and
+    above it, left there by rounding, the recursion restarts from it.  The
+    loop stops after MAX_CYCLES recursions, max_iter iterations, two
+    breakdowns, or two restarts in a row that gain less than 10 % on the
+    best true residual.  With ``mean_weights`` every true residual is
+    taken off the constants and the result re-centred to zero weighted
+    mean.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = len(rhs)
     if max_iter is None:
         max_iter = max(10 * m, 100)
     norm_b = _norm(rhs)
-    if deflate_constants and m > 0:
+    if m == 0 or norm_b == 0.0:
+        return np.zeros(m), SolverReport(0, 0.0, True)
+    deflate = (lambda v: v) if mean_weights is None else _deflate
+    x = np.zeros(m) if x0 is None else np.array(x0, dtype=float)
+    target = share * tol * norm_b
+    k = cycles = breakdowns = stalls = 0
+    best = np.inf
+    for _ in range(MAX_CYCLES):
+        r = deflate(rhs - (a @ x))
+        rn = _norm(r)
+        if rn <= (target if cycles == 0 else tol * norm_b):
+            break
+        if rn >= 0.9 * best:
+            stalls += 1
+            if stalls >= 2:
+                break
+        else:
+            stalls, best = 0, rn
+        if k >= max_iter or breakdowns > 1:
+            break
+        cycles += 1
+        steps, broke = cycle(x, r, target, max_iter - k)
+        k += steps
+        breakdowns += broke
+    if mean_weights is not None:
+        w = np.asarray(mean_weights, dtype=float)
+        x = x - (w @ x) / w.sum()
+    res = _norm(deflate(rhs - (a @ x)))
+    return x, SolverReport(k, res / norm_b, res <= tol * norm_b,
+                           max(cycles - 1, 0), breakdowns)
+
+
+def cg_solve(a, rhs, tol=1e-12, max_iter=None, mean_weights=None,
+             precond=None, x0=None):
+    """Preconditioned conjugate gradients for SPD systems, or, with
+    ``mean_weights``, for SPSD ones with the constants in their kernel;
+    ``precond`` is a ``SmoothedAggregation`` hierarchy of ``a`` (None: no
+    preconditioning), ``x0`` the starting guess (None: zero).
+
+    With ``mean_weights`` the right-hand side must be orthogonal to the
+    constant vector (checked), and residuals and preconditioned residuals
+    are taken off the constants every iteration.  Each recursion aims at
+    0.5 tol |rhs|; the restarts are ``_krylov``'s.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    if mean_weights is not None and len(rhs):
         # the 1e-14 floor keeps roundoff-level right-hand sides (for
         # example moments of an already divergence free field) from being
         # flagged as genuinely inconsistent data
-        along = abs(rhs.sum()) / np.sqrt(m)
-        if along > tol * max(norm_b, 1e-300) and along > 1e-14:
+        along = abs(rhs.sum()) / np.sqrt(len(rhs))
+        if along > tol * max(_norm(rhs), 1e-300) and along > 1e-14:
             raise SolverError(
                 f"singular system inconsistent: rhs component along constants "
                 f"{along:.3e} exceeds tol*|rhs|")
-    if m == 0 or norm_b == 0.0:
-        return np.zeros(m), SolverReport(0, 0.0, True)
-    deflate = _deflate if deflate_constants else (lambda v: v)
+    deflate = (lambda v: v) if mean_weights is None else _deflate
     apply = _preconditioner(a, precond)
 
-    x = np.zeros(m) if x0 is None else np.array(x0, dtype=float)
-    target = 0.5 * tol * norm_b
-    k = 0
-    cycles = breakdowns = 0
-    for _ in range(4):
-        r = deflate(rhs - (a @ x))
-        if _norm(r) <= (target if cycles == 0 else tol * norm_b):
-            break
-        cycles += 1
+    def cycle(x, r, target, budget):
         z = deflate(apply(r))
-        p = z.copy()
+        p = z
         rz = r @ z
-        while k < max_iter:
+        k = 0
+        while k < budget:
             ap = a @ p
             pap = p @ ap
             if pap <= 0.0:
-                breakdowns += 1
-                break
+                return k, True
             alpha = rz / pap
             # x drifts along the constants only by rounding; the final
             # re-centre removes that
@@ -467,75 +505,39 @@ def cg_solve(a, rhs, tol=1e-12, max_iter=None, deflate_constants=False,
             rz_new = r @ z
             p = z + (rz_new / rz) * p
             rz = rz_new
-        if k >= max_iter:
-            break
+        return k, False
 
-    if deflate_constants:
-        w = np.ones(m) if mean_weights is None else np.asarray(mean_weights, dtype=float)
-        x = x - (w @ x) / w.sum()
-    res = _norm(deflate(rhs - (a @ x)))
-    return x, SolverReport(k, res / norm_b, res <= tol * norm_b,
-                           max(cycles - 1, 0), breakdowns)
+    return _krylov(cycle, a, rhs, tol, max_iter, x0, 0.5, mean_weights)
 
 
 def bicgstab_solve(a, rhs, tol=1e-12, max_iter=None, precond=None, x0=None):
-    """Right-preconditioned BiCGStab with true-residual verification;
-    ``precond`` is a ``SmoothedAggregation`` hierarchy built on (the
-    symmetric part of) ``a`` (None: no preconditioning), ``x0`` the
-    starting guess (None: zero).
+    """Right-preconditioned BiCGStab; ``precond`` is a
+    ``SmoothedAggregation`` hierarchy built on (the symmetric part of)
+    ``a`` (None: no preconditioning), ``x0`` the starting guess (None:
+    zero).
 
-    A rho-breakdown restarts the recursion once from the current iterate
-    and fails if it recurs.  Independently, when the recursive residual
-    reaches the target but the true residual has drifted above it, the
-    cycle restarts from the freshly computed true residual (bounded number
-    of polish cycles); this is what makes 1e-12 relative tolerances
-    attainable on the stiffer prediction systems.
+    Each recursion aims at 0.1 tol |rhs|; the restarts, which make 1e-12
+    relative tolerances attainable on the stiffer prediction systems, are
+    ``_krylov``'s.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    m = len(rhs)
-    if max_iter is None:
-        max_iter = max(10 * m, 100)
-    norm_b = _norm(rhs)
-    if m == 0 or norm_b == 0.0:
-        return np.zeros(m), SolverReport(0, 0.0, True)
     apply = _preconditioner(a, precond)
-
-    x = np.zeros(m) if x0 is None else np.array(x0, dtype=float)
-    target = 0.1 * tol * norm_b
     # a warm start goes on past the first check that meets the target and
     # stops at the next one: the half step that ends a cold solve starts
     # above the target, the one that ends a warm start at or below it, so
     # at the same contraction a warm start never ends looser
     extra = x0 is not None
-    k = 0
-    cycles = breakdowns = 0
-    best = np.inf
-    stalls = 0
-    for _ in range(8):
-        r = rhs - (a @ x)
-        rn = _norm(r)
-        if rn <= (target if cycles == 0 else tol * norm_b):
-            break
-        if rn >= 0.9 * best:
-            stalls += 1
-            if stalls >= 2:
-                break
-        else:
-            stalls = 0
-            best = rn
-        if k >= max_iter or breakdowns > 1:
-            break
-        cycles += 1
-        r0 = r.copy()
+
+    def cycle(x, r, target, budget):
+        nonlocal extra
+        r0 = p = r
         rho = r0 @ r
-        p = r.copy()
-        while k < max_iter:
+        k = 0
+        while k < budget:
             p_hat = apply(p)
             ap = a @ p_hat
             denom = r0 @ ap
             if abs(denom) < 1e-300:
-                breakdowns += 1
-                break
+                return k, True
             alpha = rho / denom
             s = r - alpha * ap
             sn = _norm(s)
@@ -543,16 +545,13 @@ def bicgstab_solve(a, rhs, tol=1e-12, max_iter=None, precond=None, x0=None):
                 # an exactly vanishing s leaves no half step to take
                 if not extra or sn == 0.0:
                     x += alpha * p_hat
-                    r = s
-                    k += 1
-                    break
+                    return k + 1, False
                 extra = False
             s_hat = apply(s)
             as_ = a @ s_hat
             asas = as_ @ as_
             if asas < 1e-300:
-                breakdowns += 1
-                break
+                return k, True
             omega = (as_ @ s) / asas
             x += alpha * p_hat + omega * s_hat
             r = s - omega * as_
@@ -563,12 +562,10 @@ def bicgstab_solve(a, rhs, tol=1e-12, max_iter=None, precond=None, x0=None):
                 extra = False
             rho_new = r0 @ r
             if abs(rho_new) < 1e-300 or abs(omega) < 1e-300:
-                breakdowns += 1
-                break
+                return k, True
             beta = (rho_new / rho) * (alpha / omega)
             rho = rho_new
             p = r + beta * (p - omega * ap)
+        return k, False
 
-    res = _norm(rhs - (a @ x))
-    return x, SolverReport(k, res / norm_b, res <= tol * norm_b,
-                           max(cycles - 1, 0), breakdowns)
+    return _krylov(cycle, a, rhs, tol, max_iter, x0, 0.1)

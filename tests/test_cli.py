@@ -1,5 +1,10 @@
+import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,13 +282,93 @@ def test_help_exits_0(capsys):
 
 def test_commands_reject_the_flags_they_do_not_read(tmp_path, capsys):
     # 16 registered flags; the 12 others are usage errors, not ignored
-    assert sum(len(flags) for _, _, flags in cli._COMMANDS.values()) == 16
-    for name, (_, _, flags) in cli._COMMANDS.items():
+    assert sum(len(flags) for _, _, flags, _ in cli._COMMANDS.values()) == 16
+    for name, (_, _, flags, _) in cli._COMMANDS.items():
         for flag in set(cli._FLAGS) - set(flags):
             code = cli.main([name, f"--{flag}", "4", "--out", str(tmp_path)])
             assert code == 1
             reason = _fail_payload(capsys.readouterr().out)["reason"]
             assert f"--{flag}" in reason
+
+
+# a valid value of every config key
+_KEY_VALUES = {
+    "mesh": "structured:4", "n": "4", "steps": "2", "T": "0.5",
+    "pred_tol": "1e-10", "corr_tol": "1e-10", "problem": "zero",
+    "out": "o", "emit_fields": "yes", "levels": "4,8", "omega": "1.25",
+}
+
+
+def test_commands_reject_the_config_keys_they_do_not_read(tmp_path, capsys):
+    assert set(_KEY_VALUES) == set(cli._CONFIG_KEYS)
+    assert sum(len(keys) for *_, keys in cli._COMMANDS.values()) == 22
+    cfg = tmp_path / "c.cfg"
+    for name, (*_, keys) in cli._COMMANDS.items():
+        for key in set(cli._CONFIG_KEYS) - set(keys):
+            cfg.write_text(f"{key} = {_KEY_VALUES[key]}\n")
+            code = cli.main([name, "--config", str(cfg), "--out",
+                             str(tmp_path)])
+            assert code == 1
+            reason = _fail_payload(capsys.readouterr().out)["reason"]
+            assert f"'{key}'" in reason and f"'{name}'" in reason
+
+
+def test_commands_accept_the_config_keys_they_read(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    for name, (*_, keys) in cli._COMMANDS.items():
+        cfg.write_text("".join(f"{k} = {_KEY_VALUES[k]}\n" for k in keys))
+        opts = cli.gather_options(argparse.Namespace(command=name,
+                                                     config=str(cfg)))
+        assert opts == {**cli._DEFAULTS,
+                        **cli.load_config(cfg, name)}
+        assert set(cli.load_config(cfg, name)) == set(keys)
+
+
+@pytest.mark.parametrize("name, line", [
+    ("mms", "mesh = file:/nonexistent"),
+    ("interp-verify", "mesh = file:/nonexistent"),
+    ("mms", "steps = 0"),
+])
+def test_unread_config_key_is_a_usage_error(name, line, tmp_path, capsys):
+    # each of these was read and then ignored, or rejected for its value
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    code = cli.main([name, "--config", str(cfg), "--levels", "2",
+                     "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    key = line.split()[0]
+    assert _fail_payload(captured.out)["reason"].endswith(
+        f"config key '{key}' is not read by command '{name}'")
+    assert not (tmp_path / "mms.csv").exists()
+
+
+# argparse itself drops a help text it cannot write unbuffered, and exits
+# 0; buffered, the failure surfaces at the flush in main
+@pytest.mark.parametrize("unbuffered, command",
+                         [("1", "mesh"), ("", "mesh"), ("", "help")])
+def test_closed_stdout_exits_1_without_traceback(unbuffered, command,
+                                                 tmp_path):
+    # the read end is closed before the child writes its first line
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = (["--help"] if command == "help"
+            else ["--n", "4", "--out", str(tmp_path)])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "projnav.cli", "mesh", *args],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
+    if command == "mesh":
+        assert read_mesh_file(tmp_path / "mesh.txt").n_cells == 32
 
 
 def test_non_integer_structured_size_names_key(tmp_path, capsys):

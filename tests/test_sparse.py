@@ -77,8 +77,7 @@ def test_cg_recovers_zero_mean_solution():
     q = rng.standard_normal(space.ndof)
     q -= (w @ q) / w.sum()
     rhs = lap.matvec(q)
-    x, report = cg_solve(lap, rhs, tol=1e-12, deflate_constants=True,
-                         mean_weights=w)
+    x, report = cg_solve(lap, rhs, tol=1e-12, mean_weights=w)
     assert report.converged
     assert np.abs(x - q).max() <= 1e-9
     # re-verify the residual outside the solver
@@ -86,11 +85,10 @@ def test_cg_recovers_zero_mean_solution():
 
 
 def test_cg_rejects_inconsistent_rhs():
-    mesh = build_structured_unit_square(2)
-    lap = assemble_pressure_laplacian(SpaceP1(mesh))
+    lap, w = _p1_laplacian(2)
     rhs = np.ones(lap.shape[0])
     with pytest.raises(SolverError, match="singular system inconsistent"):
-        cg_solve(lap, rhs, tol=1e-12, deflate_constants=True)
+        cg_solve(lap, rhs, tol=1e-12, mean_weights=w)
 
 
 def test_cg_iteration_bound_on_spd(rng):
@@ -178,12 +176,19 @@ def test_matvec_empty_rows_are_zero(rng):
     assert np.array_equal(a.matvec(x)[[0, 3, 5]], np.zeros(3))
 
 
-def test_bicgstab_counts_breakdown_on_skew_matrix():
+@pytest.mark.parametrize("solve, mat", [
     # r0 . A r0 = 0 for every r0 when A is skew
-    skew = dense_csr(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    _, report = bicgstab_solve(skew, np.array([1.0, 0.0]))
+    (bicgstab_solve, [[0.0, 1.0], [-1.0, 0.0]]),
+    # p . A p < 0 for every p
+    (cg_solve, [[-1.0]]),
+], ids=["bicgstab", "cg"])
+def test_solve_stops_at_the_second_breakdown(solve, mat):
+    a = dense_csr(np.array(mat))
+    rhs = np.zeros(a.shape[0])
+    rhs[0] = 1.0
+    _, report = solve(a, rhs)
     assert not report.converged
-    assert report.breakdowns >= 1
+    assert report.breakdowns == 2
 
 
 def test_true_residual_polish_counts_restart():
@@ -246,10 +251,8 @@ def test_pcg_on_two_component_laplacian(n, rng):
         1e-13 * abs(y @ amg.vcycle(lap, x)))
     q = rng.standard_normal(lap.shape[0])
     rhs = lap.matvec(q)
-    q_plain, plain = cg_solve(lap, rhs, deflate_constants=True,
-                              mean_weights=w)
-    q_amg, report = cg_solve(lap, rhs, deflate_constants=True,
-                             mean_weights=w, precond=amg)
+    q_plain, plain = cg_solve(lap, rhs, mean_weights=w)
+    q_amg, report = cg_solve(lap, rhs, mean_weights=w, precond=amg)
     assert plain.converged and report.converged
     assert report.iterations <= 30
     # the solutions agree up to one constant per component
@@ -267,8 +270,7 @@ def test_plain_hierarchy_preconditions_singular_laplacian():
     assert np.abs(amg.coarse_inverse).max() <= 10.0
     q = np.cos(7.0 * np.arange(lap.shape[0]))
     rhs = lap.matvec(q - (w @ q) / w.sum())
-    _, report = cg_solve(lap, rhs, deflate_constants=True, mean_weights=w,
-                         precond=amg)
+    _, report = cg_solve(lap, rhs, mean_weights=w, precond=amg)
     assert report.converged
     assert report.iterations <= 30
 
@@ -310,8 +312,7 @@ def test_pcg_laplacian_iterations_flat():
         lap, w = _p1_laplacian(n)
         q = np.cos(7.0 * np.arange(lap.shape[0]))
         rhs = lap.matvec(q - (w @ q) / w.sum())
-        _, report = cg_solve(lap, rhs, deflate_constants=True,
-                             mean_weights=w,
+        _, report = cg_solve(lap, rhs, mean_weights=w,
                              precond=SmoothedAggregation(lap))
         assert report.converged
         iters.append(report.iterations)
@@ -334,7 +335,7 @@ def _warm_start_solves():
     return [
         (bicgstab_solve, 0.1, system, ops.prediction_precond(0.05), {}),
         (cg_solve, 0.5, ops.lap, ops.pressure_precond,
-         {"deflate_constants": True, "mean_weights": ops.p1_weights}),
+         {"mean_weights": ops.p1_weights}),
     ]
 
 
