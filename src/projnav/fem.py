@@ -274,40 +274,51 @@ class ElementPattern:
     """CSR pattern of the forms over one pair of element dof maps.
 
     Element block k couples the row dofs ``rows[k]`` with the column dofs
-    ``cols[k]``; ``slot`` maps each entry of ``elem.ravel()`` to its place
-    in ``csr.data``, so an assembly is one ``bincount``.  For a square
-    form, ``transpose`` is the permutation of the stored entries that maps
-    A.data to (A^T).data.
+    ``cols[k]``.  One stable sort of the entries' keys gives every map:
+    ``slot[k, a, b]`` is the place of ``elem[k, a, b]`` in ``csr.data``,
+    ``first`` the first entry of each place in ``elem.ravel()`` order, and
+    ``rest``/``rest_slot`` the other entries and their places, so an
+    assembly is two gathers and one ``bincount``.  For a form over one dof
+    map (``rows`` is ``cols``), ``transpose`` is the permutation of the
+    stored entries that maps A.data to (A^T).data.
     """
 
     def __init__(self, rows, cols, shape):
         nrows, ncols = shape
         # key row * ncols + col of every element entry, in elem.ravel() order
-        keys, first, slot = np.unique(
-            rows[:, :, None] * ncols + cols[:, None, :],
-            return_index=True, return_inverse=True)
-        # int32 halves the two largest arrays a space keeps
-        self.first = first.astype(np.int32)
-        self.slot = slot.reshape(-1).astype(np.int32)
+        keys = (rows[:, :, None] * ncols + cols[:, None, :]).reshape(-1)
+        perm = np.argsort(keys, kind="stable")
+        keys = keys[perm]
+        new = np.concatenate([[True], keys[1:] != keys[:-1]])
+        # int32 halves the largest arrays a space keeps
+        place = np.cumsum(new, dtype=np.int32) - 1
+        self.slot = np.empty(rows.shape + cols.shape[1:], dtype=np.int32)
+        self.slot.reshape(-1)[perm] = place
+        # index arrays, not masks: gathers through them are several times
+        # faster; the other entries stay grouped by place, in elem order
+        starts, rest = np.flatnonzero(new), np.flatnonzero(~new)
+        self.first, self.rest = (perm[i].astype(np.int32) for i in (starts, rest))
+        self.rest_slot = place[rest]
+        keys = keys[starts]
         indptr = np.searchsorted(keys, ncols * np.arange(nrows + 1))
         self.csr = CsrMatrix(indptr, keys % ncols, np.zeros(len(keys)),
                              shape)
 
     @cached_property
     def transpose(self):
-        return self.csr.transpose_order()
+        # entry (a, b) of a block is entry (b, a) of its transpose (intp:
+        # numpy converts an int32 index array on every use)
+        return self.slot.transpose(0, 2, 1).reshape(-1)[self.first].astype(np.intp)
 
     def assemble(self, elem):
         """CSR matrix from element blocks, one per row of the dof maps."""
-        # each slot sums as its first entry + (the others in cell order),
+        # each place sums as its first entry + (the others in cell order),
         # as add.reduceat over sorted triplets does, so both give the same
-        # floats (for up to 8 entries per slot, where it sums in sequence)
-        vals = elem.reshape(-1).copy()
-        first = vals[self.first]
-        vals[self.first] = 0.0
-        return self.csr.with_data(
-            first + np.bincount(self.slot, weights=vals,
-                                minlength=self.csr.nnz))
+        # floats (for up to 8 entries per place, where it sums in sequence)
+        vals = elem.reshape(-1)
+        return self.csr.with_data(vals[self.first] + np.bincount(
+            self.rest_slot, weights=vals[self.rest],
+            minlength=self.csr.nnz))
 
 
 def assemble_mass_p2(space):
@@ -374,14 +385,24 @@ def assemble_grad_coupling(space2, space1):
     mesh = space2.mesh
     t = _tables(mesh, DEFAULT_RULE)
     ints = np.einsum("q,aq->a", t.weights, t.p2val)           # reference integrals
-    # elem[c, a, i, x] = |K| * int_ref(phi_a) * d lambda_i / d x
-    elem = np.einsum("c,a,cix->caix", mesh.cell_areas, ints, t.p1grad)
-    n2 = space2.n_scalar
-    # one element block per (component, cell), x blocks first
-    pattern = ElementPattern(
-        np.vstack([space2.gdof, space2.gdof + n2]),
-        np.vstack([mesh.cells, mesh.cells]), (2 * n2, space1.ndof))
-    return pattern.assemble(np.concatenate([elem[..., 0], elem[..., 1]]))
+    # elem[x, c, a, i] = |K| * int_ref(phi_a) * d lambda_i / d x
+    elem = np.einsum("c,a,cix->xcai", mesh.cell_areas, ints, t.p1grad)
+    # each component's block is the P2 pattern's vertex columns, below
+    # n_vertices, and its element blocks are the P2 blocks' first 3 of 6
+    # columns: the vertex dofs lead every cell and the mesh
+    p = space2.pattern
+    keep = p.csr.indices < space1.ndof
+    place = np.cumsum(keep, dtype=np.int32) - 1
+    moved = keep[p.rest_slot]
+    first, rest = (e // 6 * 3 + e % 6 for e in (p.first[keep], p.rest[moved]))
+    rest_slot = place[p.rest_slot[moved]]
+    # summed as ElementPattern.assemble sums, so the bits are the same
+    gx, gy = (v[first] + np.bincount(rest_slot, v[rest], len(first))
+              for v in elem.reshape(2, -1))
+    indptr = np.append(0, place + 1)[p.csr.indptr]
+    return CsrMatrix(np.append(indptr, indptr[1:] + len(first)),
+                     np.tile(p.csr.indices[keep], 2), np.concatenate([gx, gy]),
+                     (2 * space2.n_scalar, space1.ndof))
 
 
 def assemble_pressure_laplacian(space1):

@@ -74,8 +74,9 @@ class SchemeConfig:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if not self.t_final > 0.0:
-            raise ValueError("t_final must be positive")
+        for key, top in ("t_final", np.inf), ("pred_tol", 1), ("corr_tol", 1):
+            if not 0.0 < getattr(self, key) < top:
+                raise ValueError(f"{key} must lie in (0, {top:g})")
 
     @property
     def dt(self):
@@ -87,9 +88,10 @@ class SchemeState:
     """The fields after step ``n``, and the earlier solutions the next
     step's solves start from, newest first and at most GUESS_HISTORY of
     each: ``ut_history`` holds the interior prediction coefficients, each
-    (m, 2), and ``dp_history`` the pressure increments.  Empty histories
-    (``initialize``'s) give cold solves.  ``u_sq`` and ``gradp_sq`` are
-    |u|^2 and |grad p|^2, which the next step's energy audit reads."""
+    (m, 2), ``dp_history`` the pressure increments and ``lap_dp_history``
+    their Laplacians, each formed once.  Empty histories (``initialize``'s)
+    give cold solves.  ``u_sq`` and ``gradp_sq`` are |u|^2 and |grad p|^2,
+    which the next step's energy audit reads."""
     n: int
     t: float
     u_tilde: FieldP2Vector
@@ -99,6 +101,7 @@ class SchemeState:
     gradp_sq: float
     ut_history: tuple = ()
     dp_history: tuple = ()
+    lap_dp_history: tuple = ()
 
 
 @dataclass
@@ -122,13 +125,13 @@ DIAGNOSTICS_HEADER = tuple(f.name for f in fields(StepDiagnostics))
 
 
 def _solve(solver, a, rhs, history, step_index, what, component=None,
-           **options):
+           products=None, **options):
     """Solve a x = rhs with ``solver``, as the caller looks it up, from the
-    minimal-residual combination of ``history``; ``options`` go to the
-    solver.  Returns (x, iterations).  A rejected or unconverged solve
-    raises SchemeError naming ``what``, ``step_index`` and any velocity
-    ``component``."""
-    x0 = projected_guess(a, history, rhs)
+    minimal-residual combination of ``history`` (and its ``products`` by a,
+    if carried); ``options`` go to the solver.  Returns (x, iterations).
+    A rejected or unconverged solve raises SchemeError naming ``what``,
+    ``step_index`` and any velocity ``component``."""
+    x0 = projected_guess(a, history, rhs, products)
     try:
         x, report = solver(a, rhs, x0=x0, **options)
     except SolverError as err:
@@ -221,19 +224,21 @@ class SchemeOperators:
         and kept: it does not depend on the time step."""
         return SmoothedAggregation(self.lap)
 
-    def project(self, w, scale, tol, step_index=0, history=()):
+    def project(self, w, scale, tol, step_index=0, history=(), products=None):
         """Discrete Helmholtz projection of a P2 field onto the weakly
         divergence free space: u = w - scale grad q with
         (grad q, grad r) = (w, grad r) / scale for every P1 r.
 
         The solve starts from the combination of the earlier solutions in
-        ``history`` whose residual is smallest (empty: zero).  Returns
-        (u, q, iterations); q has zero weighted mean.  A rejected or
-        unconverged solve raises SchemeError naming ``step_index``.
+        ``history`` (and their Laplacian ``products``, if carried) whose
+        residual is smallest (empty: zero).  Returns (u, q, iterations); q
+        has zero weighted mean.  A rejected or unconverged solve raises
+        SchemeError naming ``step_index``.
         """
         rhs = self.grad.rmatvec(w.flat()) / scale
         q, iters = _solve(cg_solve, self.lap, rhs, history, step_index,
-                          "projection", tol=tol, mean_weights=self.p1_weights,
+                          "projection", products=products, tol=tol,
+                          mean_weights=self.p1_weights,
                           precond=self.pressure_precond)
         u = CompositeVelocity(w, FieldP1Scalar(self.space1, q), scale)
         return u, q, iters
@@ -340,7 +345,8 @@ def correct(state, ut_next, ops, config):
     ``state.dp_history`` whose residual is smallest, and velocity
     correction."""
     u_new, dp, iters = ops.project(ut_next, config.dt, config.corr_tol,
-                                   state.n + 1, state.dp_history)
+                                   state.n + 1, state.dp_history,
+                                   state.lap_dp_history)
     p_new = state.p.coeffs + dp
     p_new = p_new - (ops.p1_weights @ p_new) / ops.p1_weights.sum()
     return FieldP1Scalar(ops.space1, p_new), u_new, iters
@@ -389,12 +395,13 @@ def step(state, f, ops, config, precond):
                           f"{ENERGY_BOUND:g} at step {state.n + 1}",
                           state.n + 1)
     keep = GUESS_HISTORY - 1
+    dp = p_next.coeffs - state.p.coeffs
     new_state = SchemeState(
         n=state.n + 1, t=t_next, u_tilde=ut_next, u=u_next, p=p_next,
         u_sq=u_sq, gradp_sq=gradp_sq,
         ut_history=(ut_next.coeffs[ops.interior],) + state.ut_history[:keep],
-        dp_history=((p_next.coeffs - state.p.coeffs,)
-                    + state.dp_history[:keep]))
+        dp_history=(dp,) + state.dp_history[:keep],
+        lap_dp_history=(ops.lap @ dp,) + state.lap_dp_history[:keep])
     return new_state, diag
 
 

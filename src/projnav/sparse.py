@@ -387,11 +387,12 @@ def _preconditioner(a, precond):
     return lambda r: precond.vcycle(a, r)
 
 
-def projected_guess(a, basis, rhs):
+def projected_guess(a, basis, rhs, products=None):
     """Starting guess X c for a x = rhs from earlier solutions, the columns
     of X (``basis``, a sequence of vectors), with c minimizing
     |rhs - a X c|_2 (Fischer, "Projection techniques for iterative solution
     of Ax = b with successive right-hand sides", CMAME 163, 1998).
+    ``products`` are the columns of a X when the caller carries them.
 
     c = 0 is feasible, so the guess's residual is at most |rhs| up to
     rounding.  An empty basis returns None, the solvers' cold start.
@@ -399,7 +400,7 @@ def projected_guess(a, basis, rhs):
     if not basis:
         return None
     x = np.column_stack(basis)
-    ax = np.column_stack([a @ v for v in basis])
+    ax = np.column_stack(products or [a @ v for v in basis])
     return x @ np.linalg.lstsq(ax, rhs, rcond=None)[0]
 
 
@@ -450,10 +451,11 @@ def _krylov(cycle, a, rhs, tol, max_iter, x0, share, mean_weights=None):
         steps, broke = cycle(x, r, target, max_iter - k)
         k += steps
         breakdowns += broke
+        rn = None           # x has moved since its last true residual
     if mean_weights is not None:
         w = np.asarray(mean_weights, dtype=float)
-        x = x - (w @ x) / w.sum()
-    res = _norm(deflate(rhs - (a @ x)))
+        x, rn = x - (w @ x) / w.sum(), None
+    res = _norm(deflate(rhs - (a @ x))) if rn is None else rn
     return x, SolverReport(k, res / norm_b, res <= tol * norm_b,
                            max(cycles - 1, 0), breakdowns)
 

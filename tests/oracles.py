@@ -13,6 +13,9 @@ through reference tables instead; ``p2_gradients_einsum``,
 term in the powers of g(s) = s^2 (1 - s)^2; ``b3_pow`` is the cubic
 B-spline and its derivatives in powers of t, piece by piece.  ``assemble_grad_coupling_coo`` builds the gradient
 coupling from its triplets, without an element pattern;
+``element_pattern_unique`` builds the maps of ``fem.ElementPattern`` from
+``np.unique`` over the entry keys, as the pattern did before its one
+stable sort;
 ``edge_bubble_residuals_by_edge`` checks the edge-bubble lemmas one
 bubble at a time over the whole mesh.  ``edge_numbering_unique_rows``
 numbers a mesh's edges as rows of ``np.unique(axis=0)``;
@@ -221,6 +224,18 @@ def assemble_convection_unsplit(space, wind):
     elem2 = np.einsum("q,cq,bq,aq->cab", t.weights, divw, t.p2val, t.p2val)
     elem = elem + 0.5 * elem2 * mesh.cell_areas[:, None, None]
     return space.pattern.assemble(elem)
+
+
+def element_pattern_unique(rows, cols, shape):
+    """(indptr, indices, first, slot) of ``fem.ElementPattern(rows, cols,
+    shape)`` from ``np.unique(return_index=True, return_inverse=True)``;
+    ``slot`` is flat, in ``elem.ravel()`` order."""
+    nrows, ncols = shape
+    keys, first, slot = np.unique(
+        rows[:, :, None] * ncols + cols[:, None, :],
+        return_index=True, return_inverse=True)
+    indptr = np.searchsorted(keys, ncols * np.arange(nrows + 1))
+    return indptr, keys % ncols, first, slot.reshape(-1)
 
 
 def assemble_grad_coupling_coo(space2, space1):

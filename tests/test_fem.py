@@ -13,13 +13,15 @@ from projnav.fem import (CompositeVelocity, FieldP1Scalar, FieldP2Vector,
                          h1_seminorm, p2_gradients_at, p2_values_at,
                          weak_div_moments)
 from projnav.interp import ANALYTIC_RULE
-from projnav.mesh import build_from_arrays, build_structured_unit_square
+from projnav.mesh import (build_from_arrays, build_pathological_mesh,
+                          build_structured_unit_square, read_mesh_file,
+                          write_mesh_file)
 from projnav.scheme import SchemeOperators
 
 from oracles import (assemble_convection_unsplit, assemble_grad_coupling_coo,
                      cell_div_moments_einsum, convection_blocks_einsum,
-                     eval_basis, l2_inner, p2_gradients_einsum,
-                     stiffness_blocks_einsum)
+                     element_pattern_unique, eval_basis, l2_inner,
+                     p2_gradients_einsum, stiffness_blocks_einsum)
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +251,67 @@ def test_grad_coupling_constant_pressure(pair2):
 
 def test_grad_coupling_matches_triplet_assembly_bitwise(irregular_mesh):
     s2, s1 = SpaceP2Vector(irregular_mesh), SpaceP1(irregular_mesh)
+    g = assemble_grad_coupling(s2, s1)
+    ref = assemble_grad_coupling_coo(s2, s1)
+    assert g.shape == ref.shape == (2 * s2.n_scalar, s1.ndof)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(g, name), getattr(ref, name))
+
+
+PATTERN_MESHES = ["structured-1", "structured-4", "structured-16",
+                  "irregular", "all-boundary-cell", "file"]
+
+
+@pytest.fixture
+def pattern_mesh(request, irregular_mesh, tmp_path):
+    kind = request.param
+    if kind.startswith("structured"):
+        return build_structured_unit_square(int(kind.split("-")[1]))
+    if kind == "all-boundary-cell":
+        return build_pathological_mesh("all_boundary_cell", n_cells=3)
+    if kind == "irregular":
+        return irregular_mesh
+    # the irregular mesh with its cells shuffled and each cell's vertices
+    # rotated, through a file: the keys arrive in no structured order
+    rng = np.random.default_rng(7)
+    order = rng.permutation(irregular_mesh.n_cells)
+    cells = np.roll(irregular_mesh.cells[order], 1, axis=1)
+    write_mesh_file(build_from_arrays(irregular_mesh.vertices, cells),
+                    tmp_path / "mesh.txt")
+    return read_mesh_file(tmp_path / "mesh.txt")
+
+
+@pytest.mark.parametrize("pattern_mesh", PATTERN_MESHES, indirect=True)
+def test_element_patterns_match_the_unique_oracle(pattern_mesh):
+    s2, s1 = SpaceP2Vector(pattern_mesh), SpaceP1(pattern_mesh)
+    for space, dofs, n in ((s2, s2.gdof, s2.n_scalar),
+                           (s1, pattern_mesh.cells, s1.ndof)):
+        pattern = space.pattern
+        indptr, indices, first, slot = element_pattern_unique(dofs, dofs,
+                                                              (n, n))
+        assert np.array_equal(pattern.csr.indptr, indptr)
+        assert np.array_equal(pattern.csr.indices, indices)
+        assert np.array_equal(pattern.first, first)
+        assert pattern.slot.shape == dofs.shape + dofs.shape[1:]
+        assert np.array_equal(pattern.slot.reshape(-1), slot)
+        # the other entries: each entry is first or rest exactly once, and
+        # the rest run by place, in elem order within one place
+        assert np.array_equal(np.sort(np.concatenate(
+            [pattern.first, pattern.rest])), np.arange(slot.size))
+        assert np.array_equal(pattern.rest_slot, slot[pattern.rest])
+        assert np.all(np.lexsort((pattern.rest, pattern.rest_slot))
+                      == np.arange(len(pattern.rest)))
+        assert np.array_equal(pattern.transpose,
+                              pattern.csr.transpose_order())
+
+
+@pytest.mark.parametrize("pattern_mesh", [
+    kind for kind in PATTERN_MESHES if kind != "irregular"], indirect=True)
+def test_grad_coupling_block_matches_triplet_assembly_bitwise(pattern_mesh):
+    # G is read off the P2 pattern's vertex columns, with no pattern of its
+    # own; its bits are those of the triplets summed by from_coo (the
+    # irregular mesh is test_grad_coupling_matches_triplet_assembly_bitwise)
+    s2, s1 = SpaceP2Vector(pattern_mesh), SpaceP1(pattern_mesh)
     g = assemble_grad_coupling(s2, s1)
     ref = assemble_grad_coupling_coo(s2, s1)
     assert g.shape == ref.shape == (2 * s2.n_scalar, s1.ndof)

@@ -872,3 +872,35 @@ def test_warm_started_step_takes_fewer_iterations():
     assert warm_corr < cold_corr
     assert (np.abs(p.coeffs - p_cold.coeffs).max()
             <= 1e-10 * np.abs(p_cold.coeffs).max())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pred_tol", float("nan")), ("pred_tol", -1.0), ("pred_tol", 0.0),
+    ("pred_tol", 1.0), ("corr_tol", float("nan")), ("corr_tol", 0.0),
+    ("corr_tol", 2.0), ("t_final", float("inf")), ("t_final", float("nan")),
+    ("t_final", 0.0), ("t_final", -1.0)])
+def test_config_rejects_a_bad_tolerance_or_time(key, value):
+    # each would otherwise reach a solve (a nan or nonpositive tolerance
+    # ends as a numerical failure at step 1) or run with no finite dt
+    with pytest.raises(ValueError, match=key):
+        SchemeConfig(**{"n_steps": 2, "t_final": 1.0, key: value})
+
+
+def test_config_accepts_the_open_ranges():
+    config = SchemeConfig(n_steps=1, t_final=1e300, pred_tol=0.999,
+                          corr_tol=1e-300)
+    assert config.dt == 1e300
+
+
+def test_step_carries_the_laplacian_of_each_pressure_increment(setup4):
+    s2, s1, ops = setup4
+    config = SchemeConfig(n_steps=scheme.GUESS_HISTORY + 1, t_final=0.05)
+    state = initialize(s2, s1, mms.initial_velocity, ops=ops)
+    assert state.lap_dp_history == ()
+    precond = prediction_precond(ops, config)
+    for n in range(1, config.n_steps + 1):
+        state, _ = step(state, mms.forcing, ops, config, precond)
+        assert (len(state.lap_dp_history) == len(state.dp_history)
+                == min(n, scheme.GUESS_HISTORY))
+        for dp, lap_dp in zip(state.dp_history, state.lap_dp_history):
+            assert np.array_equal(lap_dp, ops.lap.matvec(dp))

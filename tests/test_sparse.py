@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from projnav import sparse
 from projnav.fem import (FieldP2Vector, SpaceP1, SpaceP2Vector,
                          assemble_convection, assemble_pressure_laplacian)
 from projnav.mesh import build_from_arrays, build_structured_unit_square
@@ -412,3 +413,61 @@ def test_projected_guess_from_an_empty_basis_is_a_cold_start(rng):
     rhs = rng.standard_normal(6)
     assert projected_guess(a, (), rhs) is None
     assert projected_guess(a, [], rhs) is None
+
+
+def test_projected_guess_takes_carried_products_bitwise(rng):
+    # products a X carried by the caller give the guess formed without
+    # them, bit for bit, and no product is formed again
+    m = 40
+    a = random_csr(rng, m, m)
+    rhs = rng.standard_normal(m)
+    basis = [rng.standard_normal(m) for _ in range(5)]
+
+    class NoProducts:
+        def __matmul__(self, x):
+            raise AssertionError("a product was formed again")
+
+    assert np.array_equal(
+        projected_guess(NoProducts(), basis, rhs, [a @ v for v in basis]),
+        projected_guess(a, basis, rhs))
+
+
+def _counting(system):
+    """A copy of ``system`` that records each product it forms."""
+    counted = system.with_data(system.data)
+    counted.calls = 0
+
+    def matvec(x):
+        counted.calls += 1
+        return system.matvec(x)
+
+    counted.matvec = matvec
+    return counted
+
+
+def test_an_accepted_guess_costs_one_product(rng):
+    # the true residual that accepts a guess is the one reported; only
+    # CG's re-centre, which moves x, forms it again
+    for solve, _, system, amg, kwargs in _warm_start_solves():
+        x = _zero_mean_solution(system, kwargs, rng)
+        counted = _counting(system)
+        _, report = solve(counted, system.matvec(x), precond=amg, x0=x,
+                          **kwargs)
+        assert report.converged and report.iterations == 0
+        assert counted.calls == (2 if "mean_weights" in kwargs else 1)
+
+
+@pytest.mark.parametrize("cycles", [1, sparse.MAX_CYCLES])
+def test_reported_residual_is_that_of_the_returned_solution(cycles, rng,
+                                                            monkeypatch):
+    # with one recursion allowed the loop ends by running out of cycles,
+    # after x has moved, so the residual must be formed again
+    monkeypatch.setattr(sparse, "MAX_CYCLES", cycles)
+    for solve, _, system, amg, kwargs in _warm_start_solves():
+        rhs = system.matvec(_zero_mean_solution(system, kwargs, rng))
+        for x0 in (None, _zero_mean_solution(system, kwargs, rng)):
+            x, report = solve(system, rhs, precond=amg, x0=x0, **kwargs)
+            r = rhs - system.matvec(x)
+            if "mean_weights" in kwargs:
+                r = r - r.sum() / len(r)
+            assert report.residual == np.sqrt(r @ r) / np.sqrt(rhs @ rhs)

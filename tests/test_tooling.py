@@ -1,8 +1,10 @@
 """The benchmark's tracer wraps projnav names it looks up by string; a
 rename in the library must show up here, not as a broken traced run.
 The sources are also searched for a P2 gather that bypasses
-``SpaceP2Vector.local``."""
+``SpaceP2Vector.local``, and for an element pattern built anywhere but in
+a space's ``pattern`` property."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -54,3 +56,35 @@ def test_p2_gathers_go_through_space_local():
              for k, line in enumerate(path.read_text().splitlines(), 1)
              if GDOF_GATHER.search(line)]
     assert not found, found
+
+
+
+def _calls(tree, name, where=""):
+    """Where (``Class.function``) each call of ``name`` in ``tree`` is."""
+    for node in ast.iter_child_nodes(tree):
+        inner = where
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{where}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            yield where
+        yield from _calls(node, name, inner)
+
+
+def test_element_patterns_are_built_only_by_the_spaces():
+    # each space sorts its element keys once; every other map (the
+    # gradient coupling's block, the transpose) is read off a space's
+    # pattern, so a constructor call anywhere else is a second sort
+    found = [f"{path.name}:{where}"
+             for path in sorted((ROOT / "src" / "projnav").glob("*.py"))
+             for where in _calls(ast.parse(path.read_text()),
+                                 "ElementPattern")]
+    assert sorted(found) == ["fem.py:SpaceP1.pattern",
+                             "fem.py:SpaceP2Vector.pattern"]
+
+
+def test_call_finder_names_the_enclosing_method():
+    tree = ast.parse("class A:\n    def f(self):\n        return g(1)\n"
+                     "def h():\n    return m.g(2)\ng(3)\n")
+    assert list(_calls(tree, "g")) == ["A.f", "h", ""]
