@@ -45,13 +45,13 @@ NUMERICAL_ERROR = 3
 _CONFIG_KEYS = {
     "mesh": str, "n": int, "steps": int, "T": float,
     "pred_tol": float, "corr_tol": float, "problem": str,
-    "out": str, "emit_fields": bool, "levels": str, "omega": float,
+    "out": str, "emit_fields": bool, "levels": str,
 }
 
 _DEFAULTS = {
     "mesh": "structured:8", "n": None, "steps": 8, "T": 1.0,
     "pred_tol": 1e-12, "corr_tol": 1e-12, "problem": "mms",
-    "out": ".", "emit_fields": False, "levels": "8,16,32", "omega": 1.5,
+    "out": ".", "emit_fields": False, "levels": "8,16,32",
 }
 
 # the numeric keys with a range, each checked where its command reads it
@@ -159,15 +159,14 @@ def build_mesh(opts):
                 raise CliError("config key 'mesh': file path missing",
                                USAGE_ERROR)
             return read_mesh_file(arg)
-        if kind == "pathological":
-            return build_pathological_mesh(arg or "all_boundary_cell",
-                                           n=opts.get("n") or 8,
-                                           omega=opts["omega"])
+        if kind == "pathological" and arg in ("", "all_boundary_cell"):
+            return build_pathological_mesh("all_boundary_cell")
     except MeshError as err:
         raise CliError(f"invalid mesh: {err}", DATA_ERROR)
     except OSError as err:
         raise CliError(f"cannot read mesh file: {err}", DATA_ERROR)
-    raise CliError(f"config key 'mesh': unknown kind '{kind}'", USAGE_ERROR)
+    raise CliError(f"config key 'mesh': unknown mesh '{opts['mesh']}'",
+                   USAGE_ERROR)
 
 
 def _problem_data(opts):
@@ -398,10 +397,10 @@ _FLAGS = {
 # per command: its function, help text, flags and the config keys it reads
 _COMMANDS = {
     "mesh": (cmd_mesh, "generate and inspect a mesh", ("config", "out", "n"),
-             ("mesh", "n", "omega", "out")),
+             ("mesh", "n", "out")),
     "run": (cmd_run, "run the projection scheme",
             ("config", "out", "n", "steps", "tol", "emit-fields"),
-            ("mesh", "n", "omega", "steps", "T", "pred_tol", "corr_tol",
+            ("mesh", "n", "steps", "T", "pred_tol", "corr_tol",
              "problem", "out", "emit_fields")),
     "mms": (cmd_mms, "manufactured-solution convergence",
             ("config", "out", "tol", "levels"),

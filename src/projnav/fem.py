@@ -159,8 +159,6 @@ class SpaceP2Vector:
     vertex dofs at interior vertices, midpoint dofs on non-boundary edges.
     """
 
-    ncomp = 2
-
     def __init__(self, mesh):
         self.mesh = mesh
         self.n_scalar = mesh.n_vertices + mesh.n_edges
@@ -209,10 +207,9 @@ class FieldP2Vector:
         """Component-blocked vector [all x; all y]."""
         return np.concatenate([self.coeffs[:, 0], self.coeffs[:, 1]])
 
-    def in_velocity_space(self, tol=0.0):
+    def in_velocity_space(self):
         """True if all non-interior dofs vanish (membership in H^1_0 x P2)."""
-        outside = self.coeffs[~self.space.interior_mask]
-        return bool(np.all(np.abs(outside) <= tol))
+        return not self.coeffs[~self.space.interior_mask].any()
 
 
 class CompositeVelocity:
@@ -451,19 +448,16 @@ def h1_seminorm(field):
     return float(np.sqrt(cell @ field.space.mesh.cell_areas))
 
 
-def weak_div_moments(u, space1, grad=None, lap=None):
-    """((u, grad phi_k))_k over all P1 nodal functions.
+def weak_div_moments(u, space1, grad, lap=None):
+    """((u, grad phi_k))_k over all P1 nodal functions, from the pair's
+    ``grad`` and, for a composite u, ``lap`` (as ``SchemeOperators``).
 
     Zero for every member of the discrete weakly divergence free space.
     """
     space2 = u.p2_part.space if isinstance(u, CompositeVelocity) else u.space
     if space2.mesh is not space1.mesh:
         raise ValueError("fields live on different meshes")
-    if grad is None:
-        grad = assemble_grad_coupling(space2, space1)
     if isinstance(u, CompositeVelocity):
-        if lap is None:
-            lap = assemble_pressure_laplacian(space1)
         return grad.rmatvec(u.p2_part.flat()) - u.scale * lap.matvec(u.grad_part.coeffs)
     return grad.rmatvec(u.flat())
 

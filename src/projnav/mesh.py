@@ -44,7 +44,6 @@ class SimplicialMesh:
     cell_areas, cell_diameters, cell_inball : (nc,) float arrays; ``cell_inball``
         is the diameter of the largest disk inscribed in the cell
     edge_patch_area : (ne,) float array, total area of the incident cells
-    core_cells : optional (nc,) bool array (set by the boundary-strip builder)
     """
 
     def __init__(self, vertices, cells):
@@ -65,6 +64,9 @@ class SimplicialMesh:
             bad = np.where((cells < 0) | (cells >= nv))[0][0]
             raise MeshError(f"cell {bad} has vertex index out of range: "
                             f"{tuple(cells[bad].tolist())}")
+        unused = np.flatnonzero(np.bincount(cells.ravel(), minlength=nv) == 0)
+        if unused.size:
+            raise MeshError(f"vertex {unused[0]} belongs to no cell")
         repeated = np.flatnonzero((cells[:, 0] == cells[:, 1])
                                   | (cells[:, 1] == cells[:, 2])
                                   | (cells[:, 0] == cells[:, 2]))
@@ -158,8 +160,6 @@ class SimplicialMesh:
         np.add.at(self.edge_patch_area, self.cell_edges.ravel(),
                   np.repeat(self.cell_areas, 3))
 
-        self.core_cells = None
-
     @cached_property
     def edge_cells(self):
         return _incident_cells(self.cell_edges, self.n_edges)
@@ -224,43 +224,25 @@ def build_structured_unit_square(n):
     return SimplicialMesh(vertices, cells.reshape(-1, 3))
 
 
-def build_pathological_mesh(kind, n_cells=3, n=8, omega=1.5):
-    """Meshes on which the Taylor-Hood pair loses inf-sup stability.
+def build_pathological_mesh(kind, n_cells=3):
+    """Meshes whose cells touch the boundary with all their vertices.
 
     kind="all_boundary_cell": a mesh of ``n_cells`` (1 or 3) triangles in
     which some cell has all its vertices on the boundary and some vertex
     belongs to a single cell.  With one triangle every velocity dof is a
     boundary dof.
-
-    kind="boundary_strip": the structured n-by-n mesh with ``core_cells``
-    flagging the cells whose distance to the boundary exceeds
-    ``omega * h_T``.
     """
-    if kind == "all_boundary_cell":
-        if n_cells == 1:
-            verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-            cells = [(0, 1, 2)]
-        elif n_cells == 3:
-            verts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.5, 1.0), (1.5, 1.0)]
-            cells = [(0, 1, 3), (1, 4, 3), (1, 2, 4)]
-        else:
-            raise MeshError(f"all_boundary_cell supports n_cells in {{1, 3}}, got {n_cells}")
-        return SimplicialMesh(np.array(verts), np.array(cells))
-
-    if kind == "boundary_strip":
-        mesh = build_structured_unit_square(n)
-        h_t, _ = mesh_metrics(mesh)
-        # distance of a cell to the boundary of the unit square: the square's
-        # boundary-distance function is concave, so the cell minimum is
-        # attained at a vertex
-        v = mesh.vertices
-        dist_v = np.minimum(np.minimum(v[:, 0], 1.0 - v[:, 0]),
-                            np.minimum(v[:, 1], 1.0 - v[:, 1]))
-        cell_dist = dist_v[mesh.cells].min(axis=1)
-        mesh.core_cells = cell_dist > omega * h_t
-        return mesh
-
-    raise MeshError(f"unknown pathological mesh kind: {kind!r}")
+    if kind != "all_boundary_cell":
+        raise MeshError(f"unknown pathological mesh kind: {kind!r}")
+    if n_cells == 1:
+        verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        cells = [(0, 1, 2)]
+    elif n_cells == 3:
+        verts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.5, 1.0), (1.5, 1.0)]
+        cells = [(0, 1, 3), (1, 4, 3), (1, 2, 4)]
+    else:
+        raise MeshError(f"all_boundary_cell supports n_cells in {{1, 3}}, got {n_cells}")
+    return SimplicialMesh(np.array(verts), np.array(cells))
 
 
 def mesh_metrics(mesh):
@@ -285,7 +267,8 @@ def write_mesh_file(mesh, path):
 def read_mesh_file(path):
     """Read a file written by ``write_mesh_file``; blank lines are ignored.
 
-    Malformed input raises MeshError naming ``path:line``.
+    Malformed input, a line after the last cell included, raises MeshError
+    naming ``path:line``.
     """
     try:
         with open(path) as fh:
@@ -316,4 +299,6 @@ def read_mesh_file(path):
     nc, = row("'cells <count>'", np.uint32, 1, head=("cells",))
     cells = np.array([row("cell 'i j k'", np.int64, 3) for _ in range(nc)],
                      dtype=np.int64)
+    if lines:  # a line after the last cell matches no empty row
+        row("the end of the file after the last cell", str, 0)
     return SimplicialMesh(vertices, cells)

@@ -32,13 +32,14 @@ from .fem import (FieldP1Scalar, FieldP2Vector, CompositeVelocity,
                   assemble_convection, assemble_grad_coupling, assemble_load,
                   assemble_mass_p2, assemble_pressure_laplacian,
                   assemble_stiffness_p2)
+from .interp import lagrange_p2
 from .quadrature import gauss_legendre_01
 from .sparse import (CsrMatrix, SmoothedAggregation, SolverError,
                      bicgstab_solve, cg_solve, projected_guess)
 
 __all__ = [
     "SchemeConfig", "SchemeState", "StepDiagnostics", "SchemeError",
-    "SchemeOperators", "RunResult", "interpolate_p2",
+    "SchemeOperators", "RunResult",
     "initialize", "predict", "correct", "step", "run",
     "gap_l2l2", "l2l2_velocity_error", "time_translate_diagnostic",
     "diagnostics_csv", "DIAGNOSTICS_HEADER", "ENERGY_BOUND",
@@ -283,12 +284,6 @@ class SchemeOperators:
             u_prev.grad_part, -u_prev.scale))
 
 
-def interpolate_p2(space, u0):
-    """Nodal interpolation of an analytic vector field onto the P2 space."""
-    vals = np.asarray(u0(space.node_coordinates()), dtype=float)
-    return FieldP2Vector(space, vals)
-
-
 def initialize(space2, space1, u0, ops=None, tol=1e-12):
     """Initial state: ut=0, p=0, u = projection of the u0 interpolant.
 
@@ -298,7 +293,7 @@ def initialize(space2, space1, u0, ops=None, tol=1e-12):
     """
     if ops is None:
         ops = SchemeOperators(space2, space1)
-    w = u0 if isinstance(u0, FieldP2Vector) else interpolate_p2(space2, u0)
+    w = u0 if isinstance(u0, FieldP2Vector) else lagrange_p2(u0, space2)
     if not np.isfinite(w.coeffs).all():
         raise SchemeError("non-finite initial velocity at step 0", 0)
     u, _, _ = ops.project(w, 1.0, tol)
@@ -411,7 +406,7 @@ class RunResult:
     diagnostics: list
     config: SchemeConfig
     ops: SchemeOperators
-    u_tilde_history: list = dataclass_field(default_factory=list)
+    # u after steps 0 .. N; the prediction of step n is u_history[n].p2_part
     u_history: list = dataclass_field(default_factory=list)
 
     @property
@@ -436,7 +431,6 @@ def run(space2, space1, u0, f, config, ops=None):
         state, diag = step(state, f, ops, config, precond)
         result.diagnostics.append(diag)
         if config.store_fields:
-            result.u_tilde_history.append(state.u_tilde)
             result.u_history.append(state.u)
     result.state = state
     return result
@@ -461,10 +455,9 @@ def l2l2_velocity_error(result, exact, which="u"):
     ValueError.
     """
     from .fem import p2_values_at, DEFAULT_RULE, _tables
-    histories = {"u": result.u_history, "ut": result.u_tilde_history}
-    if which not in histories:
+    if which not in ("u", "ut"):
         raise ValueError(f'which must be "u" or "ut", not {which!r}')
-    if not histories[which]:
+    if not result.u_history:
         raise ValueError("run must store fields for error evaluation")
     ops = result.ops
     mesh = ops.space2.mesh
@@ -477,7 +470,7 @@ def l2l2_velocity_error(result, exact, which="u"):
         if which == "u":
             vals = result.u_history[n].values_at()
         else:
-            vals = p2_values_at(result.u_tilde_history[n])
+            vals = p2_values_at(result.u_history[n + 1].p2_part)
         for g in range(3):
             tau = (n + tg[g]) * dt
             diff = vals - np.asarray(exact(pts, tau)).reshape(vals.shape)
@@ -491,40 +484,26 @@ def l2l2_velocity_error(result, exact, which="u"):
 def time_translate_diagnostic(result, tau):
     """integral_0^{T-tau} |ut_N(t+tau) - ut_N(t)|^2 dt, exactly.
 
-    The integrand is piecewise constant between the points where t or
-    t+tau crosses the time grid, so the integral is a finite sum.
+    With tau = (k + theta) dt, 0 <= theta < 1, and ut_i the prediction
+    of step i + 1, the piecewise constant ut_N makes the integral
+    dt [(1 - theta) sum_{i<N-k} |ut_{i+k} - ut_i|^2
+        + theta sum_{i<N-k-1} |ut_{i+k+1} - ut_i|^2].
     """
     config = result.config
-    big_t = config.t_final
-    if not 0.0 < tau < big_t:
+    if not 0.0 < tau < config.t_final:
         raise ValueError("tau must lie strictly between 0 and the final time")
-    if not result.u_tilde_history:
+    if not result.u_history:
         raise ValueError("run must store fields for the translate diagnostic")
-    dt = result.dt
-    n = config.n_steps
-    cuts = np.concatenate([dt * np.arange(n + 1), dt * np.arange(n + 1) - tau])
-    cuts = np.unique(np.clip(cuts, 0.0, big_t - tau))
-    ops = result.ops
-    norm_cache = {}
+    dt, n = result.dt, config.n_steps
+    k, theta = divmod(tau / dt, 1.0)
+    ut = [u.p2_part.coeffs for u in result.u_history[1:]]
 
-    def seg_norm_sq(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in norm_cache:
-            d = (result.u_tilde_history[key[1]].coeffs
-                 - result.u_tilde_history[key[0]].coeffs)
-            norm_cache[key] = ops.l2_norm_sq_p2(d)
-        return norm_cache[key]
+    def shifted(m):
+        return sum(result.ops.l2_norm_sq_p2(ut[i + m] - ut[i])
+                   for i in range(n - m))
 
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a <= 0.0:
-            continue
-        mid = 0.5 * (a + b)
-        i = min(int(mid / dt), n - 1)
-        j = min(int((mid + tau) / dt), n - 1)
-        if i != j:
-            total += (b - a) * seg_norm_sq(i, j)
-    return float(total)
+    return float(dt * ((1.0 - theta) * shifted(int(k))
+                       + theta * shifted(int(k) + 1)))
 
 
 def diagnostics_csv(diagnostics):

@@ -93,17 +93,15 @@ class CsrMatrix:
         return np.repeat(np.arange(self.shape[0], dtype=np.int64),
                          np.diff(self.indptr))
 
-    def transpose_order(self):
-        """Permutation of the stored entries that maps A.data to
-        (A^T).data, for a structurally symmetric square pattern."""
-        n = self.shape[0]
-        rows = self.row_indices()
-        keys = rows * n + self.indices
-        transposed = self.indices * n + rows
-        order = np.searchsorted(keys, transposed)
-        if not np.array_equal(np.take(keys, order, mode="clip"), transposed):
-            raise ValueError("pattern is not structurally symmetric")
-        return order
+    def transpose(self):
+        """(A^T, order): A^T, and the permutation of the stored entries
+        that maps A.data to (A^T).data."""
+        # a stable sort keeps each column's entries in increasing row order
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.searchsorted(self.indices[order],
+                                 np.arange(self.shape[1] + 1))
+        return CsrMatrix(indptr, self.row_indices()[order], self.data[order],
+                         self.shape[::-1]), order
 
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
@@ -317,8 +315,11 @@ class SmoothedAggregation:
             if prolongator is None:
                 # the symmetric part, exactly, so the strength graph is
                 # symmetric; a no-op on a symmetric matrix
-                level = level.with_data(
-                    0.5 * (level.data + level.data[level.transpose_order()]))
+                t, order = level.transpose()
+                if not (np.array_equal(t.indptr, level.indptr)
+                        and np.array_equal(t.indices, level.indices)):
+                    raise ValueError("pattern is not structurally symmetric")
+                level = level.with_data(0.5 * (level.data + level.data[order]))
             if self.restrict:
                 self.coarse.append(level)
             diag = level.diagonal()
@@ -330,8 +331,7 @@ class SmoothedAggregation:
             p = (_smoothed_prolongator(level, diag, omega)
                  if prolongator is None else prolongator)
             prolongator = None
-            r = CsrMatrix.from_coo(p.indices, p.row_indices(), p.data,
-                                   p.shape[::-1])
+            r, _ = p.transpose()
             level = _spgemm(r, _spgemm(level, p))
             self.dinv.append(omega * dinv)
             self.restrict.append(r)

@@ -24,11 +24,13 @@ field at a time; ``sample_points`` forms the per-cell sample points of the
 interpolation study from the cell corners.  ``eval_basis``, ``patch_stats``,
 ``check_divergence_free`` and ``check_support`` evaluate a basis, an edge
 patch or an analytic field at single points.  ``l2l2_velocity_error_reduce``,
-``mms_velocity_stacked`` and ``write_vtk_fields_each_block`` are the
-earlier forms of ``scheme.l2l2_velocity_error``, ``mms.velocity`` and
-``vtk.write_vtk_fields``: fancy-index gathers, a length-2 ``sum`` reduce,
-all four of g, g', g'', g''' with ``np.stack``, and every block formatted
-in full.
+``mms_velocity_stacked``, ``write_vtk_fields_each_block`` and
+``time_translate_cuts`` are the earlier forms of
+``scheme.l2l2_velocity_error``, ``mms.velocity``, ``vtk.write_vtk_fields``
+and ``scheme.time_translate_diagnostic``: fancy-index gathers, a length-2
+``sum`` reduce, all four of g, g', g'', g''' with ``np.stack``, every
+block formatted in full, and one term per interval between the points
+where t or t + tau crosses the time grid.
 """
 
 import numpy as np
@@ -386,7 +388,7 @@ def l2l2_velocity_error_reduce(result, exact, which="u"):
             vals = t.p2val.T @ u.p2_part.coeffs[u.p2_part.space.gdof]
             vals = vals - u.scale * u.grad_part_cell_gradients()[:, None, :]
         else:
-            ut = result.u_tilde_history[n]
+            ut = result.u_history[n + 1].p2_part
             vals = t.p2val.T @ ut.coeffs[ut.space.gdof]
         for g in range(3):
             tau = (n + tg[g]) * result.dt
@@ -394,6 +396,23 @@ def l2l2_velocity_error_reduce(result, exact, which="u"):
             cell = (diff * diff).sum(axis=2) @ t.weights
             total += result.dt * wg[g] * float(cell @ mesh.cell_areas)
     return float(np.sqrt(total))
+
+
+def time_translate_cuts(result, tau):
+    """``scheme.time_translate_diagnostic`` summed over the intervals on
+    which the integrand is constant: those between the points where t or
+    t + tau crosses the time grid."""
+    dt, n = result.dt, result.config.n_steps
+    ut = [u.p2_part.coeffs for u in result.u_history[1:]]
+    cuts = np.concatenate([dt * np.arange(n + 1), dt * np.arange(n + 1) - tau])
+    cuts = np.unique(np.clip(cuts, 0.0, result.config.t_final - tau))
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (a + b)
+        i = min(int(mid / dt), n - 1)
+        j = min(int((mid + tau) / dt), n - 1)
+        total += (b - a) * result.ops.l2_norm_sq_p2(ut[j] - ut[i])
+    return float(total)
 
 
 def mms_velocity_stacked(points, t):

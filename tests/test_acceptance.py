@@ -113,7 +113,6 @@ def test_criterion_3_edge_bubble_vertex_moments():
     meshes = [build_structured_unit_square(n) for n in (2, 4, 8)]
     meshes.append(build_pathological_mesh("all_boundary_cell", n_cells=1))
     meshes.append(build_pathological_mesh("all_boundary_cell", n_cells=3))
-    meshes.append(build_pathological_mesh("boundary_strip", n=8))
     worst = 0.0
     for mesh in meshes:
         s2, s1 = SpaceP2Vector(mesh), SpaceP1(mesh)

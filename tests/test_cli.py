@@ -295,13 +295,13 @@ def test_commands_reject_the_flags_they_do_not_read(tmp_path, capsys):
 _KEY_VALUES = {
     "mesh": "structured:4", "n": "4", "steps": "2", "T": "0.5",
     "pred_tol": "1e-10", "corr_tol": "1e-10", "problem": "zero",
-    "out": "o", "emit_fields": "yes", "levels": "4,8", "omega": "1.25",
+    "out": "o", "emit_fields": "yes", "levels": "4,8",
 }
 
 
 def test_commands_reject_the_config_keys_they_do_not_read(tmp_path, capsys):
     assert set(_KEY_VALUES) == set(cli._CONFIG_KEYS)
-    assert sum(len(keys) for *_, keys in cli._COMMANDS.values()) == 22
+    assert sum(len(keys) for *_, keys in cli._COMMANDS.values()) == 20
     cfg = tmp_path / "c.cfg"
     for name, (*_, keys) in cli._COMMANDS.items():
         for key in set(cli._CONFIG_KEYS) - set(keys):
@@ -456,20 +456,52 @@ def test_pathological_mesh_through_cli(tmp_path, capsys):
     assert code == 0
 
 
-def test_boundary_strip_mesh_keeps_kind_with_n(tmp_path, capsys):
-    # --n sets the resolution of the strip construction without hijacking
-    # the mesh kind
+def test_omega_is_an_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("mesh = pathological:boundary_strip\nomega = 1.5\n")
-    code, out = run_cli(["mesh", "--config", str(cfg), "--n", "4",
-                         "--out", str(tmp_path)], capsys)
-    assert code == 0
-    mesh = read_mesh_file(tmp_path / "mesh.txt")
-    assert mesh.n_cells == 32
+    cfg.write_text("omega = 1.5\n")
+    for name in ("mesh", "run"):
+        code, out = run_cli([name, "--config", str(cfg), "--out",
+                             str(tmp_path)], capsys)
+        assert code == 1
+        assert "unknown config key 'omega'" in _fail_payload(out)["reason"]
 
-    code, _ = run_cli(["run", "--config", str(cfg), "--n", "4", "--steps",
-                       "2", "--out", str(tmp_path)], capsys)
-    assert code == 0
+
+def test_boundary_strip_mesh_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "mesh.cfg"
+    for value in ("pathological:boundary_strip", "pathological:foo",
+                  "foo:bar"):
+        cfg.write_text(f"mesh = {value}\n")
+        code, out = run_cli(["mesh", "--config", str(cfg), "--out",
+                             str(tmp_path)], capsys)
+        assert code == 1
+        assert _fail_payload(out)["reason"] == (
+            f"config key 'mesh': unknown mesh '{value}'")
+    assert not (tmp_path / "mesh.txt").exists()
+
+
+def test_unused_vertex_and_trailing_line_are_data_errors(tmp_path, capsys):
+    write_mesh_file(build_structured_unit_square(4), tmp_path / "base.txt")
+    head, cells = (tmp_path / "base.txt").read_text().split("cells")
+    path = tmp_path / "mesh.txt"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh = file:{path}\nsteps = 1\n")
+    for text, reason in (
+            # classed as interior, an unused vertex ended in a traceback
+            # from the AMG setup, or ran on a small mesh
+            (head.replace("vertices 25", "vertices 26")
+             + "0.1 0.2\ncells" + cells, "vertex 25 belongs to no cell"),
+            (head + "cells" + cells + "\ngarbage here\n",
+             f"{path}:62: expected the end of the file after the last "
+             "cell, got 'garbage here'")):
+        path.write_text(text)
+        code = cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert _fail_payload(captured.out)["reason"] == (
+            f"invalid mesh: {reason}")
+    assert not (tmp_path / "diagnostics.csv").exists()
 
 
 def test_stokes_problem_mode(tmp_path, capsys):

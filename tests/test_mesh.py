@@ -103,8 +103,11 @@ def test_non_manifold_edge_rejected():
     ([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (1.5, 1)],
      [(0, 1, 2), (0, 1, 3), (0, 1, 4)],
      "non-manifold edge (0, 1): 3 incident cells"),
+    # classed as interior, it would leave a zero row in every matrix
+    ([(0, 0), (1, 0), (0, 1), (0.2, 0.2)], [(0, 1, 2)],
+     "vertex 3 belongs to no cell"),
 ], ids=["zero-area", "repeated", "out-of-range", "duplicate",
-        "non-manifold"])
+        "non-manifold", "unused-vertex"])
 def test_mesh_error_message_text(verts, cells, message):
     with pytest.raises(MeshError) as err:
         build_from_arrays(verts, cells)
@@ -137,16 +140,13 @@ def test_patches_match_brute_force(irregular_mesh, which):
 
 @pytest.mark.parametrize("which", ["n1", "n2", "n3", "n8", "irregular",
                                    "all_boundary_cell_1",
-                                   "all_boundary_cell_3", "boundary_strip",
-                                   "file_round_trip"])
+                                   "all_boundary_cell_3", "file_round_trip"])
 def test_edge_numbering_matches_unique_rows(irregular_mesh, tmp_path, which):
     if which.startswith("n"):
         mesh = build_structured_unit_square(int(which[1:]))
     elif which.startswith("all_boundary_cell"):
         mesh = build_pathological_mesh("all_boundary_cell",
                                        n_cells=int(which[-1]))
-    elif which == "boundary_strip":
-        mesh = build_pathological_mesh("boundary_strip")
     elif which == "file_round_trip":
         write_mesh_file(irregular_mesh, tmp_path / "mesh.txt")
         mesh = read_mesh_file(tmp_path / "mesh.txt")
@@ -280,30 +280,10 @@ def test_pathological_three_triangle_strip():
     assert all(v in set(mesh.boundary_vertices) for v in mesh.cells[lone_cell])
 
 
-def test_boundary_strip_flags_match_brute_force():
-    omega = 1.5
-    mesh = build_pathological_mesh("boundary_strip", n=8, omega=omega)
-    h_t, _ = mesh_metrics(mesh)
-    assert mesh.core_cells is not None
-    # brute force: dense barycentric sampling of each cell against the four
-    # boundary segments of the unit square
-    bary = []
-    m = 12
-    for i in range(m + 1):
-        for j in range(m + 1 - i):
-            k = m - i - j
-            bary.append((i / m, j / m, k / m))
-    bary = np.array(bary)
-    for c in range(mesh.n_cells):
-        pts = bary @ mesh.vertices[mesh.cells[c]]
-        d = np.minimum(np.minimum(pts[:, 0], 1 - pts[:, 0]),
-                       np.minimum(pts[:, 1], 1 - pts[:, 1])).min()
-        assert mesh.core_cells[c] == (d > omega * h_t)
-
-
 def test_bad_pathological_kind():
-    with pytest.raises(MeshError):
-        build_pathological_mesh("nope")
+    for kind in ("nope", "boundary_strip"):
+        with pytest.raises(MeshError, match="unknown pathological mesh kind"):
+            build_pathological_mesh(kind)
     with pytest.raises(MeshError):
         build_pathological_mesh("all_boundary_cell", n_cells=2)
 
@@ -349,8 +329,9 @@ def test_mesh_file_truncated(tmp_path):
     ("mesh 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 2.0\n", 7),
     ("mesh 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1\n", 7),
     ("mesh 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 99999999999999999999\n", 7),
+    ("mesh 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 2\n\ngarbage here\n", 9),
 ], ids=["coordinate", "blank-lines", "count", "negative-count", "keyword",
-        "float-index", "short-cell", "huge-index"])
+        "float-index", "short-cell", "huge-index", "trailing-line"])
 def test_mesh_file_parse_error_names_line(tmp_path, text, line):
     path = tmp_path / "bad.txt"
     path.write_text(text)

@@ -29,7 +29,7 @@ _GRID = build_structured_unit_square(2)
 _SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6)
 
 _CONFIG_WORDS = ["mesh", "n", "steps", "T", "pred_tol", "corr_tol",
-                 "problem", "out", "emit_fields", "levels", "omega", "=",
+                 "problem", "out", "emit_fields", "levels", "=",
                  "#", "true", "off", "1e-3", "-2", "nan", "1e999", "4",
                  "structured:4"]
 _MESH_WORDS = ["mesh", "2", "vertices", "cells", "-1", "0.5", "1e308", "nan",

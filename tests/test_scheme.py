@@ -9,7 +9,7 @@ from projnav import mms, scheme
 from projnav.fem import (FieldP1Scalar, FieldP2Vector, SpaceP1, SpaceP2Vector,
                          assemble_convection, assemble_load, p2_values_at,
                          weak_div_moments)
-from projnav.interp import pi_n
+from projnav.interp import lagrange_p2, pi_n
 from projnav.mesh import (build_from_arrays, build_pathological_mesh,
                           build_structured_unit_square)
 from projnav.scheme import (SchemeConfig, SchemeError, SchemeOperators,
@@ -19,7 +19,8 @@ from projnav.scheme import (SchemeConfig, SchemeError, SchemeOperators,
 from projnav.sparse import (CsrMatrix, SmoothedAggregation, bicgstab_solve,
                             cg_solve)
 
-from oracles import l2_inner, l2l2_velocity_error_reduce, p1_values_at
+from oracles import (l2_inner, l2l2_velocity_error_reduce, p1_values_at,
+                     time_translate_cuts)
 
 
 def zero_u0(pts):
@@ -79,7 +80,7 @@ def test_initialize_gradient_data_projected_out(setup4):
     state = initialize(s2, s1, u0, ops=ops)
     moments = weak_div_moments(state.u, s1, grad=ops.grad, lap=ops.lap)
     assert np.abs(moments).max() <= 1e-11
-    w = scheme.interpolate_p2(s2, u0)
+    w = lagrange_p2(u0, s2)
     norm_before = np.sqrt(l2_inner(w, w))
     norm_after = np.sqrt(max(ops.composite_norm_sq(state.u), 0.0))
     assert norm_after <= norm_before + 1e-12
@@ -293,7 +294,9 @@ def _ops_for(which, irregular_mesh):
 def test_prediction_system_is_bitwise_symmetric(which, irregular_mesh):
     # the prediction hierarchy takes it as given, without its symmetric part
     system = _ops_for(which, irregular_mesh).prediction_system(0.1)
-    assert np.array_equal(system.data, system.data[system.transpose_order()])
+    transposed, order = system.transpose()
+    assert np.array_equal(transposed.indices, system.indices)
+    assert np.array_equal(system.data, system.data[order])
 
 
 @pytest.mark.parametrize("which", ["structured", "irregular"])
@@ -603,10 +606,24 @@ def test_time_translate_two_step_closed_form(setup4):
     config = SchemeConfig(n_steps=2, t_final=1.0, store_fields=True)
     result = run(s2, s1, mms.initial_velocity, mms.forcing, config, ops=ops)
     tau = result.dt
-    d = result.u_tilde_history[1].coeffs - result.u_tilde_history[0].coeffs
+    d = (result.u_history[2].p2_part.coeffs
+         - result.u_history[1].p2_part.coeffs)
     expected = (config.t_final - tau) * ops.l2_norm_sq_p2(d)
     got = time_translate_diagnostic(result, tau)
     assert abs(got - expected) <= 1e-12 * max(1.0, expected)
+
+
+def _translate_sampled(result, tau, m=20000):
+    """The time-translate integral by the midpoint rule on m points."""
+    dt, n = result.dt, result.config.n_steps
+    ut = [u.p2_part.coeffs for u in result.u_history[1:]]
+    total = 0.0
+    for t in (np.arange(m) + 0.5) * (result.config.t_final - tau) / m:
+        i = min(int(t / dt), n - 1)
+        j = min(int((t + tau) / dt), n - 1)
+        if i != j:
+            total += result.ops.l2_norm_sq_p2(ut[j] - ut[i])
+    return total * (result.config.t_final - tau) / m
 
 
 def test_time_translate_matches_brute_force(setup4):
@@ -615,18 +632,31 @@ def test_time_translate_matches_brute_force(setup4):
     result = run(s2, s1, mms.initial_velocity, mms.forcing, config, ops=ops)
     tau = 0.23
     exact = time_translate_diagnostic(result, tau)
-    m = 20000
-    dt = result.dt
-    total = 0.0
-    for t in (np.arange(m) + 0.5) * (config.t_final - tau) / m:
-        i = min(int(t / dt), config.n_steps - 1)
-        j = min(int((t + tau) / dt), config.n_steps - 1)
-        if i != j:
-            d = (result.u_tilde_history[j].coeffs
-                 - result.u_tilde_history[i].coeffs)
-            total += ops.l2_norm_sq_p2(d)
-    total *= (config.t_final - tau) / m
+    total = _translate_sampled(result, tau)
     assert abs(exact - total) <= 5e-3 * max(exact, 1e-30)
+
+
+@pytest.fixture(scope="module")
+def translate_runs(setup4):
+    s2, s1, ops = setup4
+    return {n: run(s2, s1, mms.initial_velocity, mms.forcing,
+                   SchemeConfig(n_steps=n, t_final=1.0, store_fields=True),
+                   ops=ops) for n in (2, 5, 8)}
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_time_translate_on_and_just_below_the_grid(translate_runs, n):
+    # tau = k dt (theta = 0) and tau just below (k + 1) dt (theta near 1),
+    # against the cut enumeration and the sampled integral
+    result = translate_runs[n]
+    dt = result.dt
+    taus = [k * dt for k in range(1, n)]
+    taus += [(k + 1 - 1e-9) * dt for k in range(n)]
+    for tau in taus:
+        got = time_translate_diagnostic(result, tau)
+        assert got > 0.0
+        assert abs(got - time_translate_cuts(result, tau)) <= 1e-12 * got
+        assert abs(got - _translate_sampled(result, tau, 2000)) <= 5e-3 * got
 
 
 def test_time_translate_rejects_bad_tau(setup4):
@@ -742,7 +772,7 @@ def _perturbed_mesh(n, seed):
 
 @pytest.mark.parametrize("which", ["structured", "irregular", "irregular16",
                                    "all_boundary_cell1", "all_boundary_cell3",
-                                   "boundary_strip"])
+                                   "structured12"])
 def test_preconditioned_solves_agree_with_plain(which, irregular_mesh, rng):
     mesh = {
         "structured": lambda: build_structured_unit_square(16),
@@ -752,8 +782,7 @@ def test_preconditioned_solves_agree_with_plain(which, irregular_mesh, rng):
             "all_boundary_cell", n_cells=1),
         "all_boundary_cell3": lambda: build_pathological_mesh(
             "all_boundary_cell", n_cells=3),
-        "boundary_strip": lambda: build_pathological_mesh(
-            "boundary_strip", n=12),
+        "structured12": lambda: build_structured_unit_square(12),
     }[which]()
     s2 = SpaceP2Vector(mesh)
     s1 = SpaceP1(mesh, zero_mean=True)

@@ -59,6 +59,30 @@ def test_with_data_shares_pattern(rng):
         a.with_data(np.ones(a.nnz + 1))
 
 
+def test_transpose_matches_dense(rng):
+    # a rectangular matrix, and one with empty rows (the midpoints of the
+    # interior edges between two boundary vertices)
+    mesh = build_structured_unit_square(4)
+    embedding = SchemeOperators(SpaceP2Vector(mesh),
+                                SpaceP1(mesh)).p1_embedding()
+    assert np.any(np.diff(embedding.indptr) == 0)
+    for a in (random_csr(rng, 13, 9), embedding):
+        t, order = a.transpose()
+        assert t.shape == a.shape[::-1]
+        assert np.array_equal(t.to_dense(), a.to_dense().T)
+        assert np.array_equal(t.data, a.data[order])
+
+
+def test_hierarchy_rejects_an_unsymmetric_pattern():
+    n = sparse.COARSE_SIZE + 1
+    a = CsrMatrix.from_coo(np.r_[np.arange(n), np.arange(1, n)],
+                           np.r_[np.arange(n), np.arange(n - 1)],
+                           np.r_[np.full(n, 2.0), np.full(n - 1, -1.0)],
+                           (n, n))
+    with pytest.raises(ValueError, match="not structurally symmetric"):
+        SmoothedAggregation(a)
+
+
 def test_cg_identity_single_iteration():
     eye = CsrMatrix.from_coo(range(5), range(5), np.ones(5), (5, 5))
     rhs = np.zeros(5)
