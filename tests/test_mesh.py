@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from projnav.cli import build_mesh
 from projnav.mesh import (MeshError, build_from_arrays,
                           build_pathological_mesh,
                           build_structured_unit_square, mesh_metrics,
@@ -140,9 +141,13 @@ def test_patches_match_brute_force(irregular_mesh, which):
 
 @pytest.mark.parametrize("which", ["n1", "n2", "n3", "n8", "irregular",
                                    "all_boundary_cell_1",
-                                   "all_boundary_cell_3", "file_round_trip"])
+                                   "all_boundary_cell_3", "cli_structured8",
+                                   "file_round_trip"])
 def test_edge_numbering_matches_unique_rows(irregular_mesh, tmp_path, which):
-    if which.startswith("n"):
+    if which == "cli_structured8":
+        # the mesh a config reads, through the command-line builder
+        mesh = build_mesh({"mesh": "structured:8", "n": None})
+    elif which.startswith("n"):
         mesh = build_structured_unit_square(int(which[1:]))
     elif which.startswith("all_boundary_cell"):
         mesh = build_pathological_mesh("all_boundary_cell",
