@@ -8,14 +8,15 @@ Subcommands and the flags each reads (``_COMMANDS``):
     interp-verify   --config --out --levels
 
 Options come from an optional flat "key = value" config file plus flag
-overrides; every reject path names the offending key.  A config file may
-hold only the keys its command reads (``_COMMANDS``), as the command line
-may hold only its flags.  Every step of ``run`` and ``mms`` passes
-``scheme.ENERGY_BOUND`` or fails the command.  Exit codes: 0 success,
-1 usage errors, 2 bad input data, 3 numerical failures, each failure with
-one JSON line.  A closed stdout also exits 1, with nothing on stderr: no
-JSON line can be written there.  PROJNAV_SEED seeds the random trials of
-the property suites (default 42).
+overrides; every reject path names the offending key.  ``n`` sizes a
+``structured`` mesh and is a usage error beside any other mesh.  A config
+file may hold only the keys its command reads (``_COMMANDS``), as the
+command line may hold only its flags.  Every step of ``run`` and ``mms``
+passes ``scheme.ENERGY_BOUND`` or fails the command.  Exit codes:
+0 success, 1 usage errors, 2 bad input data, 3 numerical failures, each
+failure with one JSON line.  A closed stdout also exits 1, with nothing on
+stderr: no JSON line can be written there.  PROJNAV_SEED seeds the random
+trials of the property suites (default 42).
 """
 
 import argparse
@@ -34,7 +35,7 @@ from .interp import (divergence_correct, edge_bubble, edge_bubble_residuals,
 from .mesh import (MeshError, build_pathological_mesh,
                    build_structured_unit_square, mesh_metrics, read_mesh_file,
                    write_mesh_file)
-from .scheme import (SchemeConfig, SchemeError, diagnostics_csv,
+from .scheme import (SchemeConfig, SchemeError, csv_text, diagnostics_csv,
                      l2l2_velocity_error, run)
 from .vtk import write_vtk_fields
 
@@ -145,7 +146,10 @@ def gather_options(args):
 
 def build_mesh(opts):
     kind, _, arg = opts["mesh"].partition(":")
-    if opts["n"] is not None and kind == "structured":
+    if opts["n"] is not None:
+        if kind != "structured":
+            raise CliError(f"config key 'n': only a structured mesh has a "
+                           f"size, got mesh '{opts['mesh']}'", USAGE_ERROR)
         arg = str(opts["n"])
     try:
         if kind == "structured":
@@ -160,7 +164,7 @@ def build_mesh(opts):
                                USAGE_ERROR)
             return read_mesh_file(arg)
         if kind == "pathological" and arg in ("", "all_boundary_cell"):
-            return build_pathological_mesh("all_boundary_cell")
+            return build_pathological_mesh()
     except MeshError as err:
         raise CliError(f"invalid mesh: {err}", DATA_ERROR)
     except OSError as err:
@@ -271,11 +275,9 @@ def cmd_mms(args):
         rows.append({"n": n, "h": h, "N": n, "dt": result.dt,
                      "err_u": err_u, "err_ut": err_ut, "order_u": order})
     path = os.path.join(out, "mms.csv")
+    header = ("n", "h", "N", "dt", "err_u", "err_ut", "order_u")
     with open(path, "w") as fh:
-        fh.write("n,h,N,dt,err_u,err_ut,order_u\n")
-        for r in rows:
-            fh.write(f"{r['n']},{r['h']:.17g},{r['N']},{r['dt']:.17g},"
-                     f"{r['err_u']:.17g},{r['err_ut']:.17g},{r['order_u']:.17g}\n")
+        fh.write(csv_text(header, [[r[k] for k in header] for r in rows]))
     print(f"wrote {path}")
     for r in rows:
         print(f"n={r['n']}: err_u={r['err_u']:.6e} err_ut={r['err_ut']:.6e} "
@@ -317,7 +319,7 @@ def _interp_lemma_suite(levels, spaces, study, seed):
     report = {"bij": 0.0, "antisymmetry": 0.0, "piddiv": 0.0,
               "divpinzero": 0.0}
     bubble_spaces = spaces + [
-        SpaceP2Vector(build_pathological_mesh("all_boundary_cell", n_cells=k))
+        SpaceP2Vector(build_pathological_mesh(n_cells=k))
         for k in (1, 3)]
     for space2 in bubble_spaces:
         for name, worst in edge_bubble_residuals(space2).items():
@@ -367,13 +369,10 @@ def cmd_interp_verify(args):
           + ", ".join(f"n={n}:{s}" for n, s in statuses))
 
     path = os.path.join(out, "interp_study.csv")
+    header = ("n", "h", "status", "err_linf", "err_w1inf", "err_h1", "e_norm",
+              "observed_order")
     with open(path, "w") as fh:
-        fh.write("n,h,status,err_linf,err_w1inf,err_h1,e_norm,observed_order\n")
-        for r in rows:
-            fh.write(f"{r['n']},{r['h']:.17g},{r['status']},"
-                     f"{r['err_linf']:.17g},{r['err_w1inf']:.17g},"
-                     f"{r['err_h1']:.17g},{r['e_norm']:.17g},"
-                     f"{r['observed_order']:.17g}\n")
+        fh.write(csv_text(header, [[r[k] for k in header] for r in rows]))
     print(f"wrote {path}")
     if failed:
         raise CliError(f"lemma checks failed: {', '.join(failed)}",

@@ -72,10 +72,8 @@ def p2_reference_dlambda(bary):
 
 
 def _cell_geometry(mesh):
-    """Per-cell P1 hat gradients, cached on the mesh (immutable)."""
-    cached = getattr(mesh, "_p1_grads", None)
-    if cached is not None:
-        return cached
+    """Per-cell P1 hat gradients (nc, 3, 2); ``_tables(mesh,
+    DEFAULT_RULE).p1grad`` is the copy every rule's tables share."""
     p0 = mesh.vertices[mesh.cells[:, 0]]
     p1 = mesh.vertices[mesh.cells[:, 1]]
     p2 = mesh.vertices[mesh.cells[:, 2]]
@@ -87,7 +85,6 @@ def _cell_geometry(mesh):
     grads[:, 2, 0] = -(p1[:, 1] - p0[:, 1]) / det
     grads[:, 2, 1] = (p1[:, 0] - p0[:, 0]) / det
     grads[:, 0] = -grads[:, 1] - grads[:, 2]
-    mesh._p1_grads = grads
     return grads
 
 
@@ -103,7 +100,8 @@ class _Tables:
         self.p2val = p2_reference_values(rule.points)           # (6, nq)
         self.p2val_w = rule.weights * self.p2val                # (6, nq)
         dlam = p2_reference_dlambda(rule.points)                # (6, nq, 3)
-        self.p1grad = _cell_geometry(mesh)                      # (nc, 3, 2)
+        self.p1grad = (_cell_geometry(mesh) if rule is DEFAULT_RULE
+                       else _tables(mesh, DEFAULT_RULE).p1grad)  # (nc, 3, 2)
         # D[(i, q), a] = d phi_a / d lambda_i (q)
         self.D = dlam.transpose(2, 1, 0).reshape(3 * nq, 6)
         # S[(i, j), (a, b)] = sum_q w_q d phi_a / d lambda_i d phi_b / d lambda_j
@@ -229,8 +227,9 @@ class CompositeVelocity:
 
     def grad_part_cell_gradients(self):
         """(nc, 2) gradient of the P1 increment on each cell."""
-        gl = _cell_geometry(self.p2_part.space.mesh)
-        q = self.grad_part.coeffs[self.p2_part.space.mesh.cells]  # (nc, 3)
+        mesh = self.p2_part.space.mesh
+        gl = _tables(mesh, DEFAULT_RULE).p1grad
+        q = self.grad_part.coeffs[mesh.cells]                   # (nc, 3)
         return np.einsum("ci,cix->cx", q, gl)
 
     def values_at(self):
@@ -405,7 +404,7 @@ def assemble_grad_coupling(space2, space1):
 def assemble_pressure_laplacian(space1):
     """P1 grad-grad matrix; symmetric positive semidefinite, kernel = constants."""
     mesh = space1.mesh
-    gl = _cell_geometry(mesh)
+    gl = _tables(mesh, DEFAULT_RULE).p1grad
     elem = np.einsum("c,cix,cjx->cij", mesh.cell_areas, gl, gl)
     elem = 0.5 * (elem + elem.transpose(0, 2, 1))
     return space1.pattern.assemble(elem)

@@ -168,30 +168,19 @@ def _values_at(v, points):
 def divergence_correct(w, space):
     """Edge-bubble field whose divergence has the same vertex moments as w.
 
-    w is a FieldP2Vector, an AnalyticVectorField, or an (..., n_scalar, 2)
-    array of P2 coefficients, for which the result is such an array too.
-    w must vanish on the boundary: a discrete field with any nonzero
-    non-interior dof, or an analytic field with nonzero boundary node
-    values, is rejected.  A discrete w is integrated with DEFAULT_RULE,
-    an analytic one with ANALYTIC_RULE.
+    w is a FieldP2Vector or an (..., n_scalar, 2) array of P2 coefficients,
+    for which the result is such an array too.  w must vanish on the
+    boundary: a field with any nonzero non-interior dof is rejected.  w is
+    integrated with DEFAULT_RULE.
     """
-    if isinstance(w, AnalyticVectorField):
-        at_nodes = _values_at(w, space.node_coordinates())
-        bad = (np.abs(at_nodes[~space.interior_mask]).max()
-               > 1e-12 * (1.0 + np.abs(at_nodes).max()))
-        rule = ANALYTIC_RULE
-        vals = _values_at(w, fem._tables(space.mesh, rule).points)
-    else:
-        coeffs = w.coeffs if isinstance(w, FieldP2Vector) else np.asarray(
-            w, dtype=float)
-        bad = np.any(coeffs[..., ~space.interior_mask, :] != 0.0)
-        rule = DEFAULT_RULE
-        vals = fem._tables(space.mesh, rule).p2val.T @ space.local(coeffs)
-    if bad:
+    coeffs = w.coeffs if isinstance(w, FieldP2Vector) else np.asarray(
+        w, dtype=float)
+    if np.any(coeffs[..., ~space.interior_mask, :] != 0.0):
         raise InterpError(
             "divergence correction requires vanishing boundary trace")
+    vals = fem._tables(space.mesh, DEFAULT_RULE).p2val.T @ space.local(coeffs)
     out = _correction_from_coefficients(
-        space, _edge_coefficients(space, vals, rule))
+        space, _edge_coefficients(space, vals, DEFAULT_RULE))
     return out if isinstance(w, np.ndarray) else FieldP2Vector(space, out)
 
 

@@ -171,10 +171,6 @@ class SimplicialMesh:
     def edge_midpoints(self):
         return 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
 
-    def edge_index(self, i, j):
-        """Edge index of the unordered pair {i, j}, or raise MeshError."""
-        return int(self.edge_indices([i], [j])[0])
-
     def edge_indices(self, i, j):
         """Edge indices of the unordered pairs {i[k], j[k]}; MeshError names
         the first pair that is not an edge."""
@@ -224,16 +220,11 @@ def build_structured_unit_square(n):
     return SimplicialMesh(vertices, cells.reshape(-1, 3))
 
 
-def build_pathological_mesh(kind, n_cells=3):
-    """Meshes whose cells touch the boundary with all their vertices.
-
-    kind="all_boundary_cell": a mesh of ``n_cells`` (1 or 3) triangles in
-    which some cell has all its vertices on the boundary and some vertex
-    belongs to a single cell.  With one triangle every velocity dof is a
-    boundary dof.
+def build_pathological_mesh(n_cells=3):
+    """The all_boundary_cell mesh: ``n_cells`` (1 or 3) triangles, some
+    cell with all its vertices on the boundary and some vertex in a single
+    cell.  With one triangle every velocity dof is a boundary dof.
     """
-    if kind != "all_boundary_cell":
-        raise MeshError(f"unknown pathological mesh kind: {kind!r}")
     if n_cells == 1:
         verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
         cells = [(0, 1, 2)]

@@ -21,8 +21,6 @@ last GUESS_HISTORY solutions whose residual is smallest
 to step, so the guess leaves the Krylov solvers only a few decades to gain.
 """
 
-import csv
-import io
 from dataclasses import dataclass, field as dataclass_field, fields
 from functools import cached_property
 
@@ -42,7 +40,7 @@ __all__ = [
     "SchemeOperators", "RunResult",
     "initialize", "predict", "correct", "step", "run",
     "gap_l2l2", "l2l2_velocity_error", "time_translate_diagnostic",
-    "diagnostics_csv", "DIAGNOSTICS_HEADER", "ENERGY_BOUND",
+    "csv_text", "diagnostics_csv", "DIAGNOSTICS_HEADER", "ENERGY_BOUND",
 ]
 
 # earlier solutions each solve's starting guess combines.  On ns-long
@@ -506,12 +504,14 @@ def time_translate_diagnostic(result, tau):
                        + theta * shifted(int(k) + 1)))
 
 
+def csv_text(header, rows):
+    """CSV text of the ``header`` line and ``rows``: floats at 17
+    significant digits, which read back to the same bits, every other
+    value with ``str``.  No value may hold a comma, quote or newline."""
+    lines = [header] + [[f"{v:.17g}" if isinstance(v, float) else str(v)
+                         for v in row] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 def diagnostics_csv(diagnostics):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(DIAGNOSTICS_HEADER)
-    for d in diagnostics:
-        n, t, *rest = d.row()
-        writer.writerow([n, f"{t:.17g}"] + [f"{v:.17g}" if isinstance(v, float)
-                                            else str(v) for v in rest])
-    return buf.getvalue()
+    return csv_text(DIAGNOSTICS_HEADER, (d.row() for d in diagnostics))

@@ -12,7 +12,8 @@ tol); one driver, ``_krylov``, gives both the same restart and acceptance
 policy.  Both take an optional ``SmoothedAggregation`` hierarchy built on
 a symmetric matrix, applied as one symmetric V-cycle per preconditioner
 call.  ``projected_guess`` starts a solve from the combination of earlier
-solutions whose residual is smallest.
+solutions whose residual is smallest.  ITERS_PER_UNKNOWN and MIN_ITERS set
+the iteration budget of one solve.
 """
 
 import copy
@@ -306,7 +307,6 @@ class SmoothedAggregation:
     def __init__(self, a, prolongator=None):
         self.dinv = []           # per level: omega / diag, the smoother
         self.restrict = []       # per level: R = P^T
-        self.restrict_rows = []  # per level: the row of each entry of R
         self.coarse = []         # the matrices of levels 1 .. L-1
         if prolongator is not None and not prolongator.shape[1]:
             prolongator = None
@@ -335,7 +335,6 @@ class SmoothedAggregation:
             level = _spgemm(r, _spgemm(level, p))
             self.dinv.append(omega * dinv)
             self.restrict.append(r)
-            self.restrict_rows.append(r.row_indices())
         dense = level.to_dense()
         self.coarse_inverse = np.linalg.pinv(0.5 * (dense + dense.T))
 
@@ -354,11 +353,8 @@ class SmoothedAggregation:
             return self.coarse_inverse @ r
         a, dinv, restrict = matrices[k], self.dinv[k], self.restrict[k]
         x = dinv * r
-        y = self._cycle(matrices, k + 1, restrict @ (r - a @ x))
-        # prolongation P y = R^T y, summed into the fine unknowns
-        x += np.bincount(restrict.indices,
-                         weights=restrict.data * y[self.restrict_rows[k]],
-                         minlength=len(x))
+        x += restrict.rmatvec(
+            self._cycle(matrices, k + 1, restrict @ (r - a @ x)))
         x += dinv * (r - a @ x)
         return x
 
@@ -368,6 +364,9 @@ class SmoothedAggregation:
 
 # recursions one solve may start, each from a fresh true residual
 MAX_CYCLES = 8
+# iterations one solve may take in all: ITERS_PER_UNKNOWN each, >= MIN_ITERS
+ITERS_PER_UNKNOWN = 10
+MIN_ITERS = 100
 
 
 def _deflate(v):
@@ -404,9 +403,9 @@ def projected_guess(a, basis, rhs, products=None):
     return x @ np.linalg.lstsq(ax, rhs, rcond=None)[0]
 
 
-def _krylov(cycle, a, rhs, tol, max_iter, x0, share, mean_weights=None):
-    """The restart loop of both solvers, with their ``tol``, ``max_iter``
-    (None: ten per unknown, at least 100), ``x0`` and ``mean_weights``.
+def _krylov(cycle, a, rhs, tol, x0, share, mean_weights=None):
+    """The restart loop of both solvers, with their ``tol``, ``x0`` and
+    ``mean_weights``.
 
     ``cycle(x, r, target, budget)`` runs one recursion from the true
     residual r of x until its own residual meets ``target`` = ``share``
@@ -416,16 +415,15 @@ def _krylov(cycle, a, rhs, tol, max_iter, x0, share, mean_weights=None):
     accepted only at that target, so a warm start never stops looser than
     a cold solve; after a recursion a true residual at tol is enough, and
     above it, left there by rounding, the recursion restarts from it.  The
-    loop stops after MAX_CYCLES recursions, max_iter iterations, two
-    breakdowns, or two restarts in a row that gain less than 10 % on the
-    best true residual.  With ``mean_weights`` every true residual is
-    taken off the constants and the result re-centred to zero weighted
-    mean.
+    loop stops after MAX_CYCLES recursions, ITERS_PER_UNKNOWN iterations per
+    unknown (at least MIN_ITERS), two breakdowns, or two restarts in a row
+    that gain less than 10 % on the best true residual.  With
+    ``mean_weights`` every true residual is taken off the constants and the
+    result re-centred to zero weighted mean.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = len(rhs)
-    if max_iter is None:
-        max_iter = max(10 * m, 100)
+    max_iter = max(ITERS_PER_UNKNOWN * m, MIN_ITERS)
     norm_b = _norm(rhs)
     if m == 0 or norm_b == 0.0:
         return np.zeros(m), SolverReport(0, 0.0, True)
@@ -460,8 +458,7 @@ def _krylov(cycle, a, rhs, tol, max_iter, x0, share, mean_weights=None):
                            max(cycles - 1, 0), breakdowns)
 
 
-def cg_solve(a, rhs, tol=1e-12, max_iter=None, mean_weights=None,
-             precond=None, x0=None):
+def cg_solve(a, rhs, tol=1e-12, mean_weights=None, precond=None, x0=None):
     """Preconditioned conjugate gradients for SPD systems, or, with
     ``mean_weights``, for SPSD ones with the constants in their kernel;
     ``precond`` is a ``SmoothedAggregation`` hierarchy of ``a`` (None: no
@@ -509,10 +506,10 @@ def cg_solve(a, rhs, tol=1e-12, max_iter=None, mean_weights=None,
             rz = rz_new
         return k, False
 
-    return _krylov(cycle, a, rhs, tol, max_iter, x0, 0.5, mean_weights)
+    return _krylov(cycle, a, rhs, tol, x0, 0.5, mean_weights)
 
 
-def bicgstab_solve(a, rhs, tol=1e-12, max_iter=None, precond=None, x0=None):
+def bicgstab_solve(a, rhs, tol=1e-12, precond=None, x0=None):
     """Right-preconditioned BiCGStab; ``precond`` is a
     ``SmoothedAggregation`` hierarchy built on (the symmetric part of)
     ``a`` (None: no preconditioning), ``x0`` the starting guess (None:
@@ -570,4 +567,4 @@ def bicgstab_solve(a, rhs, tol=1e-12, max_iter=None, precond=None, x0=None):
             p = r + beta * (p - omega * ap)
         return k, False
 
-    return _krylov(cycle, a, rhs, tol, max_iter, x0, 0.1)
+    return _krylov(cycle, a, rhs, tol, x0, 0.1)

@@ -40,8 +40,7 @@ def _write(fh, *blocks):
         fh.write("\n")
 
 
-def write_vtk_fields(path, space2, u_tilde=None, u=None, pressure=None,
-                     title="projnav fields"):
+def write_vtk_fields(path, space2, u_tilde=None, u=None, pressure=None):
     """Write point/cell data for the given discrete fields.
 
     u_tilde: quadratic vector field (point data "u_tilde").
@@ -56,7 +55,7 @@ def write_vtk_fields(path, space2, u_tilde=None, u=None, pressure=None,
     # each block is written as soon as it is formatted, so the file's
     # text is never held whole
     with open(path, "w") as fh:
-        _write(fh, "# vtk DataFile Version 2.0", title, "ASCII",
+        _write(fh, "# vtk DataFile Version 2.0", "projnav fields", "ASCII",
                "DATASET UNSTRUCTURED_GRID", f"POINTS {len(points)} double",
                _lines("%.17g %.17g 0", points))
         _write(fh, f"CELLS {nsub} {4 * nsub}",

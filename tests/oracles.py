@@ -30,8 +30,14 @@ patch or an analytic field at single points.  ``l2l2_velocity_error_reduce``,
 and ``scheme.time_translate_diagnostic``: fancy-index gathers, a length-2
 ``sum`` reduce, all four of g, g', g'', g''' with ``np.stack``, every
 block formatted in full, and one term per interval between the points
-where t or t + tau crosses the time grid.
+where t or t + tau crosses the time grid.  ``diagnostics_csv_writer``,
+``mms_csv_fstring`` and ``interp_study_csv_fstring`` are the writers of
+``diagnostics.csv``, ``mms.csv`` and ``interp_study.csv`` that
+``scheme.csv_text`` replaced: a ``csv.writer`` and one f-string per row.
 """
+
+import csv
+import io
 
 import numpy as np
 
@@ -44,6 +50,7 @@ from projnav.interp import ANALYTIC_RULE, divergence_correct, edge_bubble
 from projnav.mesh import MeshError
 from projnav.mms import _g_derivatives
 from projnav.quadrature import gauss_legendre_01
+from projnav.scheme import DIAGNOSTICS_HEADER
 from projnav.sparse import CsrMatrix
 from projnav.vtk import _SUBTRIANGLES, _centroid_bary, _lines, _write
 
@@ -426,7 +433,7 @@ def mms_velocity_stacked(points, t):
 
 
 def write_vtk_fields_each_block(path, space2, u_tilde=None, u=None,
-                                pressure=None, title="projnav fields"):
+                                pressure=None):
     """``vtk.write_vtk_fields`` formatting every block in full: each point
     vector block, and the grad_part rows repeated four times."""
     mesh = space2.mesh
@@ -434,7 +441,7 @@ def write_vtk_fields_each_block(path, space2, u_tilde=None, u=None,
     gdof = space2.gdof
     nsub = 4 * mesh.n_cells
     with open(path, "w") as fh:
-        _write(fh, "# vtk DataFile Version 2.0", title, "ASCII",
+        _write(fh, "# vtk DataFile Version 2.0", "projnav fields", "ASCII",
                "DATASET UNSTRUCTURED_GRID", f"POINTS {len(points)} double",
                _lines("%.17g %.17g 0", points))
         _write(fh, f"CELLS {nsub} {4 * nsub}",
@@ -472,3 +479,36 @@ def write_vtk_fields_each_block(path, space2, u_tilde=None, u=None,
             corrected = centers - u.scale * grads[:, None, :]
             _write(fh, "VECTORS u_corrected double",
                    _lines("%.17g %.17g 0", corrected.reshape(-1, 2)))
+
+
+def diagnostics_csv_writer(diagnostics):
+    """``scheme.diagnostics_csv`` through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(DIAGNOSTICS_HEADER)
+    for d in diagnostics:
+        n, t, *rest = d.row()
+        writer.writerow([n, f"{t:.17g}"] + [f"{v:.17g}" if isinstance(v, float)
+                                            else str(v) for v in rest])
+    return buf.getvalue()
+
+
+def mms_csv_fstring(rows):
+    """``mms.csv`` of the rows of ``cli.cmd_mms``, one f-string per row."""
+    text = "n,h,N,dt,err_u,err_ut,order_u\n"
+    for r in rows:
+        text += (f"{r['n']},{r['h']:.17g},{r['N']},{r['dt']:.17g},"
+                 f"{r['err_u']:.17g},{r['err_ut']:.17g},{r['order_u']:.17g}\n")
+    return text
+
+
+def interp_study_csv_fstring(rows):
+    """``interp_study.csv`` of ``pi_n_convergence_study`` rows, one
+    f-string per row."""
+    text = "n,h,status,err_linf,err_w1inf,err_h1,e_norm,observed_order\n"
+    for r in rows:
+        text += (f"{r['n']},{r['h']:.17g},{r['status']},"
+                 f"{r['err_linf']:.17g},{r['err_w1inf']:.17g},"
+                 f"{r['err_h1']:.17g},{r['e_norm']:.17g},"
+                 f"{r['observed_order']:.17g}\n")
+    return text

@@ -8,8 +8,9 @@ polynomial curl bump returns the corrected branch.  That field vanishes on
 the boundary but is not compactly supported, so its correction carries
 small nonzero coefficients on boundary edges at every resolution (order
 h^4, measured below) and the zero-trace membership test fires the zero
-branch instead.  The assertion is kept as stated and fails honestly; the
-companion test on a genuinely compactly supported field demonstrates the
+branch instead.  The assertion is kept as stated and fails until
+``pi_n`` moves those flows off the boundary edges, which keeps every
+vertex moment; the companion test on a genuinely compactly supported field demonstrates the
 corrected branch with the same tolerances.
 """
 
@@ -75,7 +76,7 @@ def time_refined_runs():
 def pathological_runs():
     out = {}
     for n_cells in (1, 3):
-        mesh = build_pathological_mesh("all_boundary_cell", n_cells=n_cells)
+        mesh = build_pathological_mesh(n_cells=n_cells)
         s2, s1 = SpaceP2Vector(mesh), SpaceP1(mesh, zero_mean=True)
         config = SchemeConfig(n_steps=10, t_final=1.0, pred_tol=SOLVER_TOL,
                               corr_tol=SOLVER_TOL, store_fields=True)
@@ -111,8 +112,8 @@ def test_criterion_2_weak_divergence(mms_runs, pathological_runs):
 
 def test_criterion_3_edge_bubble_vertex_moments():
     meshes = [build_structured_unit_square(n) for n in (2, 4, 8)]
-    meshes.append(build_pathological_mesh("all_boundary_cell", n_cells=1))
-    meshes.append(build_pathological_mesh("all_boundary_cell", n_cells=3))
+    meshes.append(build_pathological_mesh(n_cells=1))
+    meshes.append(build_pathological_mesh(n_cells=3))
     worst = 0.0
     for mesh in meshes:
         s2, s1 = SpaceP2Vector(mesh), SpaceP1(mesh)

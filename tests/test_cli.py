@@ -15,9 +15,12 @@ from projnav.mesh import (SimplicialMesh, build_from_arrays,
                           build_structured_unit_square, read_mesh_file,
                           write_mesh_file)
 from projnav.scheme import (ENERGY_BOUND, SchemeConfig, SchemeOperators,
+                            StepDiagnostics, csv_text, diagnostics_csv,
                             initialize, step)
 
-from oracles import eval_basis, piddiv_gaps_by_field
+from oracles import (diagnostics_csv_writer, eval_basis,
+                     interp_study_csv_fstring, mms_csv_fstring,
+                     piddiv_gaps_by_field)
 
 
 def run_cli(args, capsys):
@@ -166,6 +169,27 @@ def test_mms_levels_pass_and_csv(tmp_path, capsys):
     assert len(lines) == 3
     errs = [float(line.split(",")[4]) for line in lines[1:]]
     assert errs[1] < errs[0]
+
+
+def test_csv_text_matches_the_writers_it_replaced():
+    floats = [float("nan"), -0.0, 1e-300, 0.1 + 0.2, np.float64(2.0 / 3.0),
+              1.0, -1.2345678901234567e300]
+    ints = [0, 7, np.int64(12)]
+    rows = [{"n": ints[i % 3], "N": ints[(i + 1) % 3],
+             "status": ("corrected", "zeroed")[i % 2],
+             **{k: floats[(i + j) % len(floats)] for j, k in enumerate(
+                 ("t", "h", "dt", "err_u", "err_ut", "order_u", "err_linf",
+                  "err_w1inf", "err_h1", "e_norm", "observed_order"))}}
+            for i in range(len(floats))]
+    diagnostics = [StepDiagnostics(r["n"], r["t"], r["h"], r["dt"],
+                                   r["err_u"], r["err_ut"], r["order_u"],
+                                   r["err_linf"], r["N"], r["n"])
+                   for r in rows]
+    assert diagnostics_csv(diagnostics) == diagnostics_csv_writer(diagnostics)
+    for oracle in (mms_csv_fstring, interp_study_csv_fstring):
+        header = oracle([]).strip().split(",")
+        assert (csv_text(header, [[r[k] for k in header] for r in rows])
+                == oracle(rows))
 
 
 def test_mms_detects_nondecreasing_error(tmp_path, capsys):
@@ -477,6 +501,24 @@ def test_boundary_strip_mesh_is_a_usage_error(tmp_path, capsys):
         assert _fail_payload(out)["reason"] == (
             f"config key 'mesh': unknown mesh '{value}'")
     assert not (tmp_path / "mesh.txt").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "key"])
+@pytest.mark.parametrize("mesh", ["file", "pathological:all_boundary_cell"])
+@pytest.mark.parametrize("command", ["mesh", "run"])
+def test_size_beside_a_non_structured_mesh_is_a_usage_error(command, mesh, via,
+                                                            tmp_path, capsys):
+    if mesh == "file":
+        write_mesh_file(build_structured_unit_square(2), tmp_path / "m.txt")
+        mesh = f"file:{tmp_path / 'm.txt'}"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"mesh = {mesh}\n" + ("n = 40\n" if via == "key" else ""))
+    out_dir = tmp_path / "out"
+    code, out = run_cli([command, "--config", str(cfg), "--out", str(out_dir)]
+                        + (["--n", "40"] if via == "flag" else []), capsys)
+    assert code == 1
+    assert _fail_payload(out)["reason"].startswith("config key 'n': ")
+    assert not out_dir.exists()
 
 
 def test_unused_vertex_and_trailing_line_are_data_errors(tmp_path, capsys):

@@ -215,7 +215,7 @@ def test_tables_keep_no_per_cell_gradient_table():
     # gradient table this replaces, (nc, 6, nq, 2), took 7 MiB here and
     # the build peaked at 8.0 MiB against 1.27 MiB now
     mesh = build_structured_unit_square(32)
-    fem._cell_geometry(mesh)
+    fem._tables(mesh, fem.DEFAULT_RULE)
     tracemalloc.start()
     try:
         t = fem._Tables(mesh, ANALYTIC_RULE)
@@ -268,7 +268,7 @@ def pattern_mesh(request, irregular_mesh, tmp_path):
     if kind.startswith("structured"):
         return build_structured_unit_square(int(kind.split("-")[1]))
     if kind == "all-boundary-cell":
-        return build_pathological_mesh("all_boundary_cell", n_cells=3)
+        return build_pathological_mesh(n_cells=3)
     if kind == "irregular":
         return irregular_mesh
     # the irregular mesh with its cells shuffled and each cell's vertices

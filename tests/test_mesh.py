@@ -65,7 +65,7 @@ def test_single_triangle_classification():
 def test_shared_edge_is_interior():
     mesh = build_from_arrays([(0, 0), (1, 0), (1, 1), (0, 1)],
                              [(0, 1, 2), (0, 2, 3)])
-    shared = mesh.edge_index(0, 2)
+    shared = mesh.edge_indices([0], [2])[0]
     assert len(mesh.edge_cells[shared]) == 2
     assert shared not in set(mesh.boundary_edges)
 
@@ -150,8 +150,7 @@ def test_edge_numbering_matches_unique_rows(irregular_mesh, tmp_path, which):
     elif which.startswith("n"):
         mesh = build_structured_unit_square(int(which[1:]))
     elif which.startswith("all_boundary_cell"):
-        mesh = build_pathological_mesh("all_boundary_cell",
-                                       n_cells=int(which[-1]))
+        mesh = build_pathological_mesh(n_cells=int(which[-1]))
     elif which == "file_round_trip":
         write_mesh_file(irregular_mesh, tmp_path / "mesh.txt")
         mesh = read_mesh_file(tmp_path / "mesh.txt")
@@ -207,7 +206,7 @@ def test_clockwise_mesh_accepted():
 def test_patch_stats_interior_diagonal_n2():
     mesh = build_structured_unit_square(2)
     # diagonal of the lower-left square: vertices (0,0) and (1/2,1/2)
-    e = mesh.edge_index(0, 4)
+    e = mesh.edge_indices([0], [4])[0]
     card, area, _ = patch_stats(mesh, e)
     assert card == 2
     assert abs(area - 0.25) < 1e-15
@@ -242,7 +241,7 @@ def test_patch_stats_bad_edge():
 
 def test_euler_relation_disc_topology():
     for mesh in (build_structured_unit_square(3),
-                 build_pathological_mesh("all_boundary_cell", n_cells=3),
+                 build_pathological_mesh(n_cells=3),
                  build_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])):
         assert mesh.n_vertices - mesh.n_edges + mesh.n_cells == 1
 
@@ -266,7 +265,7 @@ def test_boundary_edges_equal_single_incidence_set():
 
 
 def test_pathological_single_triangle():
-    mesh = build_pathological_mesh("all_boundary_cell", n_cells=1)
+    mesh = build_pathological_mesh(n_cells=1)
     assert mesh.n_cells == 1
     assert len(mesh.interior_vertices) == 0
     assert len(mesh.boundary_edges) == mesh.n_edges
@@ -275,7 +274,7 @@ def test_pathological_single_triangle():
 
 
 def test_pathological_three_triangle_strip():
-    mesh = build_pathological_mesh("all_boundary_cell", n_cells=3)
+    mesh = build_pathological_mesh(n_cells=3)
     assert mesh.n_cells == 3
     middle = 1
     assert all(v in set(mesh.boundary_vertices) for v in mesh.cells[middle])
@@ -286,11 +285,8 @@ def test_pathological_three_triangle_strip():
 
 
 def test_bad_pathological_kind():
-    for kind in ("nope", "boundary_strip"):
-        with pytest.raises(MeshError, match="unknown pathological mesh kind"):
-            build_pathological_mesh(kind)
-    with pytest.raises(MeshError):
-        build_pathological_mesh("all_boundary_cell", n_cells=2)
+    with pytest.raises(MeshError, match="n_cells in"):
+        build_pathological_mesh(n_cells=2)
 
 
 def test_structured_rejects_zero():

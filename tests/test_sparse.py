@@ -173,14 +173,16 @@ def test_empty_system():
     assert report.converged and len(x) == 0
 
 
-def test_nonconvergence_reported(rng):
+def test_nonconvergence_reported(rng, monkeypatch):
+    monkeypatch.setattr(sparse, "ITERS_PER_UNKNOWN", 0)
+    monkeypatch.setattr(sparse, "MIN_ITERS", 2)
     m = 40
     b = rng.standard_normal((m, m))
     spd = b.T @ b + 0.01 * np.eye(m)
     rows, cols = np.nonzero(spd)
     a = CsrMatrix.from_coo(rows, cols, spd[rows, cols], (m, m))
     rhs = rng.standard_normal(m)
-    x, report = cg_solve(a, rhs, tol=1e-14, max_iter=2)
+    x, report = cg_solve(a, rhs, tol=1e-14)
     assert not report.converged
     assert report.residual > 1e-14
 
@@ -216,7 +218,8 @@ def test_solve_stops_at_the_second_breakdown(solve, mat):
     assert report.breakdowns == 2
 
 
-def test_true_residual_polish_counts_restart():
+def test_true_residual_polish_counts_restart(monkeypatch):
+    monkeypatch.setattr(sparse, "MIN_ITERS", 5000)
     # ill conditioned (condition 1e4) and a tight tolerance: the recursive
     # residual reaches the target before the true one does
     restarts = []
@@ -227,7 +230,7 @@ def test_true_residual_polish_counts_restart():
         a = dense_csr(0.5 * (spd + spd.T))
         rhs = rng.standard_normal(10)
         for solve in (cg_solve, bicgstab_solve):
-            x, report = solve(a, rhs, tol=1e-13, max_iter=5000)
+            x, report = solve(a, rhs, tol=1e-13)
             if report.converged:
                 res = np.linalg.norm(rhs - a.matvec(x))
                 assert res <= 1e-13 * np.linalg.norm(rhs)
@@ -250,6 +253,44 @@ def test_vcycle_linear_and_symmetric_on_laplacian(rng):
     scale = np.abs(vx).max() + np.abs(vy).max()
     assert np.abs(combo - (2.5 * vx - 0.75 * vy)).max() <= 1e-13 * scale
     assert abs(y @ vx - x @ vy) <= 1e-13 * abs(y @ vx)
+
+
+def _dense_vcycle(amg, a, r):
+    """One V-cycle of ``amg`` for a x = r, written with dense matrices:
+    each level's R, its prolongation R^T, its matrix and smoother."""
+    mats = [a.to_dense()] + [c.to_dense() for c in amg.coarse]
+
+    def cycle(k, r):
+        if k == len(amg.restrict):
+            return amg.coarse_inverse @ r
+        restrict = amg.restrict[k].to_dense()
+        x = amg.dinv[k] * r
+        x = x + restrict.T @ cycle(k + 1, restrict @ (r - mats[k] @ x))
+        return x + amg.dinv[k] * (r - mats[k] @ x)
+
+    return cycle(0, r)
+
+
+@pytest.mark.parametrize("hierarchy, n, levels", [
+    ("pressure", 8, 1), ("pressure", 16, 2),
+    ("prediction", 8, 2), ("prediction", 16, 3),
+    ("prediction", "irregular", 1)])
+def test_vcycle_matches_a_dense_vcycle(hierarchy, n, levels, irregular_mesh,
+                                       rng):
+    # linearity and symmetry hold for any multiple of the prolongation;
+    # this pins its values
+    mesh = (irregular_mesh if n == "irregular"
+            else build_structured_unit_square(n))
+    ops = SchemeOperators(SpaceP2Vector(mesh), SpaceP1(mesh))
+    if hierarchy == "pressure":
+        a, amg = ops.lap, ops.pressure_precond
+    else:
+        a, amg = ops.prediction_system(0.05), ops.prediction_precond(0.05)
+    assert len(amg.sizes) == levels
+    r = rng.standard_normal(a.shape[0])
+    ref = _dense_vcycle(amg, a, r)
+    assert (np.linalg.norm(amg.vcycle(a, r) - ref)
+            <= 1e-13 * np.linalg.norm(ref))
 
 
 def _two_square_mesh(n):
