@@ -57,6 +57,7 @@ _DEFAULTS = {
 
 # the numeric keys with a range, each checked where its command reads it
 _RANGES = {
+    "n": (lambda v: v is None or v >= 1, "must be >= 1"),
     "steps": (lambda v: v >= 1, "must be >= 1"),
     "T": (lambda v: 0 < v < np.inf, "must be positive and finite"),
     "pred_tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
@@ -393,18 +394,20 @@ _FLAGS = {
     "levels": {"help": "comma separated resolutions"},
 }
 
-# per command: its function, help text, flags and the config keys it reads
+# per command: the name of its function, looked up when it is called so
+# that a wrapper set on this module is the one that runs, its help text,
+# flags and the config keys it reads
 _COMMANDS = {
-    "mesh": (cmd_mesh, "generate and inspect a mesh", ("config", "out", "n"),
+    "mesh": ("cmd_mesh", "generate and inspect a mesh", ("config", "out", "n"),
              ("mesh", "n", "out")),
-    "run": (cmd_run, "run the projection scheme",
+    "run": ("cmd_run", "run the projection scheme",
             ("config", "out", "n", "steps", "tol", "emit-fields"),
             ("mesh", "n", "steps", "T", "pred_tol", "corr_tol",
              "problem", "out", "emit_fields")),
-    "mms": (cmd_mms, "manufactured-solution convergence",
+    "mms": ("cmd_mms", "manufactured-solution convergence",
             ("config", "out", "tol", "levels"),
             ("T", "pred_tol", "corr_tol", "problem", "out", "levels")),
-    "interp-verify": (cmd_interp_verify,
+    "interp-verify": ("cmd_interp_verify",
                       "interpolation lemma suite and study",
                       ("config", "out", "levels"), ("out", "levels")),
 }
@@ -434,7 +437,7 @@ def main(argv=None):
 def _dispatch(parser, argv):
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command][0](args)
+        return globals()[_COMMANDS[args.command][0]](args)
     except CliError as err:
         return _fail(str(err), err.code)
     except MeshError as err:

@@ -25,7 +25,8 @@ __all__ = [
     "FieldP1Scalar", "FieldP2Vector", "CompositeVelocity",
     "DEFAULT_RULE",
     "assemble_mass_p2", "assemble_stiffness_p2", "assemble_convection",
-    "assemble_grad_coupling", "assemble_pressure_laplacian", "assemble_load",
+    "assemble_grad_coupling", "assemble_pressure_laplacian",
+    "assemble_mass_p1", "assemble_load",
     "h1_seminorm", "weak_div_moments", "cell_div_moments", "div_moments",
     "p2_values_at", "p2_gradients_at",
 ]
@@ -408,6 +409,12 @@ def assemble_pressure_laplacian(space1):
     elem = np.einsum("c,cix,cjx->cij", mesh.cell_areas, gl, gl)
     elem = 0.5 * (elem + elem.transpose(0, 2, 1))
     return space1.pattern.assemble(elem)
+
+
+def assemble_mass_p1(space1):
+    """P1 mass matrix, |K| (1 + delta_ij) / 12 on each cell K."""
+    ref = (1.0 + np.eye(3)) / 12.0
+    return space1.pattern.assemble(space1.mesh.cell_areas[:, None, None] * ref)
 
 
 def assemble_load(space2, f, t_a, t_b):

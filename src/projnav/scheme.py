@@ -28,8 +28,8 @@ import numpy as np
 
 from .fem import (FieldP1Scalar, FieldP2Vector, CompositeVelocity,
                   assemble_convection, assemble_grad_coupling, assemble_load,
-                  assemble_mass_p2, assemble_pressure_laplacian,
-                  assemble_stiffness_p2)
+                  assemble_mass_p1, assemble_mass_p2,
+                  assemble_pressure_laplacian, assemble_stiffness_p2)
 from .interp import lagrange_p2
 from .quadrature import gauss_legendre_01
 from .sparse import (CsrMatrix, SmoothedAggregation, SolverError,
@@ -144,6 +144,21 @@ def _solve(solver, a, rhs, history, step_index, what, component=None,
     return x, report.iterations
 
 
+def _interior_block(a, mask):
+    """(keep, pattern): the stored entries of ``a`` in rows and columns
+    where ``mask`` holds, and their CSR pattern (zero values) on those
+    dofs, numbered in order, so ``a.data[keep]`` is in the pattern's
+    order."""
+    rows, cols = a.row_indices(), a.indices
+    keep = mask[rows] & mask[cols]
+    local = np.cumsum(mask) - 1
+    m = np.count_nonzero(mask)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(local[rows[keep]], minlength=m), out=indptr[1:])
+    return keep, CsrMatrix(indptr, local[cols[keep]], np.zeros(indptr[-1]),
+                           (m, m))
+
+
 class SchemeOperators:
     """Time-independent operators of one (mesh, spaces) pair, and every
     product, norm and projection the scheme computes from them."""
@@ -159,19 +174,10 @@ class SchemeOperators:
         self.lap = assemble_pressure_laplacian(space1)
         self.p1_weights = space1.mass_row_weights()
         self.interior = space2.interior_dofs
-        # restriction of the P2 pattern, which mass, stiffness and every
-        # convection matrix share, to interior rows and columns; the
-        # interior dofs are sorted, so the kept entries stay in CSR order
-        mask = space2.interior_mask
-        rows, cols = self.mass.row_indices(), self.mass.indices
-        self._keep = mask[rows] & mask[cols]
-        local = np.cumsum(mask) - 1
-        m = len(self.interior)
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(local[rows[self._keep]], minlength=m),
-                  out=indptr[1:])
-        self._interior = CsrMatrix(indptr, local[cols[self._keep]],
-                                   np.zeros(indptr[-1]), (m, m))
+        # the P2 pattern, which mass, stiffness and every convection
+        # matrix share, on the interior dofs
+        self._keep, self._interior = _interior_block(self.mass,
+                                                     space2.interior_mask)
 
     def prediction_system(self, dt, conv=None):
         """M/dt + K (+ C) on the interior dofs, as one CSR matrix."""
@@ -212,10 +218,20 @@ class SchemeOperators:
 
     def prediction_precond(self, dt):
         """AMG hierarchy of M/dt + K whose first coarse level is the P1
-        space (``p1_embedding``); ``run`` builds one per run and drops
-        it on return."""
+        space (``p1_embedding``), with the P1 M1/dt + K1 on the interior
+        vertices as its matrix: P1 is nested in P2, so that is the
+        Galerkin product P^T (M/dt + K) P up to rounding.  ``run`` builds
+        one per run and drops it on return.  M1, like the embedding, is
+        assembled here and not kept: held on the operators, it raised the
+        ``ns-large`` peak RSS by 1.3 MiB."""
+        # the vertex dofs lead the P2 ones
+        inner = self.space2.interior_mask[:self.space1.ndof]
+        keep, pattern = _interior_block(self.lap, inner)
+        mass = assemble_mass_p1(self.space1)
+        coarse = pattern.with_data(
+            ((1.0 / dt) * mass.data + self.lap.data)[keep])
         return SmoothedAggregation(self.prediction_system(dt),
-                                   self.p1_embedding())
+                                   (self.p1_embedding(), coarse))
 
     @cached_property
     def pressure_precond(self):

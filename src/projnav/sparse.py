@@ -9,9 +9,9 @@ mass-row weights.  The prediction system is nonsymmetric (skew convection
 part) and goes through ``bicgstab_solve``.  Each solver holds only its
 recursion and the residual share it aims at (CG 0.5 tol, BiCGStab 0.1
 tol); one driver, ``_krylov``, gives both the same restart and acceptance
-policy.  Both take an optional ``SmoothedAggregation`` hierarchy built on
-a symmetric matrix, applied as one symmetric V-cycle per preconditioner
-call.  ``projected_guess`` starts a solve from the combination of earlier
+policy.  Both take an optional ``SmoothedAggregation`` hierarchy, applied
+as one symmetric V-cycle that smooths with the hierarchy's own matrices.
+``projected_guess`` starts a solve from the combination of earlier
 solutions whose residual is smallest.  ITERS_PER_UNKNOWN and MIN_ITERS set
 the iteration budget of one solve.
 """
@@ -287,32 +287,32 @@ class SmoothedAggregation:
     singular matrix such as a Laplacian whose kernel holds one constant per
     connected component needs no regularization.
 
-    ``prolongator``, when given and holding at least one column, replaces
-    the first level's aggregation: it is used unsmoothed, with R = P^T,
-    and aggregation starts on P^T A P (a nested coarse space, such as the
-    P1 functions inside P2, makes this p-multigrid; Helenbrook, Mavriplis
-    & Atkins, AIAA 2003-3989).  Its symmetric part is not formed, so a
-    matrix given with a prolongator must be symmetric.  One with no
-    column, such as the embedding of a mesh without an interior vertex,
-    leaves the first level to aggregation.  A matrix of at most
+    ``nested``, a pair (P, P^T A P) whose prolongator P has at least one
+    column, replaces the first level's aggregation and Galerkin product: P
+    is used unsmoothed, with R = P^T, and aggregation starts on the given
+    coarse matrix.  A nested coarse space, such as the P1 functions inside
+    P2, makes this p-multigrid (Helenbrook, Mavriplis & Atkins, AIAA
+    2003-3989), and its matrix is the one the coarse space assembles.  The
+    symmetric part of ``a`` is not formed then, so ``a`` must be symmetric.
+    A P with no column, such as the embedding of a mesh without an interior
+    vertex, leaves the first level to aggregation.  A matrix of at most
     COARSE_SIZE unknowns is inverted densely either way.
 
-    ``vcycle(a, r)`` applies one V-cycle with one damped-Jacobi sweep
-    before and one after each coarse correction, so it is symmetric when
-    ``a`` is.  The finest level smooths with ``a``, the matrix being
-    solved, which may differ from the build matrix by a part with zero
-    diagonal (the skew convection), so no copy of it is kept.
+    ``matrices`` holds the matrix of every level above the coarsest,
+    finest first, and ``vcycle(r)`` smooths with them: one damped-Jacobi
+    sweep before and one after each coarse correction, so the cycle is
+    symmetric.
     """
 
-    def __init__(self, a, prolongator=None):
+    def __init__(self, a, nested=None):
+        self.matrices = []       # per level: the matrix it smooths
         self.dinv = []           # per level: omega / diag, the smoother
         self.restrict = []       # per level: R = P^T
-        self.coarse = []         # the matrices of levels 1 .. L-1
-        if prolongator is not None and not prolongator.shape[1]:
-            prolongator = None
+        if nested is not None and not nested[0].shape[1]:
+            nested = None
         level = a
         while level.shape[0] > COARSE_SIZE:
-            if prolongator is None:
+            if nested is None:
                 # the symmetric part, exactly, so the strength graph is
                 # symmetric; a no-op on a symmetric matrix
                 t, order = level.transpose()
@@ -320,21 +320,20 @@ class SmoothedAggregation:
                         and np.array_equal(t.indices, level.indices)):
                     raise ValueError("pattern is not structurally symmetric")
                 level = level.with_data(0.5 * (level.data + level.data[order]))
-            if self.restrict:
-                self.coarse.append(level)
             diag = level.diagonal()
             if not np.all(diag > 0.0):
                 raise ValueError("smoothed aggregation needs a positive "
                                  "diagonal")
             dinv = 1.0 / diag
             omega = (4.0 / 3.0) / _jacobi_spectral_radius(level, dinv)
-            p = (_smoothed_prolongator(level, diag, omega)
-                 if prolongator is None else prolongator)
-            prolongator = None
+            p, coarse = nested or (_smoothed_prolongator(level, diag, omega),
+                                   None)
+            nested = None
             r, _ = p.transpose()
-            level = _spgemm(r, _spgemm(level, p))
+            self.matrices.append(level)
             self.dinv.append(omega * dinv)
             self.restrict.append(r)
+            level = _spgemm(r, _spgemm(level, p)) if coarse is None else coarse
         dense = level.to_dense()
         self.coarse_inverse = np.linalg.pinv(0.5 * (dense + dense.T))
 
@@ -344,17 +343,16 @@ class SmoothedAggregation:
         return ([r.shape[1] for r in self.restrict]
                 + [len(self.coarse_inverse)])
 
-    def vcycle(self, a, r):
-        """One V-cycle for a x = r from x = 0."""
-        return self._cycle([a] + self.coarse, 0, r)
+    def vcycle(self, r):
+        """One V-cycle for A x = r from x = 0, A the finest matrix."""
+        return self._cycle(0, r)
 
-    def _cycle(self, matrices, k, r):
+    def _cycle(self, k, r):
         if k == len(self.restrict):
             return self.coarse_inverse @ r
-        a, dinv, restrict = matrices[k], self.dinv[k], self.restrict[k]
+        a, dinv, restrict = self.matrices[k], self.dinv[k], self.restrict[k]
         x = dinv * r
-        x += restrict.rmatvec(
-            self._cycle(matrices, k + 1, restrict @ (r - a @ x)))
+        x += restrict.rmatvec(self._cycle(k + 1, restrict @ (r - a @ x)))
         x += dinv * (r - a @ x)
         return x
 
@@ -378,12 +376,6 @@ def _norm(v):
     # the same bits as np.linalg.norm for real 1-d input, without its
     # per-call overhead
     return np.sqrt(v @ v)
-
-
-def _preconditioner(a, precond):
-    if precond is None:
-        return lambda r: r
-    return lambda r: precond.vcycle(a, r)
 
 
 def projected_guess(a, basis, rhs, products=None):
@@ -461,7 +453,7 @@ def _krylov(cycle, a, rhs, tol, x0, share, mean_weights=None):
 def cg_solve(a, rhs, tol=1e-12, mean_weights=None, precond=None, x0=None):
     """Preconditioned conjugate gradients for SPD systems, or, with
     ``mean_weights``, for SPSD ones with the constants in their kernel;
-    ``precond`` is a ``SmoothedAggregation`` hierarchy of ``a`` (None: no
+    ``precond`` is a ``SmoothedAggregation`` hierarchy (None: no
     preconditioning), ``x0`` the starting guess (None: zero).
 
     With ``mean_weights`` the right-hand side must be orthogonal to the
@@ -480,7 +472,7 @@ def cg_solve(a, rhs, tol=1e-12, mean_weights=None, precond=None, x0=None):
                 f"singular system inconsistent: rhs component along constants "
                 f"{along:.3e} exceeds tol*|rhs|")
     deflate = (lambda v: v) if mean_weights is None else _deflate
-    apply = _preconditioner(a, precond)
+    apply = (lambda r: r) if precond is None else precond.vcycle
 
     def cycle(x, r, target, budget):
         z = deflate(apply(r))
@@ -511,15 +503,14 @@ def cg_solve(a, rhs, tol=1e-12, mean_weights=None, precond=None, x0=None):
 
 def bicgstab_solve(a, rhs, tol=1e-12, precond=None, x0=None):
     """Right-preconditioned BiCGStab; ``precond`` is a
-    ``SmoothedAggregation`` hierarchy built on (the symmetric part of)
-    ``a`` (None: no preconditioning), ``x0`` the starting guess (None:
-    zero).
+    ``SmoothedAggregation`` hierarchy (None: no preconditioning), ``x0``
+    the starting guess (None: zero).
 
     Each recursion aims at 0.1 tol |rhs|; the restarts, which make 1e-12
     relative tolerances attainable on the stiffer prediction systems, are
     ``_krylov``'s.
     """
-    apply = _preconditioner(a, precond)
+    apply = (lambda r: r) if precond is None else precond.vcycle
     # a warm start goes on past the first check that meets the target and
     # stops at the next one: the half step that ends a cold solve starts
     # above the target, the one that ends a warm start at or below it, so

@@ -521,6 +521,30 @@ def test_size_beside_a_non_structured_mesh_is_a_usage_error(command, mesh, via,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("via, value", [("flag", 0), ("key", -1)])
+@pytest.mark.parametrize("command", ["mesh", "run"])
+def test_bad_size_names_key_n(command, via, value, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"n = {value}\n" if via == "key" else "")
+    out_dir = tmp_path / "out"
+    code, out = run_cli([command, "--config", str(cfg), "--out", str(out_dir)]
+                        + (["--n", str(value)] if via == "flag" else []),
+                        capsys)
+    assert code == 1
+    assert _fail_payload(out)["reason"] == "config key 'n': must be >= 1"
+    assert not out_dir.exists()
+
+
+def test_dispatch_calls_the_handler_set_on_the_module(tmp_path, monkeypatch):
+    # a tracer wraps handlers by their module attribute
+    calls = []
+    monkeypatch.setattr(cli, "cmd_interp_verify",
+                        lambda args: calls.append(args.levels) or 0)
+    assert cli.main(["interp-verify", "--levels", "2,4",
+                     "--out", str(tmp_path)]) == 0
+    assert calls == ["2,4"]
+
+
 def test_unused_vertex_and_trailing_line_are_data_errors(tmp_path, capsys):
     write_mesh_file(build_structured_unit_square(4), tmp_path / "base.txt")
     head, cells = (tmp_path / "base.txt").read_text().split("cells")

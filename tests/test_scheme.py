@@ -335,19 +335,56 @@ def test_p1_embedding_galerkin_stiffness_is_the_p1_laplacian(which,
     assert np.abs(p.T @ k2 @ p - lap).max() <= 1e-12 * np.abs(lap).max()
 
 
-def test_prediction_hierarchy_coarsens_through_the_embedding():
-    # the first level restricts by P^T, unsmoothed, to P^T (M/dt + K) P
-    mesh = build_structured_unit_square(16)
+@pytest.mark.parametrize("dt", [1 / 64, 0.5])
+@pytest.mark.parametrize("which", [4, 16, 32, "irregular"])
+def test_prediction_hierarchy_coarsens_through_the_embedding(
+        which, dt, irregular_mesh, monkeypatch):
+    # the first level restricts by P^T, unsmoothed, to the assembled P1
+    # M1/dt + K1 on the interior vertices, which is P^T (M/dt + K) P
+    mesh = (irregular_mesh if which == "irregular"
+            else build_structured_unit_square(which))
     ops = SchemeOperators(SpaceP2Vector(mesh), SpaceP1(mesh))
-    dt = 0.1
+    given = []
+
+    def recording(a, nested=None):
+        given.append(nested)
+        return SmoothedAggregation(a, nested)
+
+    monkeypatch.setattr(scheme, "SmoothedAggregation", recording)
     hierarchy = ops.prediction_precond(dt)
     p = ops.p1_embedding().to_dense()
-    assert hierarchy.sizes[:2] == [len(ops.interior),
-                                   len(mesh.interior_vertices)]
-    assert np.array_equal(hierarchy.restrict[0].to_dense(), p.T)
+    [(embedding, coarse)] = given
+    assert np.array_equal(embedding.to_dense(), p)
     galerkin = p.T @ ops.prediction_system(dt).to_dense() @ p
-    assert (np.abs(hierarchy.coarse[0].to_dense() - galerkin).max()
-            <= 1e-12 * np.abs(galerkin).max())
+    assert (np.abs(coarse.to_dense() - galerkin).max()
+            <= 1e-14 * np.abs(galerkin).max())
+    # at n = 4 the prediction system is the dense coarsest level itself
+    assert (len(hierarchy.sizes) > 1) == (len(ops.interior)
+                                          > sparse.COARSE_SIZE)
+    if len(hierarchy.sizes) > 1:
+        assert hierarchy.sizes[:2] == [len(ops.interior),
+                                       len(mesh.interior_vertices)]
+        assert np.array_equal(hierarchy.restrict[0].to_dense(), p.T)
+        assert np.array_equal(hierarchy.matrices[1].to_dense(),
+                              coarse.to_dense())
+
+
+def test_prediction_hierarchy_forms_no_product_of_the_p2_system(
+        monkeypatch):
+    # the P1 level is assembled, not a Galerkin product; aggregation
+    # below it still multiplies the P1 level's matrices
+    mesh = build_structured_unit_square(16)
+    ops = SchemeOperators(SpaceP2Vector(mesh), SpaceP1(mesh))
+    rows = []
+    spgemm = sparse._spgemm
+
+    def recording(a, b):
+        rows.extend([a.shape[0], b.shape[0]])
+        return spgemm(a, b)
+
+    monkeypatch.setattr(sparse, "_spgemm", recording)
+    ops.prediction_precond(0.5)
+    assert rows and len(ops.interior) not in rows
 
 
 def _column_strip(k, height):

@@ -248,17 +248,17 @@ def test_vcycle_linear_and_symmetric_on_laplacian(rng):
     amg = SmoothedAggregation(lap)
     assert len(amg.sizes) >= 3
     x, y = rng.standard_normal((2, lap.shape[0]))
-    vx, vy = amg.vcycle(lap, x), amg.vcycle(lap, y)
-    combo = amg.vcycle(lap, 2.5 * x - 0.75 * y)
+    vx, vy = amg.vcycle(x), amg.vcycle(y)
+    combo = amg.vcycle(2.5 * x - 0.75 * y)
     scale = np.abs(vx).max() + np.abs(vy).max()
     assert np.abs(combo - (2.5 * vx - 0.75 * vy)).max() <= 1e-13 * scale
     assert abs(y @ vx - x @ vy) <= 1e-13 * abs(y @ vx)
 
 
-def _dense_vcycle(amg, a, r):
-    """One V-cycle of ``amg`` for a x = r, written with dense matrices:
+def _dense_vcycle(amg, r):
+    """One V-cycle of ``amg`` for A x = r, written with dense matrices:
     each level's R, its prolongation R^T, its matrix and smoother."""
-    mats = [a.to_dense()] + [c.to_dense() for c in amg.coarse]
+    mats = [m.to_dense() for m in amg.matrices]
 
     def cycle(k, r):
         if k == len(amg.restrict):
@@ -288,8 +288,8 @@ def test_vcycle_matches_a_dense_vcycle(hierarchy, n, levels, irregular_mesh,
         a, amg = ops.prediction_system(0.05), ops.prediction_precond(0.05)
     assert len(amg.sizes) == levels
     r = rng.standard_normal(a.shape[0])
-    ref = _dense_vcycle(amg, a, r)
-    assert (np.linalg.norm(amg.vcycle(a, r) - ref)
+    ref = _dense_vcycle(amg, r)
+    assert (np.linalg.norm(amg.vcycle(r) - ref)
             <= 1e-13 * np.linalg.norm(ref))
 
 
@@ -313,8 +313,8 @@ def test_pcg_on_two_component_laplacian(n, rng):
     assert np.isfinite(amg.coarse_inverse).all()
     half = lap.shape[0] // 2
     x, y = rng.standard_normal((2, lap.shape[0]))
-    assert abs(y @ amg.vcycle(lap, x) - x @ amg.vcycle(lap, y)) <= (
-        1e-13 * abs(y @ amg.vcycle(lap, x)))
+    assert abs(y @ amg.vcycle(x) - x @ amg.vcycle(y)) <= (
+        1e-13 * abs(y @ amg.vcycle(x)))
     q = rng.standard_normal(lap.shape[0])
     rhs = lap.matvec(q)
     q_plain, plain = cg_solve(lap, rhs, mean_weights=w)
