@@ -388,7 +388,8 @@ _FLAGS = {
     "out": {"help": "output directory"},
     "n": {"type": int, "help": "structured mesh resolution"},
     "steps": {"type": int, "help": "number of time steps"},
-    "tol": {"type": float, "help": "solver tolerance (both solves)"},
+    "tol": {"type": float, "help": "relative residual at which each solve "
+                                   "stops at the latest (both solves)"},
     "emit-fields": {"action": "store_true", "dest": "emit_fields",
                     "help": "also write fields_final.vtk"},
     "levels": {"help": "comma separated resolutions"},

@@ -12,8 +12,13 @@ Diagnostics record every term of the exact per-step energy balance
     (|u^{n+1}|^2 - |u^n|^2) / (2 dt) + dt (|grad p^{n+1}|^2 - |grad p^n|^2) / 2
     + |ut^{n+1} - u^n|^2 / (2 dt) + |ut^{n+1}|_{H1}^2 = <f^{n+1}, ut^{n+1}>
 
-whose residual is limited only by the solver tolerances; ``step`` fails
-a step whose relative residual exceeds ENERGY_BOUND.
+whose residual is what the solves leave,
+sum_c r_c . ut_c + dt r_q . p^{n+1}, with r_c the residual of prediction
+component c, r_q that of the projection and p^{n+1} = p^n + q before
+re-centring.  Each solve of a step may stop once its share of that defect
+is within the step's budget (``_energy_budget``).  ``step`` fails a step
+whose relative residual exceeds ENERGY_BOUND, or whose corrected velocity
+keeps weak-divergence moments above DIVERGENCE_BOUND.
 
 From the second step on, both solves start from the combination of their
 last GUESS_HISTORY solutions whose residual is smallest
@@ -41,6 +46,7 @@ __all__ = [
     "initialize", "predict", "correct", "step", "run",
     "gap_l2l2", "l2l2_velocity_error", "time_translate_diagnostic",
     "csv_text", "diagnostics_csv", "DIAGNOSTICS_HEADER", "ENERGY_BOUND",
+    "DIVERGENCE_BOUND", "ENERGY_TARGET",
 ]
 
 # earlier solutions each solve's starting guess combines.  On ns-long
@@ -50,8 +56,18 @@ __all__ = [
 GUESS_HISTORY = 6
 
 # largest relative energy residual a step may leave, for any solver
-# tolerance; the default 1e-12 solves leave ~1e-17
+# tolerance; the default 1e-12 solves leave ~1e-17 to ~1e-14
 ENERGY_BOUND = 1e-8
+# energy defect the solves of one step aim at, relative to max(1, |work|)
+# of the step before: half for the projection, a quarter per prediction
+# component
+ENERGY_TARGET = 1e-15
+# largest weak-divergence moment of a corrected velocity, relative to
+# max(1, the largest moment of the prediction it corrects); the moments
+# are dt times the projection's residual, linear in it where the energy
+# residual is quadratic, so 1e-2 solves (2.5e-7 on step 1 at n = 16) pass
+# and the default ones leave ~1e-16
+DIVERGENCE_BOUND = 1e-6
 
 
 class SchemeError(RuntimeError):
@@ -90,7 +106,8 @@ class SchemeState:
     (m, 2), ``dp_history`` the pressure increments and ``lap_dp_history``
     their Laplacians, each formed once.  Empty histories (``initialize``'s)
     give cold solves.  ``u_sq`` and ``gradp_sq`` are |u|^2 and |grad p|^2,
-    which the next step's energy audit reads."""
+    which the next step's energy audit reads, and ``work`` the step's
+    <f, ut>, which sizes the next step's solver budgets."""
     n: int
     t: float
     u_tilde: FieldP2Vector
@@ -98,6 +115,7 @@ class SchemeState:
     p: FieldP1Scalar
     u_sq: float
     gradp_sq: float
+    work: float = 0.0
     ut_history: tuple = ()
     dp_history: tuple = ()
     lap_dp_history: tuple = ()
@@ -239,22 +257,24 @@ class SchemeOperators:
         and kept: it does not depend on the time step."""
         return SmoothedAggregation(self.lap)
 
-    def project(self, w, scale, tol, step_index=0, history=(), products=None):
+    def project(self, w, scale, tol, step_index=0, history=(), products=None,
+                energy=None):
         """Discrete Helmholtz projection of a P2 field onto the weakly
         divergence free space: u = w - scale grad q with
         (grad q, grad r) = (w, grad r) / scale for every P1 r.
 
         The solve starts from the combination of the earlier solutions in
         ``history`` (and their Laplacian ``products``, if carried) whose
-        residual is smallest (empty: zero).  Returns (u, q, iterations); q
-        has zero weighted mean.  A rejected or unconverged solve raises
+        residual is smallest (empty: zero), and ``energy`` goes to
+        ``cg_solve`` (None: tol alone).  Returns (u, q, iterations); q has
+        zero weighted mean.  A rejected or unconverged solve raises
         SchemeError naming ``step_index``.
         """
         rhs = self.grad.rmatvec(w.flat()) / scale
         q, iters = _solve(cg_solve, self.lap, rhs, history, step_index,
                           "projection", products=products, tol=tol,
                           mean_weights=self.p1_weights,
-                          precond=self.pressure_precond)
+                          precond=self.pressure_precond, energy=energy)
         u = CompositeVelocity(w, FieldP1Scalar(self.space1, q), scale)
         return u, q, iters
 
@@ -302,8 +322,9 @@ def initialize(space2, space1, u0, ops=None, tol=1e-12):
     """Initial state: ut=0, p=0, u = projection of the u0 interpolant.
 
     The projection onto the weakly divergence free space is the discrete
-    Helmholtz split u = w - grad p0 of ``SchemeOperators.project``.  A
-    non-finite interpolant raises SchemeError at step 0.
+    Helmholtz split u = w - grad p0 of ``SchemeOperators.project``, solved
+    to ``tol`` alone: no energy balance is audited at step 0.  A non-finite
+    interpolant raises SchemeError at step 0.
     """
     if ops is None:
         ops = SchemeOperators(space2, space1)
@@ -319,13 +340,19 @@ def initialize(space2, space1, u0, ops=None, tol=1e-12):
                        u_sq=u_sq, gradp_sq=ops.gradp_norm_sq(p.coeffs))
 
 
+def _energy_budget(state):
+    """Energy defect the solves of the step after ``state`` may leave."""
+    return ENERGY_TARGET * max(1.0, abs(state.work))
+
+
 def predict(state, load, ops, config, precond):
     """Viscous prediction solve; returns (ut^{n+1}, solver iterations).
 
     ``precond`` is the hierarchy ``ops.prediction_precond(config.dt)``;
     each component's solve starts from the combination of that component
     in ``state.ut_history`` whose residual against this step's system is
-    smallest."""
+    smallest, and may stop once r_c . ut_c is within a quarter of the
+    step's energy budget."""
     dt = config.dt
     space2 = ops.space2
     idx = ops.interior
@@ -338,12 +365,14 @@ def predict(state, load, ops, config, precond):
     rhs_flat = (ops.moment_vector(state.u) / dt
                 + load - ops.grad.matvec(state.p.coeffs))
     ut = FieldP2Vector(space2)
+    energy = (0.25 * _energy_budget(state), None)
     iters = 0
     for comp in range(2):
         rhs = rhs_flat[comp * n2:(comp + 1) * n2][idx]
         x, k = _solve(bicgstab_solve, system, rhs,
                       [h[:, comp] for h in state.ut_history], state.n + 1,
-                      "prediction", comp, tol=config.pred_tol, precond=precond)
+                      "prediction", comp, tol=config.pred_tol, precond=precond,
+                      energy=energy)
         iters += k
         ut.coeffs[idx, comp] = x
     return ut, iters
@@ -351,11 +380,14 @@ def predict(state, load, ops, config, precond):
 
 def correct(state, ut_next, ops, config):
     """Pressure increment Poisson solve, started from the combination of
-    ``state.dp_history`` whose residual is smallest, and velocity
-    correction."""
-    u_new, dp, iters = ops.project(ut_next, config.dt, config.corr_tol,
-                                   state.n + 1, state.dp_history,
-                                   state.lap_dp_history)
+    ``state.dp_history`` whose residual is smallest and allowed to stop
+    once dt r_q . (p^n + q) is within half of the step's energy budget,
+    and velocity correction."""
+    dt = config.dt
+    u_new, dp, iters = ops.project(
+        ut_next, dt, config.corr_tol, state.n + 1, state.dp_history,
+        state.lap_dp_history, (0.5 * _energy_budget(state) / dt,
+                               state.p.coeffs))
     p_new = state.p.coeffs + dp
     p_new = p_new - (ops.p1_weights @ p_new) / ops.p1_weights.sum()
     return FieldP1Scalar(ops.space1, p_new), u_new, iters
@@ -363,9 +395,9 @@ def correct(state, ut_next, ops, config):
 
 def step(state, f, ops, config, precond):
     """One prediction/correction step with the energy audit; a non-finite
-    load vector or energy audit, or an energy residual above
-    ENERGY_BOUND, raises SchemeError naming the step.  ``precond`` is
-    passed to ``predict``."""
+    load vector or energy audit, an energy residual above ENERGY_BOUND or
+    a weak-divergence moment above DIVERGENCE_BOUND raises SchemeError
+    naming the step.  ``precond`` is passed to ``predict``."""
     dt = config.dt
     t_next = state.t + dt
     load = assemble_load(ops.space2, f, state.t, t_next)
@@ -374,10 +406,16 @@ def step(state, f, ops, config, precond):
                           state.n + 1)
     ut_next, pred_iters = predict(state, load, ops, config, precond)
     p_next, u_next, corr_iters = correct(state, ut_next, ops, config)
+    dp = p_next.coeffs - state.p.coeffs
+    lap_dp = ops.lap @ dp
 
     # an overflow (s * s for a huge dt) is reported as a SchemeError
     # below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        # the moments (u^{n+1}, grad phi_k) = (ut, grad phi_k) - dt lap dp
+        ut_moments = ops.grad.rmatvec(ut_next.flat())
+        divergence = (np.max(np.abs(ut_moments - dt * lap_dp), initial=0.0)
+                      / max(1.0, np.max(np.abs(ut_moments), initial=0.0)))
         u_sq = ops.composite_norm_sq(u_next)
         gradp_sq = ops.gradp_norm_sq(p_next.coeffs)
         gap_sq = ops.gap_norm_sq(ut_next, state.u)
@@ -403,14 +441,17 @@ def step(state, f, ops, config, precond):
         raise SchemeError(f"energy identity residual {residual:.3e} exceeds "
                           f"{ENERGY_BOUND:g} at step {state.n + 1}",
                           state.n + 1)
+    if not divergence <= DIVERGENCE_BOUND:
+        raise SchemeError(f"weak-divergence moment {divergence:.3e} exceeds "
+                          f"{DIVERGENCE_BOUND:g} at step {state.n + 1}",
+                          state.n + 1)
     keep = GUESS_HISTORY - 1
-    dp = p_next.coeffs - state.p.coeffs
     new_state = SchemeState(
         n=state.n + 1, t=t_next, u_tilde=ut_next, u=u_next, p=p_next,
-        u_sq=u_sq, gradp_sq=gradp_sq,
+        u_sq=u_sq, gradp_sq=gradp_sq, work=work,
         ut_history=(ut_next.coeffs[ops.interior],) + state.ut_history[:keep],
         dp_history=(dp,) + state.dp_history[:keep],
-        lap_dp_history=(ops.lap @ dp,) + state.lap_dp_history[:keep])
+        lap_dp_history=(lap_dp,) + state.lap_dp_history[:keep])
     return new_state, diag
 
 

@@ -9,8 +9,9 @@ mass-row weights.  The prediction system is nonsymmetric (skew convection
 part) and goes through ``bicgstab_solve``.  Each solver holds only its
 recursion and the residual share it aims at (CG 0.5 tol, BiCGStab 0.1
 tol); one driver, ``_krylov``, gives both the same restart and acceptance
-policy.  Both take an optional ``SmoothedAggregation`` hierarchy, applied
-as one symmetric V-cycle that smooths with the hierarchy's own matrices.
+policy, and a second stop on the energy defect a caller budgets.  Both
+take an optional ``SmoothedAggregation`` hierarchy, applied as one
+symmetric V-cycle that smooths with the hierarchy's own matrices.
 ``projected_guess`` starts a solve from the combination of earlier
 solutions whose residual is smallest.  ITERS_PER_UNKNOWN and MIN_ITERS set
 the iteration budget of one solve.
@@ -31,7 +32,9 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverReport:
-    """``restarts`` counts the recursions started again from a fresh true
+    """``residual`` is the true relative residual of the returned x, and
+    ``converged`` says that the tol rule or the energy stop holds for it.
+    ``restarts`` counts the recursions started again from a fresh true
     residual after the first one; ``breakdowns`` the recursions stopped by
     a vanishing denominator (in CG, a nonpositive one)."""
     iterations: int
@@ -365,6 +368,10 @@ MAX_CYCLES = 8
 # iterations one solve may take in all: ITERS_PER_UNKNOWN each, >= MIN_ITERS
 ITERS_PER_UNKNOWN = 10
 MIN_ITERS = 100
+# an energy stop also needs |r| <= ENERGY_GUARD |rhs|: a small r.x can come
+# from r nearly orthogonal to x rather than from a small r.  Warm and cold
+# solves of one step then agree to about 1e-10; at 1e-9 they did not
+ENERGY_GUARD = 1e-10
 
 
 def _deflate(v):
@@ -395,23 +402,32 @@ def projected_guess(a, basis, rhs, products=None):
     return x @ np.linalg.lstsq(ax, rhs, rcond=None)[0]
 
 
-def _krylov(cycle, a, rhs, tol, x0, share, mean_weights=None):
-    """The restart loop of both solvers, with their ``tol``, ``x0`` and
-    ``mean_weights``.
+def _krylov(cycle, a, rhs, tol, x0, share, mean_weights=None, energy=None):
+    """The restart loop of both solvers, with their ``tol``, ``x0``,
+    ``mean_weights`` and ``energy``.
 
-    ``cycle(x, r, target, budget)`` runs one recursion from the true
-    residual r of x until its own residual meets ``target`` = ``share``
-    tol |rhs|, and returns its iterations (at most ``budget``) and whether
-    a breakdown stopped it.  It updates x in place and changes no other
-    vector in place, so it starts from r without a copy.  A guess is
-    accepted only at that target, so a warm start never stops looser than
-    a cold solve; after a recursion a true residual at tol is enough, and
-    above it, left there by rounding, the recursion restarts from it.  The
-    loop stops after MAX_CYCLES recursions, ITERS_PER_UNKNOWN iterations per
-    unknown (at least MIN_ITERS), two breakdowns, or two restarts in a row
-    that gain less than 10 % on the best true residual.  With
-    ``mean_weights`` every true residual is taken off the constants and the
-    result re-centred to zero weighted mean.
+    ``cycle(x, r, target, guard, settled, budget)`` runs one recursion
+    from the true residual r of x until its own residual meets ``target``
+    = ``share`` tol |rhs|, or until a residual r of at most ``guard`` has
+    ``settled(x, r)``; it returns its iterations (at most ``budget``) and
+    whether a breakdown stopped it.  It updates x in place and changes no
+    other vector in place, so it starts from r without a copy.  A guess
+    meets the tol rule only at that target, so a warm start never stops
+    looser than a cold solve; after a recursion a true residual at tol is
+    enough, and above it, left there by rounding, the recursion restarts
+    from it.  The loop stops after MAX_CYCLES recursions, ITERS_PER_UNKNOWN
+    iterations per unknown (at least MIN_ITERS), two breakdowns, or two
+    restarts in a row that gain less than 10 % on the best true residual.
+    With ``mean_weights`` every true residual is taken off the constants
+    and the result re-centred to zero weighted mean.
+
+    ``energy`` = (budget, shift) adds a second sufficient stop, met at any
+    check, a guess's included: |r| <= ENERGY_GUARD |rhs| and
+    |r . (x + shift)| <= budget (shift None: zero).  It is the energy
+    defect the solve leaves in the caller's balance (a posteriori stopping:
+    Arioli, Numer. Math. 97, 2004), so tol only bounds how far a solve may
+    go.  The report's ``residual`` is the true relative residual |r|/|rhs|,
+    and ``converged`` says that either stop holds for it.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = len(rhs)
@@ -421,13 +437,27 @@ def _krylov(cycle, a, rhs, tol, x0, share, mean_weights=None):
         return np.zeros(m), SolverReport(0, 0.0, True)
     deflate = (lambda v: v) if mean_weights is None else _deflate
     x = np.zeros(m) if x0 is None else np.array(x0, dtype=float)
+    # a cold start's residual is rhs itself: no product with zero
+    r = deflate(rhs if x0 is None else rhs - (a @ x))
+    rn = _norm(r)
     target = share * tol * norm_b
+    # without a budget no residual is below the guard
+    guard, settled = -np.inf, None
+    if energy is not None:
+        budget, shift = energy
+        guard = ENERGY_GUARD * norm_b
+
+        def settled(x, r):
+            defect = r @ x if shift is None else r @ x + r @ shift
+            return abs(defect) <= budget
+
+    def done(x, r, rn):
+        return rn <= guard and settled(x, r)
+
     k = cycles = breakdowns = stalls = 0
     best = np.inf
     for _ in range(MAX_CYCLES):
-        r = deflate(rhs - (a @ x))
-        rn = _norm(r)
-        if rn <= (target if cycles == 0 else tol * norm_b):
+        if rn <= (target if cycles == 0 else tol * norm_b) or done(x, r, rn):
             break
         if rn >= 0.9 * best:
             stalls += 1
@@ -438,23 +468,28 @@ def _krylov(cycle, a, rhs, tol, x0, share, mean_weights=None):
         if k >= max_iter or breakdowns > 1:
             break
         cycles += 1
-        steps, broke = cycle(x, r, target, max_iter - k)
+        steps, broke = cycle(x, r, target, guard, settled, max_iter - k)
         k += steps
         breakdowns += broke
-        rn = None           # x has moved since its last true residual
+        r = deflate(rhs - (a @ x))
+        rn = _norm(r)
     if mean_weights is not None:
         w = np.asarray(mean_weights, dtype=float)
-        x, rn = x - (w @ x) / w.sum(), None
-    res = _norm(deflate(rhs - (a @ x))) if rn is None else rn
-    return x, SolverReport(k, res / norm_b, res <= tol * norm_b,
-                           max(cycles - 1, 0), breakdowns)
+        x = x - (w @ x) / w.sum()
+        r = deflate(rhs - (a @ x))
+        rn = _norm(r)
+    converged = rn <= tol * norm_b or done(x, r, rn)
+    return x, SolverReport(k, rn / norm_b, converged, max(cycles - 1, 0),
+                           breakdowns)
 
 
-def cg_solve(a, rhs, tol=1e-12, mean_weights=None, precond=None, x0=None):
+def cg_solve(a, rhs, tol=1e-12, mean_weights=None, precond=None, x0=None,
+             energy=None):
     """Preconditioned conjugate gradients for SPD systems, or, with
     ``mean_weights``, for SPSD ones with the constants in their kernel;
     ``precond`` is a ``SmoothedAggregation`` hierarchy (None: no
-    preconditioning), ``x0`` the starting guess (None: zero).
+    preconditioning), ``x0`` the starting guess (None: zero), ``energy``
+    the budget and shift of ``_krylov``'s energy stop (None: none).
 
     With ``mean_weights`` the right-hand side must be orthogonal to the
     constant vector (checked), and residuals and preconditioned residuals
@@ -474,7 +509,7 @@ def cg_solve(a, rhs, tol=1e-12, mean_weights=None, precond=None, x0=None):
     deflate = (lambda v: v) if mean_weights is None else _deflate
     apply = (lambda r: r) if precond is None else precond.vcycle
 
-    def cycle(x, r, target, budget):
+    def cycle(x, r, target, guard, settled, budget):
         z = deflate(apply(r))
         p = z
         rz = r @ z
@@ -490,7 +525,8 @@ def cg_solve(a, rhs, tol=1e-12, mean_weights=None, precond=None, x0=None):
             x += alpha * p
             r = deflate(r - alpha * ap)
             k += 1
-            if _norm(r) <= target:
+            rn = _norm(r)
+            if rn <= target or (rn <= guard and settled(x, r)):
                 break
             z = deflate(apply(r))
             rz_new = r @ z
@@ -498,13 +534,14 @@ def cg_solve(a, rhs, tol=1e-12, mean_weights=None, precond=None, x0=None):
             rz = rz_new
         return k, False
 
-    return _krylov(cycle, a, rhs, tol, x0, 0.5, mean_weights)
+    return _krylov(cycle, a, rhs, tol, x0, 0.5, mean_weights, energy)
 
 
-def bicgstab_solve(a, rhs, tol=1e-12, precond=None, x0=None):
+def bicgstab_solve(a, rhs, tol=1e-12, precond=None, x0=None, energy=None):
     """Right-preconditioned BiCGStab; ``precond`` is a
     ``SmoothedAggregation`` hierarchy (None: no preconditioning), ``x0``
-    the starting guess (None: zero).
+    the starting guess (None: zero), ``energy`` the budget and shift of
+    ``_krylov``'s energy stop (None: none).
 
     Each recursion aims at 0.1 tol |rhs|; the restarts, which make 1e-12
     relative tolerances attainable on the stiffer prediction systems, are
@@ -517,7 +554,7 @@ def bicgstab_solve(a, rhs, tol=1e-12, precond=None, x0=None):
     # at the same contraction a warm start never ends looser
     extra = x0 is not None
 
-    def cycle(x, r, target, budget):
+    def cycle(x, r, target, guard, settled, budget):
         nonlocal extra
         r0 = p = r
         rho = r0 @ r
@@ -531,6 +568,11 @@ def bicgstab_solve(a, rhs, tol=1e-12, precond=None, x0=None):
             alpha = rho / denom
             s = r - alpha * ap
             sn = _norm(s)
+            if sn <= guard:
+                half = x + alpha * p_hat
+                if settled(half, s):
+                    x[:] = half
+                    return k + 1, False
             if sn <= target:
                 # an exactly vanishing s leaves no half step to take
                 if not extra or sn == 0.0:
@@ -546,7 +588,10 @@ def bicgstab_solve(a, rhs, tol=1e-12, precond=None, x0=None):
             x += alpha * p_hat + omega * s_hat
             r = s - omega * as_
             k += 1
-            if _norm(r) <= target:
+            rn = _norm(r)
+            if rn <= guard and settled(x, r):
+                break
+            if rn <= target:
                 if not extra:
                     break
                 extra = False
@@ -558,4 +603,4 @@ def bicgstab_solve(a, rhs, tol=1e-12, precond=None, x0=None):
             p = r + beta * (p - omega * ap)
         return k, False
 
-    return _krylov(cycle, a, rhs, tol, x0, 0.1)
+    return _krylov(cycle, a, rhs, tol, x0, 0.1, energy=energy)

@@ -160,6 +160,17 @@ def test_loose_tolerance_run_fails_energy_audit(tmp_path, capsys):
     assert reason.endswith(" exceeds 1e-08 at step 2")
 
 
+def test_loose_projection_run_fails_divergence_gate(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 16\nsteps = 8\ncorr_tol = 0.1\n")
+    code, out = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path)],
+                        capsys)
+    assert code == 3
+    reason = _fail_payload(out)["reason"]
+    assert reason.startswith("weak-divergence moment ")
+    assert reason.endswith(" exceeds 1e-06 at step 1")
+
+
 def test_mms_levels_pass_and_csv(tmp_path, capsys):
     code, out = run_cli(["mms", "--levels", "4,8", "--out", str(tmp_path)],
                         capsys)

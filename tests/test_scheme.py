@@ -635,6 +635,120 @@ def test_energy_bound_fails_the_first_step_above_it():
     assert str(err.value).endswith(" exceeds 1e-08 at step 2")
 
 
+def _recording_solves(monkeypatch):
+    """Route both scheme solvers through wrappers that keep (solver name,
+    matrix, rhs, keywords, solution, report) of every call."""
+    calls = []
+
+    def recording(name, solve):
+        def wrapped(a, rhs, **kwargs):
+            x, report = solve(a, rhs, **kwargs)
+            calls.append((name, a, rhs, kwargs, x, report))
+            return x, report
+        return wrapped
+
+    monkeypatch.setattr(scheme, "bicgstab_solve",
+                        recording("bicgstab", scheme.bicgstab_solve))
+    monkeypatch.setattr(scheme, "cg_solve", recording("cg", scheme.cg_solve))
+    return calls
+
+
+def test_energy_residual_is_the_solves_defect(monkeypatch):
+    # tolerances of 1e-6 stop every solve by the tol rule, far above
+    # rounding, so the audit reads the defect the solves leave:
+    # sum_c r_c . ut_c + dt r_q . (p^n + q)
+    calls = _recording_solves(monkeypatch)
+    mesh = build_structured_unit_square(12)
+    s2, s1 = SpaceP2Vector(mesh), SpaceP1(mesh)
+    ops = SchemeOperators(s2, s1)
+    config = SchemeConfig(n_steps=6, t_final=1.0, pred_tol=1e-6,
+                          corr_tol=1e-6)
+    precond = prediction_precond(ops, config)
+    state = initialize(s2, s1, mms.initial_velocity, ops=ops,
+                       tol=config.corr_tol)
+    q_only = []
+    for _ in range(config.n_steps):
+        calls.clear()
+        new, diag = step(state, mms.forcing, ops, config, precond)
+        assert [c[0] for c in calls] == ["bicgstab", "bicgstab", "cg"]
+        pred = sum((rhs - a @ x) @ x for _, a, rhs, _, x, _ in calls[:2])
+        _, lap, rhs, _, q, report = calls[2]
+        r_q = rhs - lap @ q
+        proj = config.dt * (r_q @ (state.p.coeffs + q))
+        scale = max(1.0, abs(new.work))
+        defect = abs(pred + proj) / scale
+        assert diag.energy_residual > 1e3 * np.finfo(float).eps
+        assert abs(diag.energy_residual - defect) <= 1e-2 * defect
+        q_only.append(abs(pred + config.dt * (r_q @ q)) / scale / defect)
+        state = new
+    # without p^n the projection's share is off on some step
+    assert max(abs(np.log(q_only))) > np.log(1.5)
+
+
+def test_step_budgets_the_energy_defect(monkeypatch):
+    # the initial projection has no audit and no budget; each prediction
+    # component gets a quarter of ENERGY_TARGET max(1, |work|) of the step
+    # before, the projection half of it, scaled by 1/dt for its residual
+    calls = _recording_solves(monkeypatch)
+    mesh = build_structured_unit_square(6)
+    s2, s1 = SpaceP2Vector(mesh), SpaceP1(mesh)
+    ops = SchemeOperators(s2, s1)
+    config = SchemeConfig(n_steps=2, t_final=1.0)
+    precond = prediction_precond(ops, config)
+    state = initialize(s2, s1, mms.initial_velocity, ops=ops)
+    assert calls[0][3].get("energy") is None
+    assert state.work == 0.0
+    for _ in range(config.n_steps):
+        calls.clear()
+        new, _ = step(state, mms.forcing, ops, config, precond)
+        budget = scheme.ENERGY_TARGET * max(1.0, abs(state.work))
+        for _, _, _, kwargs, _, _ in calls[:2]:
+            assert kwargs["energy"] == (0.25 * budget, None)
+        proj_budget, shift = calls[2][3]["energy"]
+        assert proj_budget == 0.5 * budget / config.dt
+        assert shift is state.p.coeffs
+        assert new.work == float(assemble_load(
+            s2, mms.forcing, state.t, new.t) @ new.u_tilde.flat())
+        state = new
+
+
+def test_divergence_bound_fails_the_first_step_above_it():
+    # a loose projection alone leaves the energy balance (CG's residual is
+    # orthogonal to its iterate on a cold step 1) but not the moments
+    mesh = build_structured_unit_square(16)
+    s2, s1 = SpaceP2Vector(mesh), SpaceP1(mesh)
+    ops = SchemeOperators(s2, s1)
+    config = SchemeConfig(n_steps=8, t_final=1.0, corr_tol=0.1)
+    state = initialize(s2, s1, mms.initial_velocity, ops=ops)
+    with pytest.raises(SchemeError) as err:
+        step(state, mms.forcing, ops, config, prediction_precond(ops, config))
+    assert err.value.step_index == 1
+    assert str(err.value).startswith("weak-divergence moment ")
+    assert str(err.value).endswith(" exceeds 1e-06 at step 1")
+
+
+def test_divergence_gate_reads_the_corrected_moments(monkeypatch):
+    # the gate's moments are those of weak_div_moments on u^{n+1}: with
+    # the bound just above the step's own value the step passes, just
+    # below it fails
+    mesh = build_structured_unit_square(16)
+    s2, s1 = SpaceP2Vector(mesh), SpaceP1(mesh)
+    ops = SchemeOperators(s2, s1)
+    config = SchemeConfig(n_steps=4, t_final=1.0, corr_tol=1e-3)
+    precond = prediction_precond(ops, config)
+    state = initialize(s2, s1, mms.initial_velocity, ops=ops)
+    new, _ = step(state, mms.forcing, ops, config, precond)
+    moments = weak_div_moments(new.u, s1, grad=ops.grad, lap=ops.lap)
+    ut_moments = weak_div_moments(new.u_tilde, s1, grad=ops.grad)
+    value = np.abs(moments).max() / max(1.0, np.abs(ut_moments).max())
+    assert value > 1e3 * np.finfo(float).eps
+    monkeypatch.setattr(scheme, "DIVERGENCE_BOUND", value * (1 + 1e-6))
+    step(state, mms.forcing, ops, config, precond)
+    monkeypatch.setattr(scheme, "DIVERGENCE_BOUND", value * (1 - 1e-6))
+    with pytest.raises(SchemeError, match="at step 1$"):
+        step(state, mms.forcing, ops, config, precond)
+
+
 # ---------------------------------------------------------------------------
 # trajectory diagnostics
 

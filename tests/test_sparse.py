@@ -498,12 +498,15 @@ def test_projected_guess_takes_carried_products_bitwise(rng):
 
 
 def _counting(system):
-    """A copy of ``system`` that records each product it forms."""
+    """A copy of ``system`` that counts the products it forms and keeps
+    whether each vector it was given had a nonzero entry."""
     counted = system.with_data(system.data)
     counted.calls = 0
+    counted.nonzero = []
 
     def matvec(x):
         counted.calls += 1
+        counted.nonzero.append(bool(np.any(x)))
         return system.matvec(x)
 
     counted.matvec = matvec
@@ -536,3 +539,99 @@ def test_reported_residual_is_that_of_the_returned_solution(cycles, rng,
             if "mean_weights" in kwargs:
                 r = r - r.sum() / len(r)
             assert report.residual == np.sqrt(r @ r) / np.sqrt(rhs @ rhs)
+
+
+def test_cold_solve_forms_no_product_with_zero(rng):
+    # a cold start's residual is rhs itself.  On 2 I each solver ends in
+    # one (half) iteration: one product there and one for the true
+    # residual, where a product with the zero start would make three
+    m = 20
+    two = CsrMatrix(np.arange(m + 1), np.arange(m), np.full(m, 2.0), (m, m))
+    rhs = rng.standard_normal(m)
+    for solve in (cg_solve, bicgstab_solve):
+        counted = _counting(two)
+        x, report = solve(counted, rhs)
+        assert report.converged and report.iterations == 1
+        assert np.array_equal(x, 0.5 * rhs)
+        assert counted.calls == 2
+    for solve, _, system, amg, kwargs in _warm_start_solves():
+        counted = _counting(system)
+        _, report = solve(counted, system.matvec(rng.standard_normal(
+            system.shape[0])), precond=amg, **kwargs)
+        assert report.converged and all(counted.nonzero)
+
+
+# ---------------------------------------------------------------------------
+# the energy stop
+
+def _true_residual(system, rhs, x, kwargs):
+    r = rhs - system.matvec(x)
+    return r - r.sum() / len(r) if "mean_weights" in kwargs else r
+
+
+def test_energy_stop_reports_converged_above_tol(rng):
+    # tol 1e-13 is below the guard, so a budget every iterate meets stops
+    # each solve at the first check under the guard
+    tol = 1e-13
+    for solve, _, system, amg, kwargs in _warm_start_solves():
+        rhs = system.matvec(_zero_mean_solution(system, kwargs, rng))
+        _, plain = solve(system, rhs, tol=tol, precond=amg, **kwargs)
+        y, report = solve(system, rhs, tol=tol, precond=amg,
+                          energy=(np.inf, None), **kwargs)
+        assert plain.converged and report.converged
+        assert tol < report.residual <= sparse.ENERGY_GUARD
+        assert report.iterations < plain.iterations
+        r = _true_residual(system, rhs, y, kwargs)
+        assert report.residual == np.sqrt(r @ r) / np.sqrt(rhs @ rhs)
+
+
+def test_energy_stop_measures_the_shifted_defect(rng):
+    # a budget the defect r.x meets stops the solve early; with a shift
+    # that makes r.(x + shift) miss it, and with a zero budget, the solve
+    # is the plain one, bit for bit
+    tol = 1e-13
+    for solve, _, system, amg, kwargs in _warm_start_solves():
+        rhs = system.matvec(_zero_mean_solution(system, kwargs, rng))
+        budget = 1e-6 * (rhs @ rhs)
+        plain, _ = solve(system, rhs, tol=tol, precond=amg, **kwargs)
+        y, report = solve(system, rhs, tol=tol, precond=amg,
+                          energy=(budget, None), **kwargs)
+        r = _true_residual(system, rhs, y, kwargs)
+        assert report.converged and report.residual > tol
+        assert abs(r @ y) <= budget
+        for energy in ((budget, 1e30 * rhs), (0.0, None)):
+            x, _ = solve(system, rhs, tol=tol, precond=amg, energy=energy,
+                         **kwargs)
+            assert np.array_equal(x, plain)
+
+
+def test_energy_stop_accepts_a_guess_within_budget(rng):
+    # the energy stop holds at any check: a guess within the guard and the
+    # budget, but above the tol rule's target, takes no iteration
+    tol = 1e-13
+    for solve, _, system, amg, kwargs in _warm_start_solves():
+        x = _zero_mean_solution(system, kwargs, rng)
+        rhs = system.matvec(x)
+        dx = _zero_mean_solution(system, kwargs, rng)
+        dx *= 1e-11 * np.linalg.norm(rhs) / np.linalg.norm(system.matvec(dx))
+        _, plain = solve(system, rhs, tol=tol, precond=amg, x0=x + dx,
+                         **kwargs)
+        _, report = solve(system, rhs, tol=tol, precond=amg, x0=x + dx,
+                          energy=(np.inf, None), **kwargs)
+        assert plain.iterations >= 1
+        assert report.converged and report.iterations == 0
+
+
+def test_bicgstab_energy_stop_ends_at_a_half_step(rng):
+    # on a diagonal within 1e-12 of 2 I the first half step leaves a
+    # residual under the guard but above the tol target: the energy stop
+    # ends there, before the full step's second product
+    m = 20
+    diag = 2.0 + 1e-12 * rng.standard_normal(m)
+    counted = _counting(CsrMatrix(np.arange(m + 1), np.arange(m), diag,
+                                  (m, m)))
+    _, report = bicgstab_solve(counted, rng.standard_normal(m), tol=1e-14,
+                               energy=(np.inf, None))
+    assert report.converged and report.iterations == 1
+    assert 1e-14 < report.residual <= sparse.ENERGY_GUARD
+    assert counted.calls == 2
