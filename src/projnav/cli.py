@@ -1,22 +1,17 @@
 """Command line front end.
 
-Subcommands and the flags each reads (``_COMMANDS``):
-
-    mesh            --config --out --n
-    run             --config --out --n --steps --tol --emit-fields
-    mms             --config --out --tol --levels
-    interp-verify   --config --out --levels
-
-Options come from an optional flat "key = value" config file plus flag
-overrides; every reject path names the offending key.  ``n`` sizes a
-``structured`` mesh and is a usage error beside any other mesh.  A config
-file may hold only the keys its command reads (``_COMMANDS``), as the
-command line may hold only its flags.  Every step of ``run`` and ``mms``
-passes ``scheme.ENERGY_BOUND`` or fails the command.  Exit codes:
-0 success, 1 usage errors, 2 bad input data, 3 numerical failures, each
-failure with one JSON line.  A closed stdout also exits 1, with nothing on
-stderr: no JSON line can be written there.  PROJNAV_SEED seeds the random
-trials of the property suites (default 42).
+Subcommands mesh, run, mms and interp-verify.  Options come from an
+optional flat "key = value" config file plus flag overrides; every reject
+path names the offending key.  Each command reads the config keys
+``_COMMANDS`` lists and takes --config and the flags that set them: a
+config file may hold only those keys, as the command line only those
+flags.  ``n`` sizes a ``structured`` mesh and is a usage error beside any
+other mesh.  Every step of ``run`` and ``mms`` passes
+``scheme.ENERGY_BOUND`` or fails the command.  Exit codes: 0 success, 1
+usage errors, 2 bad input data, 3 numerical failures, each failure with
+one JSON line.  A closed stdout also exits 1, with nothing on stderr: no
+JSON line can be written there.  PROJNAV_SEED seeds the random trials of
+the property suites (default 42).
 """
 
 import argparse
@@ -43,26 +38,20 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 NUMERICAL_ERROR = 3
 
+_AT_LEAST_1 = (lambda v: v is None or v >= 1, "must be >= 1")
+_UNIT = (lambda v: 0 < v < 1, "must lie in (0, 1)")
+_FINITE = (lambda v: 0 < v < np.inf, "must be positive and finite")
+
+# every config key: its type, its default and its range check (test,
+# message) or None; a key is checked where its command reads it
 _CONFIG_KEYS = {
-    "mesh": str, "n": int, "steps": int, "T": float,
-    "pred_tol": float, "corr_tol": float, "problem": str,
-    "out": str, "emit_fields": bool, "levels": str,
+    "mesh": (str, "structured:8", None), "n": (int, None, _AT_LEAST_1),
+    "steps": (int, 8, _AT_LEAST_1), "T": (float, 1.0, _FINITE),
+    "pred_tol": (float, 1e-12, _UNIT), "corr_tol": (float, 1e-12, _UNIT),
+    "problem": (str, "mms", None), "out": (str, ".", None),
+    "emit_fields": (bool, False, None), "levels": (str, "8,16,32", None),
 }
-
-_DEFAULTS = {
-    "mesh": "structured:8", "n": None, "steps": 8, "T": 1.0,
-    "pred_tol": 1e-12, "corr_tol": 1e-12, "problem": "mms",
-    "out": ".", "emit_fields": False, "levels": "8,16,32",
-}
-
-# the numeric keys with a range, each checked where its command reads it
-_RANGES = {
-    "n": (lambda v: v is None or v >= 1, "must be >= 1"),
-    "steps": (lambda v: v >= 1, "must be >= 1"),
-    "T": (lambda v: 0 < v < np.inf, "must be positive and finite"),
-    "pred_tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    "corr_tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
-}
+_DEFAULTS = {key: default for key, (_, default, _) in _CONFIG_KEYS.items()}
 
 
 class CliError(Exception):
@@ -117,7 +106,7 @@ def load_config(path, command=None):
         if key not in keys:
             raise CliError(f"{path}:{lineno}: config key '{key}' is not read "
                            f"by command '{command}'", USAGE_ERROR)
-        caster = _CONFIG_KEYS[key]
+        caster = _CONFIG_KEYS[key][0]
         try:
             values[key] = (_parse_bool(value, key) if caster is bool
                            else caster(value))
@@ -135,13 +124,13 @@ def gather_options(args):
     config = given.pop("config", None)
     if config:
         opts.update(load_config(config, args.command))
-    if "tol" in given:
-        opts["pred_tol"] = opts["corr_tol"] = given.pop("tol")
+    if "pred_tol" in given:  # --tol sets both tolerances
+        given["corr_tol"] = given["pred_tol"]
     opts.update(given)
     for key in _COMMANDS[args.command][3]:
-        if key in _RANGES and not _RANGES[key][0](opts[key]):
-            raise CliError(f"config key '{key}': {_RANGES[key][1]}",
-                           USAGE_ERROR)
+        check = _CONFIG_KEYS[key][2]
+        if check and not check[0](opts[key]):
+            raise CliError(f"config key '{key}': {check[1]}", USAGE_ERROR)
     return opts
 
 
@@ -382,14 +371,16 @@ def cmd_interp_verify(args):
     return 0
 
 
-# every flag once; _COMMANDS registers each only where it is read
+# every flag once, each setting the config key its dest names; --tol sets
+# both tolerances, and every command takes --config
 _FLAGS = {
     "config": {"help": "flat key = value config file"},
     "out": {"help": "output directory"},
     "n": {"type": int, "help": "structured mesh resolution"},
     "steps": {"type": int, "help": "number of time steps"},
-    "tol": {"type": float, "help": "relative residual at which each solve "
-                                   "stops at the latest (both solves)"},
+    "tol": {"type": float, "dest": "pred_tol", "metavar": "TOL",
+            "help": "relative residual at which each solve stops at the "
+                    "latest (both solves)"},
     "emit-fields": {"action": "store_true", "dest": "emit_fields",
                     "help": "also write fields_final.vtk"},
     "levels": {"help": "comma separated resolutions"},
@@ -397,21 +388,23 @@ _FLAGS = {
 
 # per command: the name of its function, looked up when it is called so
 # that a wrapper set on this module is the one that runs, its help text,
-# flags and the config keys it reads
+# its flags, those of the keys it reads in _FLAGS order, and those keys
 _COMMANDS = {
-    "mesh": ("cmd_mesh", "generate and inspect a mesh", ("config", "out", "n"),
-             ("mesh", "n", "out")),
-    "run": ("cmd_run", "run the projection scheme",
-            ("config", "out", "n", "steps", "tol", "emit-fields"),
-            ("mesh", "n", "steps", "T", "pred_tol", "corr_tol",
-             "problem", "out", "emit_fields")),
-    "mms": ("cmd_mms", "manufactured-solution convergence",
-            ("config", "out", "tol", "levels"),
-            ("T", "pred_tol", "corr_tol", "problem", "out", "levels")),
-    "interp-verify": ("cmd_interp_verify",
-                      "interpolation lemma suite and study",
-                      ("config", "out", "levels"), ("out", "levels")),
-}
+    name: (fn, text, tuple(f for f, spec in _FLAGS.items()
+                           if f == "config" or spec.get("dest", f) in keys),
+           keys)
+    for name, (fn, text, keys) in {
+        "mesh": ("cmd_mesh", "generate and inspect a mesh",
+                 ("mesh", "n", "out")),
+        "run": ("cmd_run", "run the projection scheme",
+                ("mesh", "n", "steps", "T", "pred_tol", "corr_tol",
+                 "problem", "out", "emit_fields")),
+        "mms": ("cmd_mms", "manufactured-solution convergence",
+                ("T", "pred_tol", "corr_tol", "problem", "out", "levels")),
+        "interp-verify": ("cmd_interp_verify",
+                          "interpolation lemma suite and study",
+                          ("out", "levels")),
+    }.items()}
 
 
 def main(argv=None):

@@ -175,7 +175,8 @@ class SpaceP2Vector:
                               (self.n_scalar, self.n_scalar))
 
     def node_coordinates(self):
-        return np.vstack([self.mesh.vertices, self.mesh.edge_midpoints()])
+        v, e = self.mesh.vertices, self.mesh.edges
+        return np.vstack([v, 0.5 * (v[e[:, 0]] + v[e[:, 1]])])
 
     def local(self, coeffs):
         """(..., nc, 6, 2) cell-local copies of (..., n_scalar, 2) values;

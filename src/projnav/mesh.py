@@ -168,9 +168,6 @@ class SimplicialMesh:
     def vertex_cells(self):
         return _incident_cells(self.cells, self.n_vertices)
 
-    def edge_midpoints(self):
-        return 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
-
     def edge_indices(self, i, j):
         """Edge indices of the unordered pairs {i[k], j[k]}; MeshError names
         the first pair that is not an edge."""
@@ -200,8 +197,27 @@ def _incident_cells(cell_entities, n):
 
 
 def build_from_arrays(vertices, cells):
-    """Mesh from raw vertex/cell arrays; derives all connectivity."""
-    return SimplicialMesh(vertices, cells)
+    """Mesh from raw vertex/cell arrays; derives all connectivity.  A
+    boundary vertex strictly inside a boundary edge, to 1e-12 of its
+    length, is a hanging node: MeshError names both.  The generators below
+    are conforming by construction and skip that check."""
+    mesh = SimplicialMesh(vertices, cells)
+    z = mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]
+    ends, bv = mesh.edges[mesh.boundary_edges], mesh.boundary_vertices
+    step = max(1, (1 << 14) // len(bv))  # 2^14 vertex-edge pairs at once
+    for k in range(0, len(ends), step):
+        a, b = (z[ends[k:k + step, j], None] for j in (0, 1))
+        with np.errstate(all="ignore"):
+            # where each vertex lies along each edge: a at 0, b at 1
+            t = (z[bv] - a) / (b - a)
+        hanging = ((1e-12 < t.real) & (t.real < 1.0 - 1e-12)
+                   & (np.abs(t.imag) <= 1e-12))
+        if hanging.any():
+            e, v = np.argwhere(hanging)[0]
+            raise MeshError(f"hanging node: boundary vertex {bv[v]} lies "
+                            f"inside boundary edge "
+                            f"{tuple(ends[k + e].tolist())}")
+    return mesh
 
 
 def build_structured_unit_square(n):
@@ -292,4 +308,4 @@ def read_mesh_file(path):
                      dtype=np.int64)
     if lines:  # a line after the last cell matches no empty row
         row("the end of the file after the last cell", str, 0)
-    return SimplicialMesh(vertices, cells)
+    return build_from_arrays(vertices, cells)

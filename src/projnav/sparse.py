@@ -8,10 +8,10 @@ constant direction every iteration and re-centering the result with
 mass-row weights.  The prediction system is nonsymmetric (skew convection
 part) and goes through ``bicgstab_solve``.  Each solver holds only its
 recursion and the residual share it aims at (CG 0.5 tol, BiCGStab 0.1
-tol); one driver, ``_krylov``, gives both the same restart and acceptance
-policy, and a second stop on the energy defect a caller budgets.  Both
-take an optional ``SmoothedAggregation`` hierarchy, applied as one
-symmetric V-cycle that smooths with the hierarchy's own matrices.
+tol); one driver, ``_krylov``, gives both the same restarts and one stop
+test, on that share or on the energy defect a caller budgets.  Both take
+an optional ``SmoothedAggregation`` hierarchy, applied as one symmetric
+V-cycle that smooths with the hierarchy's own matrices.
 ``projected_guess`` starts a solve from the combination of earlier
 solutions whose residual is smallest.  ITERS_PER_UNKNOWN and MIN_ITERS set
 the iteration budget of one solve.
@@ -33,10 +33,10 @@ class SolverError(RuntimeError):
 @dataclass
 class SolverReport:
     """``residual`` is the true relative residual of the returned x, and
-    ``converged`` says that the tol rule or the energy stop holds for it.
-    ``restarts`` counts the recursions started again from a fresh true
-    residual after the first one; ``breakdowns`` the recursions stopped by
-    a vanishing denominator (in CG, a nonpositive one)."""
+    ``converged`` says that ``_krylov``'s stop test or |r| <= tol |b| holds
+    for it.  ``restarts`` counts the recursions started again from a fresh
+    true residual after the first one; ``breakdowns`` the recursions
+    stopped by a vanishing denominator (in CG, a nonpositive one)."""
     iterations: int
     residual: float
     converged: bool
@@ -406,28 +406,28 @@ def _krylov(cycle, a, rhs, tol, x0, share, mean_weights=None, energy=None):
     """The restart loop of both solvers, with their ``tol``, ``x0``,
     ``mean_weights`` and ``energy``.
 
-    ``cycle(x, r, target, guard, settled, budget)`` runs one recursion
-    from the true residual r of x until its own residual meets ``target``
-    = ``share`` tol |rhs|, or until a residual r of at most ``guard`` has
-    ``settled(x, r)``; it returns its iterations (at most ``budget``) and
-    whether a breakdown stopped it.  It updates x in place and changes no
-    other vector in place, so it starts from r without a copy.  A guess
-    meets the tol rule only at that target, so a warm start never stops
-    looser than a cold solve; after a recursion a true residual at tol is
-    enough, and above it, left there by rounding, the recursion restarts
-    from it.  The loop stops after MAX_CYCLES recursions, ITERS_PER_UNKNOWN
-    iterations per unknown (at least MIN_ITERS), two breakdowns, or two
-    restarts in a row that gain less than 10 % on the best true residual.
-    With ``mean_weights`` every true residual is taken off the constants
-    and the result re-centred to zero weighted mean.
+    One predicate, ``stop(x, r, rn)``, ends a solve at every check: a
+    guess, each step of a recursion and the true residual after it.  For
+    the iterate x with residual r of norm rn it returns "energy" when,
+    given ``energy`` = (budget, shift), rn <= ENERGY_GUARD |rhs| and
+    |r . (x + shift)| <= budget (shift None: zero), the defect the solve
+    leaves in the caller's energy balance (a posteriori stopping: Arioli,
+    Numer. Math. 97, 2004); else "target" when rn <= ``share`` tol |rhs|;
+    else "".  Only the first clause reads x, which may be a function
+    forming it.
 
-    ``energy`` = (budget, shift) adds a second sufficient stop, met at any
-    check, a guess's included: |r| <= ENERGY_GUARD |rhs| and
-    |r . (x + shift)| <= budget (shift None: zero).  It is the energy
-    defect the solve leaves in the caller's balance (a posteriori stopping:
-    Arioli, Numer. Math. 97, 2004), so tol only bounds how far a solve may
-    go.  The report's ``residual`` is the true relative residual |r|/|rhs|,
-    and ``converged`` says that either stop holds for it.
+    ``cycle(x, r, stop, budget)`` runs one recursion from the true
+    residual r of x until ``stop`` holds and returns its iterations (at
+    most ``budget``) and whether a breakdown stopped it.  It updates x in
+    place and no other vector, so it starts from r without a copy.  A true
+    residual that misses the stop, left there by rounding, starts the next
+    recursion.  The loop stops after MAX_CYCLES recursions,
+    ITERS_PER_UNKNOWN iterations per unknown (at least MIN_ITERS), two
+    breakdowns, or two restarts in a row that gain less than 10 % on the
+    best true residual.  With ``mean_weights`` every true residual is
+    taken off the constants and the result re-centred to zero weighted
+    mean.  The report's ``residual`` is |r|/|rhs| of the returned x, and
+    ``converged`` says that ``stop`` or |r| <= tol |rhs| holds.
     """
     rhs = np.asarray(rhs, dtype=float)
     m = len(rhs)
@@ -440,24 +440,22 @@ def _krylov(cycle, a, rhs, tol, x0, share, mean_weights=None, energy=None):
     # a cold start's residual is rhs itself: no product with zero
     r = deflate(rhs if x0 is None else rhs - (a @ x))
     rn = _norm(r)
-    target = share * tol * norm_b
-    # without a budget no residual is below the guard
-    guard, settled = -np.inf, None
-    if energy is not None:
-        budget, shift = energy
-        guard = ENERGY_GUARD * norm_b
+    target, guard = share * tol * norm_b, ENERGY_GUARD * norm_b
 
-        def settled(x, r):
+    def stop(x, r, rn):
+        if energy is not None and rn <= guard:
+            budget, shift = energy
+            if callable(x):
+                x = x()
             defect = r @ x if shift is None else r @ x + r @ shift
-            return abs(defect) <= budget
-
-    def done(x, r, rn):
-        return rn <= guard and settled(x, r)
+            if abs(defect) <= budget:
+                return "energy"
+        return "target" if rn <= target else ""
 
     k = cycles = breakdowns = stalls = 0
     best = np.inf
     for _ in range(MAX_CYCLES):
-        if rn <= (target if cycles == 0 else tol * norm_b) or done(x, r, rn):
+        if stop(x, r, rn):
             break
         if rn >= 0.9 * best:
             stalls += 1
@@ -468,7 +466,7 @@ def _krylov(cycle, a, rhs, tol, x0, share, mean_weights=None, energy=None):
         if k >= max_iter or breakdowns > 1:
             break
         cycles += 1
-        steps, broke = cycle(x, r, target, guard, settled, max_iter - k)
+        steps, broke = cycle(x, r, stop, max_iter - k)
         k += steps
         breakdowns += broke
         r = deflate(rhs - (a @ x))
@@ -478,7 +476,7 @@ def _krylov(cycle, a, rhs, tol, x0, share, mean_weights=None, energy=None):
         x = x - (w @ x) / w.sum()
         r = deflate(rhs - (a @ x))
         rn = _norm(r)
-    converged = rn <= tol * norm_b or done(x, r, rn)
+    converged = bool(rn <= tol * norm_b or stop(x, r, rn))
     return x, SolverReport(k, rn / norm_b, converged, max(cycles - 1, 0),
                            breakdowns)
 
@@ -509,7 +507,7 @@ def cg_solve(a, rhs, tol=1e-12, mean_weights=None, precond=None, x0=None,
     deflate = (lambda v: v) if mean_weights is None else _deflate
     apply = (lambda r: r) if precond is None else precond.vcycle
 
-    def cycle(x, r, target, guard, settled, budget):
+    def cycle(x, r, stop, budget):
         z = deflate(apply(r))
         p = z
         rz = r @ z
@@ -525,8 +523,7 @@ def cg_solve(a, rhs, tol=1e-12, mean_weights=None, precond=None, x0=None,
             x += alpha * p
             r = deflate(r - alpha * ap)
             k += 1
-            rn = _norm(r)
-            if rn <= target or (rn <= guard and settled(x, r)):
+            if stop(x, r, _norm(r)):
                 break
             z = deflate(apply(r))
             rz_new = r @ z
@@ -548,14 +545,20 @@ def bicgstab_solve(a, rhs, tol=1e-12, precond=None, x0=None, energy=None):
     ``_krylov``'s.
     """
     apply = (lambda r: r) if precond is None else precond.vcycle
-    # a warm start goes on past the first check that meets the target and
-    # stops at the next one: the half step that ends a cold solve starts
+    # a warm start goes on past the first check that meets the target alone
+    # and stops at the next one: the half step that ends a cold solve starts
     # above the target, the one that ends a warm start at or below it, so
     # at the same contraction a warm start never ends looser
     extra = x0 is not None
 
-    def cycle(x, r, target, guard, settled, budget):
-        nonlocal extra
+    def cycle(x, r, stop, budget):
+        def ends(x, r, rn):
+            nonlocal extra
+            held = stop(x, r, rn)
+            if held == "target" and extra:
+                extra = held = False
+            return held
+
         r0 = p = r
         rho = r0 @ r
         k = 0
@@ -567,34 +570,20 @@ def bicgstab_solve(a, rhs, tol=1e-12, precond=None, x0=None, energy=None):
                 return k, True
             alpha = rho / denom
             s = r - alpha * ap
-            sn = _norm(s)
-            if sn <= guard:
-                half = x + alpha * p_hat
-                if settled(half, s):
-                    x[:] = half
-                    return k + 1, False
-            if sn <= target:
-                # an exactly vanishing s leaves no half step to take
-                if not extra or sn == 0.0:
-                    x += alpha * p_hat
-                    return k + 1, False
-                extra = False
+            if ends(lambda: x + alpha * p_hat, s, _norm(s)):
+                x += alpha * p_hat
+                return k + 1, False
             s_hat = apply(s)
             as_ = a @ s_hat
             asas = as_ @ as_
-            if asas < 1e-300:
-                return k, True
-            omega = (as_ @ s) / asas
+            # a vanishing A s_hat leaves r = s for every omega: omega = 0
+            # takes the half step, and the recursion breaks down below
+            omega = (as_ @ s) / asas if asas >= 1e-300 else 0.0
             x += alpha * p_hat + omega * s_hat
             r = s - omega * as_
             k += 1
-            rn = _norm(r)
-            if rn <= guard and settled(x, r):
+            if ends(x, r, _norm(r)):
                 break
-            if rn <= target:
-                if not extra:
-                    break
-                extra = False
             rho_new = r0 @ r
             if abs(rho_new) < 1e-300 or abs(omega) < 1e-300:
                 return k, True

@@ -716,3 +716,63 @@ def test_two_component_mesh_file_runs(tmp_path, capsys):
         assert abs(float(row["u_l2"]) - u_l2) <= 1e-10 * u_l2
         assert abs(float(row["gradp_l2"]) - gradp_l2) <= 1e-10 * gradp_l2
         assert float(row["energy_residual"]) <= 1e-14
+
+
+@pytest.mark.parametrize("config, args, code, named", [
+    ("emit_fields = maybe\n", [], 1, "'emit_fields'"),
+    ("mesh = file:\n", [], 1, "'mesh'"),
+    ("mesh = file:{tmp}/missing.txt\n", [], 2, "missing.txt"),
+    ("mesh = file:{tmp}\n", [], 2, "Is a directory"),
+    ("problem = bogus\n", [], 1, "'problem'"),
+    ("", ["--levels", "a,b"], 1, "'levels'"),
+    ("", ["--levels", "0"], 1, "'levels'"),
+    ("", ["--levels", ","], 1, "'levels'"),
+], ids=["bool", "file-path-missing", "missing-file", "directory",
+        "problem", "levels-words", "levels-zero", "levels-empty"])
+def test_rejected_option_exits_with_one_json_line(config, args, code, named,
+                                                  tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config.format(tmp=tmp_path))
+    command = "interp-verify" if args else "run"
+    assert cli.main([command, "--config", str(cfg), *args, "--out",
+                     str(tmp_path / "o")]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = _fail_payload(captured.out)
+    assert payload["code"] == code and named in payload["reason"]
+
+
+def test_emit_fields_off_is_accepted(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("emit_fields = off\nmesh = structured:2\nsteps = 1\n")
+    assert cli.main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "diagnostics.csv").exists()
+    assert not (tmp_path / "fields_final.vtk").exists()
+
+
+def test_non_integer_seed_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PROJNAV_SEED", "x")
+    assert cli.main(["interp-verify", "--levels", "2", "--out",
+                     str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "PROJNAV_SEED" in _fail_payload(captured.out)["reason"]
+
+
+def test_hanging_node_mesh_file_is_data_error(tmp_path, capsys):
+    # the 3-cell unit square with vertex 4 on the diagonal of cell 0: it
+    # read as 7 boundary edges, the slit a no-slip wall
+    path = tmp_path / "mesh.txt"
+    path.write_text("mesh 2\nvertices 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
+                    "cells 3\n0 1 2\n0 4 3\n4 2 3\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"mesh = file:{path}\n")
+    assert cli.main(["mesh", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _fail_payload(captured.out)["reason"] == (
+        "invalid mesh: hanging node: boundary vertex 4 lies inside "
+        "boundary edge (0, 2)")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from projnav.cli import build_mesh
-from projnav.mesh import (MeshError, build_from_arrays,
+from projnav.mesh import (MeshError, SimplicialMesh, build_from_arrays,
                           build_pathological_mesh,
                           build_structured_unit_square, mesh_metrics,
                           read_mesh_file, write_mesh_file)
@@ -370,3 +370,34 @@ def test_inball_positive_and_below_diameter():
     mesh = build_structured_unit_square(3)
     assert np.all(mesh.cell_inball > 0.0)
     assert np.all(mesh.cell_diameters >= mesh.cell_inball)
+
+
+def test_hanging_node_rejected():
+    # vertex 4 lies on the diagonal (0, 2), an edge of cell 0 alone
+    verts = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)]
+    cells = [(0, 1, 2), (0, 4, 3), (4, 2, 3)]
+    with pytest.raises(MeshError, match=r"boundary vertex 4 lies inside "
+                                        r"boundary edge \(0, 2\)"):
+        build_from_arrays(verts, cells)
+
+
+def test_bisected_cell_beside_a_whole_one_rejected(tmp_path):
+    # one cell of the 8 x 8 mesh cut at the midpoint of an edge it shares:
+    # the new vertex hangs on its neighbour's edge
+    base = build_structured_unit_square(8)
+    a, b, c = base.cells[0]
+    verts = np.vstack([base.vertices, 0.5 * (base.vertices[b]
+                                             + base.vertices[c])])
+    cells = np.vstack([base.cells[1:], [(a, b, 81), (a, 81, c)]])
+    path = tmp_path / "mesh.txt"
+    write_mesh_file(SimplicialMesh(verts, cells), path)
+    with pytest.raises(MeshError, match="boundary vertex 81 lies inside"):
+        read_mesh_file(path)
+
+
+def test_collinear_boundary_vertices_accepted():
+    # each side of the 4 x 4 mesh holds 5 collinear boundary vertices, none
+    # strictly inside an edge
+    base = build_structured_unit_square(4)
+    mesh = build_from_arrays(base.vertices, base.cells)
+    assert len(mesh.boundary_edges) == 16

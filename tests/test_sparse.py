@@ -441,6 +441,50 @@ def test_warm_start_meets_the_cold_target(scale, rng):
                 <= factor * tol * norm_b)
 
 
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+def test_bicgstab_warm_start_goes_one_check_past_the_target(tol):
+    # a warm start from zero runs the cold solve's recursion; it goes one
+    # check past the first one that meets the target, so it ends below the
+    # cold solve's residual, at most one iteration later
+    _, _, system, amg, _ = _warm_start_solves()[0]
+    m = system.shape[0]
+    rhs = system.matvec(np.sin(np.arange(1.0, m + 1)))
+    _, cold = bicgstab_solve(system, rhs, tol=tol, precond=amg)
+    _, warm = bicgstab_solve(system, rhs, tol=tol, precond=amg,
+                             x0=np.zeros(m))
+    assert cold.converged and warm.converged
+    assert warm.residual < cold.residual
+    assert cold.iterations <= warm.iterations <= cold.iterations + 1
+
+
+def test_bicgstab_warm_start_stops_where_the_energy_clause_holds():
+    # at tol 1e-9 BiCGStab's target is the guard, so with an unbounded
+    # budget a check that meets the target meets the energy clause too: a
+    # warm start from zero stops where the cold solve does
+    _, _, system, amg, _ = _warm_start_solves()[0]
+    m = system.shape[0]
+    rhs = system.matvec(np.sin(np.arange(1.0, m + 1)))
+    x, cold = bicgstab_solve(system, rhs, tol=1e-9, precond=amg,
+                             energy=(np.inf, None))
+    y, warm = bicgstab_solve(system, rhs, tol=1e-9, precond=amg,
+                             x0=np.zeros(m), energy=(np.inf, None))
+    assert cold.converged and warm.converged
+    assert warm.iterations == cold.iterations
+    assert np.array_equal(x, y)
+
+
+def test_bicgstab_warm_start_past_a_vanishing_half_step(rng):
+    # on 2 I the first half step leaves s = 0 exactly; a warm start goes on
+    # to the full step, where A s_hat vanishes too, and keeps the half step
+    m = 20
+    two = CsrMatrix(np.arange(m + 1), np.arange(m), np.full(m, 2.0), (m, m))
+    rhs = rng.standard_normal(m)
+    x, report = bicgstab_solve(two, rhs, x0=np.zeros(m))
+    assert report.converged and report.iterations == 1
+    assert report.breakdowns == 0
+    assert np.array_equal(x, 0.5 * rhs)
+
+
 def test_projected_guess_minimizes_the_residual(rng):
     m = 40
     a = CsrMatrix.from_coo(
