@@ -546,9 +546,9 @@ def bicgstab_solve(a, rhs, tol=1e-12, precond=None, x0=None, energy=None):
     """
     apply = (lambda r: r) if precond is None else precond.vcycle
     # a warm start goes on past the first check that meets the target alone
-    # and stops at the next one: the half step that ends a cold solve starts
-    # above the target, the one that ends a warm start at or below it, so
-    # at the same contraction a warm start never ends looser
+    # and stops at the next check that holds: the half step that ends a
+    # cold solve starts above the target, the one that ends a warm start at
+    # or below it, so at the same contraction a warm start never ends looser
     extra = x0 is not None
 
     def cycle(x, r, stop, budget):
