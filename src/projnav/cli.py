@@ -261,7 +261,8 @@ def cmd_mms(args):
         err_u = l2l2_velocity_error(result, mms.velocity, which="u")
         err_ut = l2l2_velocity_error(result, mms.velocity, which="ut")
         h, _ = mesh_metrics(result.ops.space2.mesh)
-        order = (np.log2(rows[-1]["err_u"] / err_u) if rows else float("nan"))
+        order = (np.log2(rows[-1]["err_u"] / err_u)
+                 / np.log2(rows[-1]["h"] / h) if rows else float("nan"))
         rows.append({"n": n, "h": h, "N": n, "dt": result.dt,
                      "err_u": err_u, "err_ut": err_ut, "order_u": order})
     path = os.path.join(out, "mms.csv")
@@ -400,7 +401,7 @@ _COMMANDS = {
                 ("mesh", "n", "steps", "T", "pred_tol", "corr_tol",
                  "problem", "out", "emit_fields")),
         "mms": ("cmd_mms", "manufactured-solution convergence",
-                ("T", "pred_tol", "corr_tol", "problem", "out", "levels")),
+                ("T", "pred_tol", "corr_tol", "out", "levels")),
         "interp-verify": ("cmd_interp_verify",
                           "interpolation lemma suite and study",
                           ("out", "levels")),

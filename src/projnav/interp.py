@@ -98,17 +98,14 @@ def edge_bubble_residuals(space):
     antisymmetry = np.where((dof == dof_rev)[:, None], np.abs(vec + vec_rev),
                             np.maximum(np.abs(vec), np.abs(vec_rev)))
 
-    # the (cell, local slot) places of every dof, grouped by dof
-    places = np.argsort(space.gdof.ravel(), kind="stable")
-    count = np.bincount(space.gdof.ravel(), minlength=space.n_scalar)
-    start = np.cumsum(count) - count
-    # one item per (bubble, place of its dof)
-    n = count[dof]
-    owner = np.repeat(edge, n)
-    rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    cell, slot = np.divmod(places[start[dof][owner] + rank], 6)
+    # one item per (cell c, local edge l): the bubble of edge
+    # cell_edges[c, l] on c, in slot 3 + l; a bubble whose dof is not its
+    # edge's midpoint is zero there, so it fails "bij"
+    owner = mesh.cell_edges.ravel()
+    cell, slot = np.divmod(np.arange(len(owner)), 3)
     local = np.zeros((len(owner), 6, 2))
-    local[np.arange(len(owner)), slot] = vec[owner]
+    local[np.arange(len(owner)), 3 + slot] = (
+        vec[owner] * (dof[owner] == nv + owner)[:, None])
     moments = fem.cell_div_moments(mesh, local, cell)
 
     # sum per (edge, vertex); the endpoints enter with a zero moment so an

@@ -70,23 +70,22 @@ class CsrMatrix:
     @classmethod
     def from_coo(cls, rows, cols, vals, shape):
         """Build from triplets; duplicate entries are summed."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
+        ncols = shape[1]
+        key = (np.asarray(rows, dtype=np.int64) * ncols
+               + np.asarray(cols, dtype=np.int64))
         # a stable sort keeps duplicates in input order, so their sum
         # has one fixed grouping
-        order = np.argsort(rows * shape[1] + cols, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if len(rows):
-            new = np.empty(len(rows), dtype=bool)
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], np.asarray(vals, dtype=float)[order]
+        if len(key):
+            new = np.empty(len(key), dtype=bool)
             new[0] = True
-            new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            starts = np.where(new)[0]
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            starts = np.flatnonzero(new)
             vals = np.add.reduceat(vals, starts)
-            rows, cols = rows[starts], cols[starts]
-        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-        return cls(indptr, cols, vals, shape)
+            key = key[starts]
+        return cls(np.searchsorted(key, ncols * np.arange(shape[0] + 1)),
+                   key % ncols, vals, shape)
 
     @property
     def nnz(self):
@@ -159,9 +158,6 @@ STRENGTH = 0.08
 # levels are coarsened until at most this many unknowns remain, which are
 # then solved with a dense pseudo-inverse
 COARSE_SIZE = 160
-# products expanded at once in a sparse matrix product; the expansion
-# arrays of one chunk stay near 128 KiB each
-PRODUCT_CHUNK = 1 << 14
 POWER_ITERATIONS = 20
 
 
@@ -207,35 +203,16 @@ def _aggregate(indptr, indices):
 
 
 def _spgemm(a, b):
-    """a @ b, expanded as COO products in row chunks of ``a``; each chunk's
-    duplicates are summed by ``CsrMatrix.from_coo``."""
-    rows = a.row_indices()
-    blen = np.diff(b.indptr)[a.indices]
-    cum = np.zeros(a.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, weights=blen, minlength=a.shape[0])
-              .astype(np.int64), out=cum[1:])
-    cuts = np.concatenate([
-        [0], np.searchsorted(cum, np.arange(PRODUCT_CHUNK, cum[-1],
-                                            PRODUCT_CHUNK)), [a.shape[0]]])
-    indptr = [np.zeros(1, dtype=np.int64)]
-    indices, data = [], []
-    for r0, r1 in zip(cuts[:-1], cuts[1:]):
-        if r1 == r0:
-            continue
-        e0, e1 = a.indptr[r0], a.indptr[r1]
-        length = blen[e0:e1]
-        ends = np.cumsum(length)
-        pos = (np.repeat(b.indptr[a.indices[e0:e1]] - ends + length, length)
-               + np.arange(ends[-1] if len(ends) else 0))
-        part = CsrMatrix.from_coo(
-            np.repeat(rows[e0:e1] - r0, length), b.indices[pos],
-            np.repeat(a.data[e0:e1], length) * b.data[pos],
-            (r1 - r0, b.shape[1]))
-        indptr.append(part.indptr[1:] + indptr[-1][-1])
-        indices.append(part.indices)
-        data.append(part.data)
-    return CsrMatrix(np.concatenate(indptr), np.concatenate(indices or [[]]),
-                     np.concatenate(data or [[]]), (a.shape[0], b.shape[1]))
+    """a @ b in one expand-sort-compress pass (Bell, Dalton & Olson, SIAM
+    J. Sci. Comput. 34, 2012): every product a_ik b_kj is one triplet, and
+    ``CsrMatrix.from_coo`` sums the duplicates."""
+    length = np.diff(b.indptr)[a.indices]
+    ends = np.cumsum(length)
+    pos = (np.repeat(b.indptr[a.indices] - ends + length, length)
+           + np.arange(length.sum()))
+    return CsrMatrix.from_coo(
+        np.repeat(a.row_indices(), length), b.indices[pos],
+        np.repeat(a.data, length) * b.data[pos], (a.shape[0], b.shape[1]))
 
 
 def _jacobi_spectral_radius(a, dinv):

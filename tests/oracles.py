@@ -16,6 +16,9 @@ coupling from its triplets, without an element pattern;
 ``element_pattern_unique`` builds the maps of ``fem.ElementPattern`` from
 ``np.unique`` over the entry keys, as the pattern did before its one
 stable sort;
+``from_coo_rows_cols`` and ``spgemm_chunked`` are the earlier
+``CsrMatrix.from_coo`` and ``sparse._spgemm``: a stable sort that permutes
+row and column copies, and products expanded in row chunks of ``a``.
 ``edge_bubble_residuals_by_edge`` checks the edge-bubble lemmas one
 bubble at a time over the whole mesh.  ``edge_numbering_unique_rows``
 numbers a mesh's edges as rows of ``np.unique(axis=0)``;
@@ -265,6 +268,60 @@ def assemble_grad_coupling_coo(space2, space1):
         vals.append(elem[:, :, :, x].ravel())
     return CsrMatrix.from_coo(np.concatenate(rows), np.concatenate(cols),
                               np.concatenate(vals), (2 * n2, space1.ndof))
+
+
+def from_coo_rows_cols(rows, cols, vals, shape):
+    """``CsrMatrix.from_coo``: row and column copies permuted by a stable
+    sort of the keys, duplicates found by comparing both, and the rows
+    counted with ``bincount``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=float)
+    order = np.argsort(rows * shape[1] + cols, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if len(rows):
+        new = np.empty(len(rows), dtype=bool)
+        new[0] = True
+        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.where(new)[0]
+        vals = np.add.reduceat(vals, starts)
+        rows, cols = rows[starts], cols[starts]
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return CsrMatrix(indptr, cols, vals, shape)
+
+
+def spgemm_chunked(a, b, chunk):
+    """a @ b expanded as COO products in row chunks of ``a`` of about
+    ``chunk`` products; ``from_coo_rows_cols`` sums each chunk's
+    duplicates, and the chunks are stitched together."""
+    rows = a.row_indices()
+    blen = np.diff(b.indptr)[a.indices]
+    cum = np.zeros(a.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, weights=blen, minlength=a.shape[0])
+              .astype(np.int64), out=cum[1:])
+    cuts = np.concatenate([
+        [0], np.searchsorted(cum, np.arange(chunk, cum[-1], chunk)),
+        [a.shape[0]]])
+    indptr = [np.zeros(1, dtype=np.int64)]
+    indices, data = [], []
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        if r1 == r0:
+            continue
+        e0, e1 = a.indptr[r0], a.indptr[r1]
+        length = blen[e0:e1]
+        ends = np.cumsum(length)
+        pos = (np.repeat(b.indptr[a.indices[e0:e1]] - ends + length, length)
+               + np.arange(ends[-1] if len(ends) else 0))
+        part = from_coo_rows_cols(
+            np.repeat(rows[e0:e1] - r0, length), b.indices[pos],
+            np.repeat(a.data[e0:e1], length) * b.data[pos],
+            (r1 - r0, b.shape[1]))
+        indptr.append(part.indptr[1:] + indptr[-1][-1])
+        indices.append(part.indices)
+        data.append(part.data)
+    return CsrMatrix(np.concatenate(indptr), np.concatenate(indices or [[]]),
+                     np.concatenate(data or [[]]), (a.shape[0], b.shape[1]))
 
 
 def edge_bubble_residuals_by_edge(space):

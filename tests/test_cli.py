@@ -182,6 +182,19 @@ def test_mms_levels_pass_and_csv(tmp_path, capsys):
     assert errs[1] < errs[0]
 
 
+def test_mms_order_divides_by_the_mesh_size_ratio(tmp_path, capsys):
+    # h does not halve from 4 to 6 or from 6 to 8, so the log2 of the
+    # error ratio alone is not the order
+    code, _ = run_cli(["mms", "--levels", "4,6,8", "--out", str(tmp_path)],
+                      capsys)
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in
+            (tmp_path / "mms.csv").read_text().splitlines()[1:]]
+    for prev, row in zip(rows, rows[1:]):
+        assert row[6] == pytest.approx(
+            np.log2(prev[4] / row[4]) / np.log2(prev[1] / row[1]), rel=1e-14)
+
+
 def test_csv_text_matches_the_writers_it_replaced():
     floats = [float("nan"), -0.0, 1e-300, 0.1 + 0.2, np.float64(2.0 / 3.0),
               1.0, -1.2345678901234567e300]
@@ -336,7 +349,7 @@ _KEY_VALUES = {
 
 def test_commands_reject_the_config_keys_they_do_not_read(tmp_path, capsys):
     assert set(_KEY_VALUES) == set(cli._CONFIG_KEYS)
-    assert sum(len(keys) for *_, keys in cli._COMMANDS.values()) == 20
+    assert sum(len(keys) for *_, keys in cli._COMMANDS.values()) == 19
     cfg = tmp_path / "c.cfg"
     for name, (*_, keys) in cli._COMMANDS.items():
         for key in set(cli._CONFIG_KEYS) - set(keys):
@@ -363,6 +376,7 @@ def test_commands_accept_the_config_keys_they_read(tmp_path):
     ("mms", "mesh = file:/nonexistent"),
     ("interp-verify", "mesh = file:/nonexistent"),
     ("mms", "steps = 0"),
+    ("mms", "problem = zero"),
 ])
 def test_unread_config_key_is_a_usage_error(name, line, tmp_path, capsys):
     # each of these was read and then ignored, or rejected for its value

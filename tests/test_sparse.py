@@ -10,6 +10,8 @@ from projnav.scheme import SchemeOperators
 from projnav.sparse import (CsrMatrix, SmoothedAggregation, SolverError,
                             bicgstab_solve, cg_solve, projected_guess)
 
+from oracles import from_coo_rows_cols, spgemm_chunked
+
 
 def random_csr(rng, m, n, density=0.2):
     k = max(1, int(density * m * n))
@@ -25,6 +27,64 @@ def test_from_coo_sums_duplicates():
     assert dense[0, 1] == 5.0
     assert dense[1, 0] == 4.0
     assert a.nnz == 2
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("m, n, kept", [(9, 7, 40), (5, 1, 3), (0, 0, 0),
+                                        (4, 6, 0)])
+def test_from_coo_matches_the_row_column_oracle_bitwise(m, n, kept, rng):
+    # 9 to 12 duplicates of each kept key, shuffled, with values of many
+    # magnitudes: each sum is longer than numpy's 8-way unrolled reduce,
+    # and its bits depend on the order the terms are added in
+    keys = np.repeat(rng.choice(m * n, kept, replace=False),
+                     rng.integers(9, 13, kept))
+    keys = rng.permutation(keys)
+    vals = rng.standard_normal(len(keys)) * 10.0 ** rng.uniform(-8, 8,
+                                                                len(keys))
+    a = CsrMatrix.from_coo(keys // max(n, 1), keys % max(n, 1), vals, (m, n))
+    b = from_coo_rows_cols(keys // max(n, 1), keys % max(n, 1), vals, (m, n))
+    assert a.shape == b.shape and a.nnz == kept
+    for name in ("indptr", "indices", "data"):
+        assert _same_bits(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("n", [16, "irregular"])
+def test_hierarchies_match_the_chunked_product_bitwise(n, irregular_mesh,
+                                                      monkeypatch):
+    # the chunked product, at 64 terms a chunk, cuts each Galerkin product
+    # at n = 16 (2 858 to 4 998 terms) into dozens of chunks; on the
+    # irregular 4 x 4 mesh both hierarchies are one dense level
+    mesh = (irregular_mesh if n == "irregular"
+            else build_structured_unit_square(n))
+
+    def hierarchies():
+        ops = SchemeOperators(SpaceP2Vector(mesh), SpaceP1(mesh))
+        return ops.prediction_precond(0.05), ops.pressure_precond
+
+    one_pass = hierarchies()
+    terms = []
+
+    def chunked(a, b):
+        terms.append(np.diff(b.indptr)[a.indices].sum())
+        return spgemm_chunked(a, b, 64)
+
+    monkeypatch.setattr(sparse, "_spgemm", chunked)
+    monkeypatch.setattr(CsrMatrix, "from_coo", classmethod(
+        lambda cls, *args: from_coo_rows_cols(*args)))
+    for new, old in zip(one_pass, hierarchies()):
+        assert new.sizes == old.sizes
+        for a, b in zip(new.matrices + new.restrict,
+                        old.matrices + old.restrict):
+            for name in ("indptr", "indices", "data"):
+                assert _same_bits(getattr(a, name), getattr(b, name))
+        assert all(map(_same_bits, new.dinv, old.dinv))
+        assert _same_bits(new.coarse_inverse, old.coarse_inverse)
+    assert len(terms) == (0 if n == "irregular" else 4)
+    assert all(t > 40 * 64 for t in terms)
 
 
 def test_column_indices_strictly_increasing(rng):
