@@ -78,10 +78,8 @@ class CsrMatrix:
         order = np.argsort(key, kind="stable")
         key, vals = key[order], np.asarray(vals, dtype=float)[order]
         if len(key):
-            new = np.empty(len(key), dtype=bool)
-            new[0] = True
-            np.not_equal(key[1:], key[:-1], out=new[1:])
-            starts = np.flatnonzero(new)
+            starts = np.flatnonzero(np.concatenate(([True],
+                                                    key[1:] != key[:-1])))
             vals = np.add.reduceat(vals, starts)
             key = key[starts]
         return cls(np.searchsorted(key, ncols * np.arange(shape[0] + 1)),
