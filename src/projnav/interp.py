@@ -9,6 +9,9 @@ combinatorial question about which edges carry nonzero coefficients.
 Coefficients of the correction are exact integrals for piecewise
 polynomial inputs up to degree 9 per cell (the analytic path uses a
 degree-10 rule; discrete quadratic inputs are exact already at degree 5).
+Each coefficient integrates over the two cells of its edge, so the
+analytic path integrates and samples only the cells that meet the
+field's declared support box.
 """
 
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ __all__ = [
     "AnalyticVectorField", "InterpError",
     "lagrange_p2", "edge_bubble", "edge_bubble_residuals",
     "divergence_correct", "pi_n",
-    "pi_n_convergence_study", "linf_estimate",
+    "pi_n_convergence_study",
 ]
 
 ANALYTIC_RULE = triangle_rule(10)
@@ -42,7 +45,10 @@ class AnalyticVectorField:
 
     value(points) -> (m, 2); gradient(points) -> (m, 2, 2) with entry
     [., i, j] = d v_i / d x_j.  ``support`` is an optional bounding box
-    (xmin, xmax, ymin, ymax) outside of which the field vanishes.
+    (xmin, xmax, ymin, ymax) outside of which the field and its gradient
+    vanish.  ``pi_n`` and the study read it: they integrate and sample
+    only the cells that meet the box, so a field that is nonzero outside
+    it is corrected as if it were zero there.  None means every cell.
     """
 
     value: callable
@@ -123,26 +129,31 @@ def edge_bubble_residuals(space):
             "antisymmetry": float(antisymmetry.max())}
 
 
-def _edge_coefficients(space, values_at_rule, rule):
+def _edge_coefficients(space, values_at_rule, rule, cells=slice(None)):
     """Integrals (w, phi_j grad phi_i - phi_i grad phi_j) per canonical edge.
 
-    ``values_at_rule``: (..., nc, nq, 2) samples of w at the rule points;
-    the result is (..., ne), one row of coefficients per leading index.
+    ``values_at_rule``: (..., m, nq, 2) samples of w at the rule points of
+    the cells ``cells`` (every cell by default); the result is (..., ne),
+    one row of coefficients per leading index, with the other cells'
+    terms left out.
     """
     mesh = space.mesh
     t = fem._tables(mesh, rule)
     # m[..., c, k, i] = reference-cell integral of phi_k w . grad phi_i
-    wgrad = values_at_rule @ t.p1grad.transpose(0, 2, 1)   # (..., nc, nq, 3)
-    m = (t.weights * t.p1val) @ wgrad                      # (..., nc, 3, 3)
+    gl = t.p1grad[cells]
+    wgrad = values_at_rule @ gl.transpose(0, 2, 1)         # (..., m, nq, 3)
+    m = (t.weights * t.p1val) @ wgrad                      # (..., m, 3, 3)
     p, q = np.array(_LOCAL_EDGE_VERTICES).T
     # integrand w . (phi_q grad phi_p - phi_p grad phi_q) on each cell
-    integ = (m[..., q, p] - m[..., p, q]) * mesh.cell_areas[:, None]
-    sign = np.where(mesh.cells[:, p] < mesh.cells[:, q], 1.0, -1.0)
-    rows = (sign * integ).reshape(-1, 3 * mesh.n_cells)   # one per field
+    integ = (m[..., q, p] - m[..., p, q]) * mesh.cell_areas[cells, None]
+    corners = mesh.cells[cells]
+    sign = np.where(corners[:, p] < corners[:, q], 1.0, -1.0)
+    lead = values_at_rule.shape[:-3]
+    rows = (sign * integ).reshape(np.prod(lead, dtype=int), -1)  # per field
     ne = mesh.n_edges
-    keys = np.arange(len(rows))[:, None] * ne + mesh.cell_edges.ravel()
-    return np.bincount(keys.ravel(), rows.ravel()).reshape(
-        values_at_rule.shape[:-3] + (ne,))
+    keys = np.arange(len(rows))[:, None] * ne + mesh.cell_edges[cells].ravel()
+    return np.bincount(keys.ravel(), rows.ravel(),
+                       len(rows) * ne).reshape(lead + (ne,))
 
 
 def _correction_from_coefficients(space, coeffs):
@@ -181,12 +192,26 @@ def divergence_correct(w, space):
     return out if isinstance(w, np.ndarray) else FieldP2Vector(space, out)
 
 
+def _support_cells(v, mesh):
+    """Cells whose vertex bounding box meets the closed ``v.support`` box;
+    every cell when v declares no support."""
+    if v.support is None:
+        return slice(None)
+    box = np.reshape(v.support, (2, 2))        # rows (min, max) of x and y
+    corners = mesh.vertices[mesh.cells]                     # (nc, 3, 2)
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    return np.flatnonzero(((lo <= box[:, 1]) & (hi >= box[:, 0])).all(axis=1))
+
+
 def _nodal_and_rule_values(v, space):
-    """v at the nodes and the ANALYTIC_RULE points; v is divergence free."""
+    """v at every node, the cells its support meets, and v at the
+    ANALYTIC_RULE points of those cells; v is divergence free."""
     if not isinstance(v, AnalyticVectorField) or not v.divergence_free:
         raise InterpError("input must be declared divergence free")
+    cells = _support_cells(v, space.mesh)
     t = fem._tables(space.mesh, ANALYTIC_RULE)
-    return _values_at(v, space.node_coordinates()), _values_at(v, t.points)
+    return (_values_at(v, space.node_coordinates()), cells,
+            _values_at(v, t.points[cells]))
 
 
 def pi_n(v, space):
@@ -201,11 +226,12 @@ def pi_n(v, space):
     return _pi_n(space, *_nodal_and_rule_values(v, space))
 
 
-def _pi_n(space, at_nodes, at_rule):
+def _pi_n(space, at_nodes, cells, at_rule):
     mesh = space.mesh
     wl = FieldP2Vector(space, at_nodes)
-    rvals = at_rule - fem.p2_values_at(wl, ANALYTIC_RULE)
-    coeffs = _edge_coefficients(space, rvals, ANALYTIC_RULE)
+    t = fem._tables(mesh, ANALYTIC_RULE)
+    rvals = at_rule - t.p2val.T @ _local(space, at_nodes, cells)
+    coeffs = _edge_coefficients(space, rvals, ANALYTIC_RULE, cells)
 
     lagrange_ok = wl.in_velocity_space()
     boundary_coeffs = coeffs[mesh.boundary_edges]
@@ -217,31 +243,42 @@ def _pi_n(space, at_nodes, at_rule):
     return out, "corrected"
 
 
-def _field_at_samples(field):
-    """(nc, nq+6, 2) values at the ANALYTIC_RULE points, then at the six
-    nodes of each cell in ``gdof`` order."""
-    vals_q = fem.p2_values_at(field, ANALYTIC_RULE)            # (nc, nq, 2)
-    return np.concatenate([vals_q, field.space.local(field.coeffs)], axis=1)
+def _local(space, coeffs, cells):
+    """(m, 6, 2) cell-local copies of the (n_scalar, 2) values ``coeffs``
+    on the cells ``cells``."""
+    return np.take(coeffs, space.gdof[cells], axis=0)
+
+
+def _field_at_samples(field, cells=slice(None)):
+    """(m, nq+6, 2) values at the ANALYTIC_RULE points, then at the six
+    nodes of each of the cells ``cells`` in ``gdof`` order."""
+    local = _local(field.space, field.coeffs, cells)
+    vals_q = fem._tables(field.space.mesh, ANALYTIC_RULE).p2val.T @ local
+    return np.concatenate([vals_q, local], axis=1)
 
 
 def _max_norm(vals):
-    return float(np.sqrt((vals ** 2).sum(axis=-1)).max())
+    """Largest Euclidean length of the vectors (..., 2); 0 if there is none."""
+    square = vals[..., 0] * vals[..., 0] + vals[..., 1] * vals[..., 1]
+    return float(np.sqrt(square.max(initial=0.0)))
 
 
-def linf_estimate(field):
-    """Max Euclidean magnitude over the per-cell quadrature and nodal points."""
-    return _max_norm(_field_at_samples(field))
-
-
-def _gradient_errors(field, v):
-    """(max gradient error, H1 error) of field - v at ANALYTIC_RULE points."""
+def _gradient_errors(field, v, cells):
+    """(max gradient error, H1 error) of field - v at the ANALYTIC_RULE
+    points of the cells ``cells``; both are zero on every other cell."""
+    if len(cells) == 0:
+        return 0.0, 0.0
     mesh = field.space.mesh
     t = fem._tables(mesh, ANALYTIC_RULE)
-    # in place, so two (nc, nq, 2, 2) arrays are live, not four
-    gerr = fem.p2_gradients_at(field, ANALYTIC_RULE)
-    gerr -= np.asarray(v.gradient(t.points.reshape(-1, 2))).reshape(gerr.shape)
+    # in place, so two (m, nq, 2, 2) arrays are live, not four
+    gerr = fem._local_gradients(
+        t, _local(field.space, field.coeffs, cells), t.p1grad[cells])
+    gerr -= np.asarray(v.gradient(t.points[cells].reshape(-1, 2))).reshape(
+        gerr.shape)
     err_max = float(np.abs(gerr).max())
-    cell = np.square(gerr, out=gerr).sum(axis=(2, 3)) @ t.weights
+    # zeros on the other cells, so the sum adds the terms of every cell
+    cell = np.zeros(mesh.n_cells)
+    cell[cells] = np.square(gerr, out=gerr).sum(axis=(2, 3)) @ t.weights
     return err_max, float(np.sqrt(cell @ mesh.cell_areas))
 
 
@@ -251,18 +288,28 @@ def pi_n_convergence_study(v, spaces):
     Returns one dict per space with keys
     n, h, status, err_linf, err_w1inf, err_h1, e_norm, observed_order
     (order from the previous row's W1-inf error; nan on the first row)
-    and field (the interpolant).
+    and field (the interpolant).  The errors are sampled on the cells that
+    meet ``v.support`` and on every cell that holds a nonzero dof of the
+    interpolant (a bubble reaches across its edge); on every other cell
+    both v and the interpolant vanish.
     """
     rows = []
     prev = None
     for space in spaces:
-        h, _ = mesh_metrics(space.mesh)
-        at_nodes, at_rule = _nodal_and_rule_values(v, space)
-        field, status = _pi_n(space, at_nodes, at_rule)
-        samples = _field_at_samples(field)
+        mesh = space.mesh
+        h, _ = mesh_metrics(mesh)
+        at_nodes, picked, at_rule = _nodal_and_rule_values(v, space)
+        field, status = _pi_n(space, at_nodes, picked, at_rule)
+        held = np.take(field.coeffs.any(axis=1), space.gdof).any(axis=1)
+        held[picked] = True
+        cells = np.flatnonzero(held)
+        # v at the rule points of every cell, zero off its support
+        v_rule = np.zeros((mesh.n_cells,) + at_rule.shape[1:])
+        v_rule[picked] = at_rule
+        samples = _field_at_samples(field, cells)
         err_linf = _max_norm(samples - np.concatenate(
-            [at_rule, space.local(at_nodes)], axis=1))
-        err_ginf, err_h1 = _gradient_errors(field, v)
+            [v_rule[cells], _local(space, at_nodes, cells)], axis=1))
+        err_ginf, err_h1 = _gradient_errors(field, v, cells)
         err_w1inf = err_linf + err_ginf
         order = float("nan")
         if prev is not None and err_w1inf > 0.0 and prev[1] > 0.0:

@@ -24,9 +24,11 @@ bubble at a time over the whole mesh.  ``edge_numbering_unique_rows``
 numbers a mesh's edges as rows of ``np.unique(axis=0)``;
 ``piddiv_gaps_by_field`` runs the divergence-preservation trials one
 field at a time; ``sample_points`` forms the per-cell sample points of the
-interpolation study from the cell corners.  ``eval_basis``, ``patch_stats``,
-``check_divergence_free`` and ``check_support`` evaluate a basis, an edge
-patch or an analytic field at single points.  ``l2l2_velocity_error_reduce``,
+interpolation study from the cell corners, and ``linf_estimate`` is the
+largest field magnitude over the study's samples on every cell.
+``eval_basis``, ``patch_stats``, ``check_divergence_free`` and
+``check_support`` evaluate a basis, an edge patch or an analytic field at
+single points.  ``l2l2_velocity_error_reduce``,
 ``mms_velocity_stacked``, ``write_vtk_fields_each_block`` and
 ``time_translate_cuts`` are the earlier forms of
 ``scheme.l2l2_velocity_error``, ``mms.velocity``, ``vtk.write_vtk_fields``
@@ -436,6 +438,14 @@ def sample_points(mesh):
     corners = mesh.vertices[mesh.cells]
     mids = 0.5 * (np.roll(corners, -1, axis=1) + np.roll(corners, -2, axis=1))
     return np.concatenate([t.points, corners, mids], axis=1)
+
+
+def linf_estimate(field):
+    """Max Euclidean magnitude of a P2 vector field over the ANALYTIC_RULE
+    points and the six nodes of every cell, with a length-2 ``sum``."""
+    vals = np.concatenate([p2_values_at(field, ANALYTIC_RULE),
+                           field.space.local(field.coeffs)], axis=1)
+    return float(np.sqrt((vals ** 2).sum(axis=-1)).max())
 
 
 def l2l2_velocity_error_reduce(result, exact, which="u"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,12 +9,13 @@ from projnav.fem import (FieldP2Vector, SpaceP1, SpaceP2Vector, div_moments,
                          weak_div_moments)
 from projnav.interp import (AnalyticVectorField, InterpError,
                             divergence_correct, edge_bubble,
-                            edge_bubble_residuals, lagrange_p2, linf_estimate,
-                            pi_n, pi_n_convergence_study)
+                            edge_bubble_residuals, lagrange_p2, pi_n,
+                            pi_n_convergence_study)
 from projnav.mesh import (build_from_arrays, build_pathological_mesh,
                           build_structured_unit_square, mesh_metrics)
 
-from oracles import edge_bubble_residuals_by_edge, sample_points
+from oracles import (edge_bubble_residuals_by_edge, linf_estimate,
+                     sample_points)
 
 
 def spaces(n):
@@ -404,3 +406,64 @@ def test_study_samples_v_at_the_cell_points(irregular_mesh):
         assert row["err_linf"] == float(np.sqrt((diff ** 2).sum(-1)).max())
         assert row["e_norm"] == (fem.h1_seminorm(row["field"])
                                  + linf_estimate(row["field"]))
+
+
+# ---------------------------------------------------------------------------
+# the support box: only the cells it meets are integrated and sampled
+
+def _support_meshes(irregular_mesh):
+    """Structured n = 1..16 and 32 (the box edges cut through cells at
+    n = 6, 10 and 14), the irregular mesh and a seeded perturbed 8 x 8."""
+    base = build_structured_unit_square(8)
+    verts = base.vertices.copy()
+    inner = base.interior_vertices
+    verts[inner] += (np.random.default_rng(8).uniform(
+        -1.0, 1.0, size=(len(inner), 2)) * 0.25 / 8)
+    return ([build_structured_unit_square(n) for n in [*range(1, 17), 32]]
+            + [irregular_mesh, build_from_arrays(verts, base.cells)])
+
+
+def test_pi_n_on_the_support_cells_matches_the_whole_mesh(irregular_mesh):
+    # the cells the box misses add only zeros to the correction, so
+    # leaving them out keeps every bit, signed zeros included
+    v = mms.spline_bump_field()
+    whole = dataclasses.replace(v, support=None)
+    for mesh in _support_meshes(irregular_mesh):
+        s2 = SpaceP2Vector(mesh)
+        out, status = pi_n(v, s2)
+        ref, ref_status = pi_n(whole, s2)
+        assert status == ref_status
+        assert np.array_equal(out.coeffs.view(np.uint64),
+                              ref.coeffs.view(np.uint64))
+    mesh = build_structured_unit_square(32)
+    assert len(interp._support_cells(v, mesh)) < mesh.n_cells / 2
+
+
+def test_study_on_the_support_cells_matches_the_whole_mesh(irregular_mesh):
+    # at n = 10 and 14 the bubbles of the box's cells reach cells outside
+    # it, which the study must sample too
+    v = mms.spline_bump_field()
+    levels = [spaces(n)[0] for n in (8, 10, 14, 16)]
+    levels.append(SpaceP2Vector(irregular_mesh))
+    rows = pi_n_convergence_study(v, levels)
+    refs = pi_n_convergence_study(dataclasses.replace(v, support=None),
+                                  levels)
+    for row, ref in zip(rows, refs):
+        assert np.array_equal(row.pop("field").coeffs, ref.pop("field").coeffs)
+        np.testing.assert_equal(row, ref)
+
+
+def test_support_meeting_no_cell_gives_the_zero_field():
+    bump = mms.spline_bump_field()
+    shift = np.array([2.0, 0.0])
+    v = AnalyticVectorField(value=lambda p: bump.value(p - shift),
+                            gradient=lambda p: bump.gradient(p - shift),
+                            support=(2.25, 2.75, 0.25, 0.75),
+                            divergence_free=True)
+    s2, _ = spaces(8)
+    out, status = pi_n(v, s2)
+    assert status == "corrected" and not out.coeffs.any()
+    row, = pi_n_convergence_study(v, [s2])
+    assert row["status"] == "corrected"
+    assert (row["err_linf"], row["err_w1inf"], row["err_h1"],
+            row["e_norm"]) == (0.0, 0.0, 0.0, 0.0)

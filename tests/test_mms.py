@@ -170,6 +170,25 @@ def test_spline_bump_divergence_free_and_support():
     assert check_support(v, np.vstack([pts, outside]))
 
 
+def test_spline_bump_gradient_exactly_zero_outside_support(rng):
+    # the interpolation study leaves out the cells outside the support box,
+    # so the gradient there must be zero to the bit, not only small; the
+    # points sit outside the box on each side, and just outside its edges
+    v = mms.spline_bump_field()
+    xmin, xmax, ymin, ymax = v.support
+    pts = rng.uniform(-0.5, 1.5, (4000, 2))
+    outside = pts[(pts[:, 0] < xmin) | (pts[:, 0] > xmax)
+                  | (pts[:, 1] < ymin) | (pts[:, 1] > ymax)]
+    eps = 1e-12
+    edges = np.array([(xmin - eps, 0.5), (xmax + eps, 0.5),
+                      (0.5, ymin - eps), (0.5, ymax + eps),
+                      (np.nextafter(xmin, -1.0), 0.4),
+                      (np.nextafter(xmax, 2.0), 0.6)])
+    grads = v.gradient(np.vstack([outside, edges]))
+    assert len(outside) > 1000
+    assert not grads.any()
+
+
 def test_spline_c1_smoothness_across_knots():
     # value and gradient continuous at every knot: the one-sided gap must
     # shrink linearly with the probe distance (no jump component)
