@@ -22,7 +22,7 @@ from .interp import (AnalyticVectorField, InterpError, lagrange_p2,
                      pi_n, pi_n_convergence_study)
 from .scheme import (SchemeConfig, SchemeState, StepDiagnostics, SchemeError,
                      SchemeOperators, initialize, predict, correct, step, run,
-                     gap_l2l2, l2l2_velocity_error, time_translate_diagnostic)
+                     l2l2_velocity_error)
 from . import mms
 
 __version__ = "0.1.0"

@@ -21,9 +21,10 @@ whose relative residual exceeds ENERGY_BOUND, or whose corrected velocity
 keeps weak-divergence moments above DIVERGENCE_BOUND.
 
 From the second step on, both solves start from the combination of their
-last GUESS_HISTORY solutions whose residual is smallest
-(``sparse.projected_guess``): the right-hand sides change slowly from step
-to step, so the guess leaves the Krylov solvers only a few decades to gain.
+last GUESS_HISTORY solutions whose carried products with the systems they
+solved best fit the step's right-hand side (``sparse.projected_guess``):
+the right-hand sides change slowly from step to step, so the guess leaves
+the Krylov solvers only a few decades to gain.
 """
 
 from dataclasses import dataclass, field as dataclass_field, fields
@@ -44,15 +45,15 @@ __all__ = [
     "SchemeConfig", "SchemeState", "StepDiagnostics", "SchemeError",
     "SchemeOperators", "RunResult",
     "initialize", "predict", "correct", "step", "run",
-    "gap_l2l2", "l2l2_velocity_error", "time_translate_diagnostic",
+    "l2l2_velocity_error",
     "csv_text", "diagnostics_csv", "DIAGNOSTICS_HEADER", "ENERGY_BOUND",
     "DIVERGENCE_BOUND", "ENERGY_TARGET",
 ]
 
-# earlier solutions each solve's starting guess combines.  On ns-long
-# (200 steps, dt = 0.005, seed 1) 4/6/8/10 of them take the summed
-# prediction iterations to 2 364/1 592/1 379/1 333; past 6 the extra
-# matvecs and least-squares columns cost about what they save
+# earlier solutions each solve's starting guess combines; their products
+# are carried, so a column costs least-squares work, no matvec.  On
+# ns-long (seed 1, before the energy stop) 4/6/8/10 of them took the
+# summed prediction iterations to 2 364/1 592/1 379/1 333
 GUESS_HISTORY = 6
 
 # largest relative energy residual a step may leave, for any solver
@@ -103,11 +104,14 @@ class SchemeState:
     """The fields after step ``n``, and the earlier solutions the next
     step's solves start from, newest first and at most GUESS_HISTORY of
     each: ``ut_history`` holds the interior prediction coefficients, each
-    (m, 2), ``dp_history`` the pressure increments and ``lap_dp_history``
-    their Laplacians, each formed once.  Empty histories (``initialize``'s)
-    give cold solves.  ``u_sq`` and ``gradp_sq`` are |u|^2 and |grad p|^2,
-    which the next step's energy audit reads, and ``work`` the step's
-    <f, ut>, which sizes the next step's solver budgets."""
+    (m, 2), ``a_ut_history`` their products with the systems that solved
+    them, ``dp_history`` the pressure increments and ``lap_dp_history``
+    their Laplacians.  Empty histories (``initialize``'s) give cold solves.
+    ``u_products`` are ``SchemeOperators.products`` of u (None: formed when
+    read).  ``u_sq`` and ``gradp_sq`` are |u|^2 and |grad p|^2, which the
+    next step's energy audit reads, and ``work`` the step's <f, ut>, which
+    sizes the next step's solver budgets.  Each product is formed once and
+    carried here, never on the fields, which ``run`` may keep."""
     n: int
     t: float
     u_tilde: FieldP2Vector
@@ -116,7 +120,9 @@ class SchemeState:
     u_sq: float
     gradp_sq: float
     work: float = 0.0
+    u_products: tuple = None
     ut_history: tuple = ()
+    a_ut_history: tuple = ()
     dp_history: tuple = ()
     lap_dp_history: tuple = ()
 
@@ -141,14 +147,14 @@ class StepDiagnostics:
 DIAGNOSTICS_HEADER = tuple(f.name for f in fields(StepDiagnostics))
 
 
-def _solve(solver, a, rhs, history, step_index, what, component=None,
-           products=None, **options):
+def _solve(solver, a, rhs, history, products, step_index, what,
+           component=None, **options):
     """Solve a x = rhs with ``solver``, as the caller looks it up, from the
-    minimal-residual combination of ``history`` (and its ``products`` by a,
-    if carried); ``options`` go to the solver.  Returns (x, iterations).
-    A rejected or unconverged solve raises SchemeError naming ``what``,
-    ``step_index`` and any velocity ``component``."""
-    x0 = projected_guess(a, history, rhs, products)
+    combination of ``history`` whose carried ``products`` best fit rhs;
+    ``options`` go to the solver.  Returns (x, iterations).  A rejected or
+    unconverged solve raises SchemeError naming ``what``, ``step_index``
+    and any velocity ``component``."""
+    x0 = projected_guess(history, products, rhs)
     try:
         x, report = solver(a, rhs, x0=x0, **options)
     except SolverError as err:
@@ -257,65 +263,80 @@ class SchemeOperators:
         and kept: it does not depend on the time step."""
         return SmoothedAggregation(self.lap)
 
-    def project(self, w, scale, tol, step_index=0, history=(), products=None,
-                energy=None):
+    def project(self, w, scale, tol, step_index=0, history=(), products=(),
+                energy=None, moments=None):
         """Discrete Helmholtz projection of a P2 field onto the weakly
         divergence free space: u = w - scale grad q with
         (grad q, grad r) = (w, grad r) / scale for every P1 r.
 
         The solve starts from the combination of the earlier solutions in
-        ``history`` (and their Laplacian ``products``, if carried) whose
-        residual is smallest (empty: zero), and ``energy`` goes to
-        ``cg_solve`` (None: tol alone).  Returns (u, q, iterations); q has
-        zero weighted mean.  A rejected or unconverged solve raises
-        SchemeError naming ``step_index``.
+        ``history`` whose residual, through their carried Laplacian
+        ``products``, is smallest (empty: zero), and ``energy`` goes to
+        ``cg_solve`` (None: tol alone).  ``moments`` are the caller's
+        G^T w (None: formed here).  Returns (u, q, iterations); q has zero
+        weighted mean.  A rejected or unconverged solve raises SchemeError
+        naming ``step_index``.
         """
-        rhs = self.grad.rmatvec(w.flat()) / scale
-        q, iters = _solve(cg_solve, self.lap, rhs, history, step_index,
-                          "projection", products=products, tol=tol,
+        if moments is None:
+            moments = self.grad.rmatvec(w.flat())
+        q, iters = _solve(cg_solve, self.lap, moments / scale, history,
+                          products, step_index, "projection", tol=tol,
                           mean_weights=self.p1_weights,
                           precond=self.pressure_precond, energy=energy)
         u = CompositeVelocity(w, FieldP1Scalar(self.space1, q), scale)
         return u, q, iters
 
     @staticmethod
-    def _componentwise(mat, coeffs):
-        """sum over both components of c^T A c."""
-        return (coeffs[:, 0] @ mat.matvec(coeffs[:, 0])
-                + coeffs[:, 1] @ mat.matvec(coeffs[:, 1]))
+    def _blocked(mat, coeffs):
+        """A c of each component, component blocked."""
+        return np.concatenate([mat.matvec(coeffs[:, 0]),
+                               mat.matvec(coeffs[:, 1])])
 
-    def l2_norm_sq_p2(self, coeffs):
-        return self._componentwise(self.mass, coeffs)
+    def l2_norm_sq_p2(self, coeffs, mass_c=None):
+        """|c|^2 from M c, component blocked (None: formed here)."""
+        m = self._blocked(self.mass, coeffs) if mass_c is None else mass_c
+        n = len(coeffs)
+        return coeffs[:, 0] @ m[:n] + coeffs[:, 1] @ m[n:]
 
     def h1_seminorm_sq_p2(self, coeffs):
-        return self._componentwise(self.stiffness, coeffs)
+        k_c = self._blocked(self.stiffness, coeffs)
+        n = len(coeffs)
+        return coeffs[:, 0] @ k_c[:n] + coeffs[:, 1] @ k_c[n:]
 
     def gradp_norm_sq(self, pcoeffs):
         return float(pcoeffs @ self.lap.matvec(pcoeffs))
 
-    def composite_norm_sq(self, u):
+    def products(self, u):
+        """(M a, G g, L g) of a composite velocity a - s grad g, M a
+        component blocked: what its norm, moments and next gap read."""
+        g = u.grad_part.coeffs
+        return (self._blocked(self.mass, u.p2_part.coeffs),
+                self.grad.matvec(g), self.lap.matvec(g))
+
+    def composite_norm_sq(self, u, products=None):
         """Exact |a - s grad g|^2 of a composite velocity, as
         |a|^2 - 2 s (a, grad g) + s^2 |grad g|^2 (each term quadrature
-        exact)."""
+        exact), from its ``products`` (None: formed here)."""
+        mass_a, grad_g, lap_g = products or self.products(u)
         s = u.scale
-        g = u.grad_part.coeffs
-        cross = u.p2_part.flat() @ self.grad.matvec(g)
-        return (self.l2_norm_sq_p2(u.p2_part.coeffs) - 2.0 * s * cross
-                + s * s * (g @ self.lap.matvec(g)))
+        return (self.l2_norm_sq_p2(u.p2_part.coeffs, mass_a)
+                - 2.0 * s * (u.p2_part.flat() @ grad_g)
+                + s * s * (u.grad_part.coeffs @ lap_g))
 
-    def moment_vector(self, u):
+    def moment_vector(self, u, products=None):
         """(u, phi_i e_x), (u, phi_i e_y) of a composite velocity,
-        component blocked."""
-        c = u.p2_part.coeffs
-        out = np.concatenate([self.mass.matvec(c[:, 0]),
-                              self.mass.matvec(c[:, 1])])
-        return out - u.scale * self.grad.matvec(u.grad_part.coeffs)
+        component blocked, from its ``products`` (None: formed here)."""
+        mass_a, grad_g, _ = products or self.products(u)
+        return mass_a - u.scale * grad_g
 
-    def gap_norm_sq(self, ut_next, u_prev):
-        """|ut^{n+1} - u^n|^2 with the composite split, quadrature exact."""
-        return self.composite_norm_sq(CompositeVelocity(
-            FieldP2Vector(self.space2, ut_next.coeffs - u_prev.p2_part.coeffs),
-            u_prev.grad_part, -u_prev.scale))
+    def gap_norm_sq(self, ut_next, u_prev, products=None):
+        """|ut^{n+1} - u^n|^2 with the composite split, quadrature exact;
+        ``products`` are those of u^n (None: formed here)."""
+        diff = ut_next.coeffs - u_prev.p2_part.coeffs
+        return self.composite_norm_sq(
+            CompositeVelocity(FieldP2Vector(self.space2, diff),
+                              u_prev.grad_part, -u_prev.scale),
+            products and (self._blocked(self.mass, diff),) + products[1:])
 
 
 def initialize(space2, space1, u0, ops=None, tol=1e-12):
@@ -335,9 +356,11 @@ def initialize(space2, space1, u0, ops=None, tol=1e-12):
     p = FieldP1Scalar(space1)
     # an overflow is reported by the first step's audit, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        u_sq = ops.composite_norm_sq(u)
+        products = ops.products(u)
+        u_sq = ops.composite_norm_sq(u, products)
     return SchemeState(n=0, t=0.0, u_tilde=FieldP2Vector(space2), u=u, p=p,
-                       u_sq=u_sq, gradp_sq=ops.gradp_norm_sq(p.coeffs))
+                       u_sq=u_sq, gradp_sq=ops.gradp_norm_sq(p.coeffs),
+                       u_products=products)
 
 
 def _energy_budget(state):
@@ -346,13 +369,14 @@ def _energy_budget(state):
 
 
 def predict(state, load, ops, config, precond):
-    """Viscous prediction solve; returns (ut^{n+1}, solver iterations).
+    """Viscous prediction solve; returns (ut^{n+1}, solver iterations,
+    A x), x its interior coefficients and A this step's system.
 
     ``precond`` is the hierarchy ``ops.prediction_precond(config.dt)``;
     each component's solve starts from the combination of that component
-    in ``state.ut_history`` whose residual against this step's system is
-    smallest, and may stop once r_c . ut_c is within a quarter of the
-    step's energy budget."""
+    in ``state.ut_history`` whose products (``state.a_ut_history``) best
+    fit this step's right-hand side, and may stop once r_c . ut_c is
+    within a quarter of the step's energy budget."""
     dt = config.dt
     space2 = ops.space2
     idx = ops.interior
@@ -362,32 +386,35 @@ def predict(state, load, ops, config, precond):
             else assemble_convection(space2, state.u_tilde))
     system = ops.prediction_system(dt, conv)
 
-    rhs_flat = (ops.moment_vector(state.u) / dt
+    rhs_flat = (ops.moment_vector(state.u, state.u_products) / dt
                 + load - ops.grad.matvec(state.p.coeffs))
     ut = FieldP2Vector(space2)
+    a_ut = np.empty((len(idx), 2))
     energy = (0.25 * _energy_budget(state), None)
     iters = 0
     for comp in range(2):
         rhs = rhs_flat[comp * n2:(comp + 1) * n2][idx]
         x, k = _solve(bicgstab_solve, system, rhs,
-                      [h[:, comp] for h in state.ut_history], state.n + 1,
+                      [h[:, comp] for h in state.ut_history],
+                      [h[:, comp] for h in state.a_ut_history], state.n + 1,
                       "prediction", comp, tol=config.pred_tol, precond=precond,
                       energy=energy)
         iters += k
         ut.coeffs[idx, comp] = x
-    return ut, iters
+        a_ut[:, comp] = system @ x
+    return ut, iters, a_ut
 
 
-def correct(state, ut_next, ops, config):
+def correct(state, ut_next, ops, config, moments=None):
     """Pressure increment Poisson solve, started from the combination of
     ``state.dp_history`` whose residual is smallest and allowed to stop
     once dt r_q . (p^n + q) is within half of the step's energy budget,
-    and velocity correction."""
+    and velocity correction; ``moments`` (G^T ut) go to ``project``."""
     dt = config.dt
     u_new, dp, iters = ops.project(
         ut_next, dt, config.corr_tol, state.n + 1, state.dp_history,
         state.lap_dp_history, (0.5 * _energy_budget(state) / dt,
-                               state.p.coeffs))
+                               state.p.coeffs), moments)
     p_new = state.p.coeffs + dp
     p_new = p_new - (ops.p1_weights @ p_new) / ops.p1_weights.sum()
     return FieldP1Scalar(ops.space1, p_new), u_new, iters
@@ -404,21 +431,23 @@ def step(state, f, ops, config, precond):
     if not np.isfinite(load).all():
         raise SchemeError(f"non-finite load vector at step {state.n + 1}",
                           state.n + 1)
-    ut_next, pred_iters = predict(state, load, ops, config, precond)
-    p_next, u_next, corr_iters = correct(state, ut_next, ops, config)
+    ut_next, pred_iters, a_ut = predict(state, load, ops, config, precond)
+    # the moments (u^{n+1}, grad phi_k) = (ut, grad phi_k) - dt lap dp
+    ut_moments = ops.grad.rmatvec(ut_next.flat())
+    p_next, u_next, corr_iters = correct(state, ut_next, ops, config,
+                                         ut_moments)
     dp = p_next.coeffs - state.p.coeffs
     lap_dp = ops.lap @ dp
 
     # an overflow (s * s for a huge dt) is reported as a SchemeError
     # below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        # the moments (u^{n+1}, grad phi_k) = (ut, grad phi_k) - dt lap dp
-        ut_moments = ops.grad.rmatvec(ut_next.flat())
         divergence = (np.max(np.abs(ut_moments - dt * lap_dp), initial=0.0)
                       / max(1.0, np.max(np.abs(ut_moments), initial=0.0)))
-        u_sq = ops.composite_norm_sq(u_next)
+        products = ops.products(u_next)
+        u_sq = ops.composite_norm_sq(u_next, products)
         gradp_sq = ops.gradp_norm_sq(p_next.coeffs)
-        gap_sq = ops.gap_norm_sq(ut_next, state.u)
+        gap_sq = ops.gap_norm_sq(ut_next, state.u, state.u_products)
         ut_h1_sq = ops.h1_seminorm_sq_p2(ut_next.coeffs)
         work = float(load @ ut_next.flat())
         lhs = ((u_sq - state.u_sq) / (2.0 * dt)
@@ -429,7 +458,8 @@ def step(state, f, ops, config, precond):
     diag = StepDiagnostics(
         n=state.n + 1, t=t_next, energy_residual=residual,
         u_l2=float(np.sqrt(max(u_sq, 0.0))),
-        ut_l2=float(np.sqrt(max(ops.l2_norm_sq_p2(ut_next.coeffs), 0.0))),
+        ut_l2=float(np.sqrt(max(ops.l2_norm_sq_p2(ut_next.coeffs,
+                                                  products[0]), 0.0))),
         ut_h1=float(np.sqrt(max(ut_h1_sq, 0.0))),
         gradp_l2=float(np.sqrt(max(gradp_sq, 0.0))),
         gap_l2=float(np.sqrt(max(gap_sq, 0.0))),
@@ -448,8 +478,9 @@ def step(state, f, ops, config, precond):
     keep = GUESS_HISTORY - 1
     new_state = SchemeState(
         n=state.n + 1, t=t_next, u_tilde=ut_next, u=u_next, p=p_next,
-        u_sq=u_sq, gradp_sq=gradp_sq, work=work,
+        u_sq=u_sq, gradp_sq=gradp_sq, work=work, u_products=products,
         ut_history=(ut_next.coeffs[ops.interior],) + state.ut_history[:keep],
+        a_ut_history=(a_ut,) + state.a_ut_history[:keep],
         dp_history=(dp,) + state.dp_history[:keep],
         lap_dp_history=(lap_dp,) + state.lap_dp_history[:keep])
     return new_state, diag
@@ -491,14 +522,6 @@ def run(space2, space1, u0, f, config, ops=None):
     return result
 
 
-def gap_l2l2(result):
-    """|u_N - ut_N| in L2(0,T;L2): both reconstructions are piecewise
-    constant in time, u_N from the left value and ut_N from the right one,
-    so the squared gap is dt * sum of the per-step gap norms."""
-    dt = result.dt
-    return float(np.sqrt(sum(dt * d.gap_l2 ** 2 for d in result.diagnostics)))
-
-
 def l2l2_velocity_error(result, exact, which="u"):
     """L2(0,T;L2) distance between a stored trajectory and an exact field.
 
@@ -534,31 +557,6 @@ def l2l2_velocity_error(result, exact, which="u"):
             cell = (sq[..., 0] + sq[..., 1]) @ t.weights
             total += dt * wg[g] * float(cell @ mesh.cell_areas)
     return float(np.sqrt(total))
-
-
-def time_translate_diagnostic(result, tau):
-    """integral_0^{T-tau} |ut_N(t+tau) - ut_N(t)|^2 dt, exactly.
-
-    With tau = (k + theta) dt, 0 <= theta < 1, and ut_i the prediction
-    of step i + 1, the piecewise constant ut_N makes the integral
-    dt [(1 - theta) sum_{i<N-k} |ut_{i+k} - ut_i|^2
-        + theta sum_{i<N-k-1} |ut_{i+k+1} - ut_i|^2].
-    """
-    config = result.config
-    if not 0.0 < tau < config.t_final:
-        raise ValueError("tau must lie strictly between 0 and the final time")
-    if not result.u_history:
-        raise ValueError("run must store fields for the translate diagnostic")
-    dt, n = result.dt, config.n_steps
-    k, theta = divmod(tau / dt, 1.0)
-    ut = [u.p2_part.coeffs for u in result.u_history[1:]]
-
-    def shifted(m):
-        return sum(result.ops.l2_norm_sq_p2(ut[i + m] - ut[i])
-                   for i in range(n - m))
-
-    return float(dt * ((1.0 - theta) * shifted(int(k))
-                       + theta * shifted(int(k) + 1)))
 
 
 def csv_text(header, rows):

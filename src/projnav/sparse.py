@@ -13,7 +13,8 @@ test, on that share or on the energy defect a caller budgets.  Both take
 an optional ``SmoothedAggregation`` hierarchy, applied as one symmetric
 V-cycle that smooths with the hierarchy's own matrices.
 ``projected_guess`` starts a solve from the combination of earlier
-solutions whose residual is smallest.  ITERS_PER_UNKNOWN and MIN_ITERS set
+solutions whose carried products best fit its right-hand side.
+ITERS_PER_UNKNOWN and MIN_ITERS set
 the iteration budget of one solve.
 """
 
@@ -315,12 +316,6 @@ class SmoothedAggregation:
         dense = level.to_dense()
         self.coarse_inverse = np.linalg.pinv(0.5 * (dense + dense.T))
 
-    @property
-    def sizes(self):
-        """Unknowns per level, finest first."""
-        return ([r.shape[1] for r in self.restrict]
-                + [len(self.coarse_inverse)])
-
     def vcycle(self, r):
         """One V-cycle for A x = r from x = 0, A the finest matrix."""
         return self._cycle(0, r)
@@ -360,21 +355,24 @@ def _norm(v):
     return np.sqrt(v @ v)
 
 
-def projected_guess(a, basis, rhs, products=None):
-    """Starting guess X c for a x = rhs from earlier solutions, the columns
-    of X (``basis``, a sequence of vectors), with c minimizing
-    |rhs - a X c|_2 (Fischer, "Projection techniques for iterative solution
-    of Ax = b with successive right-hand sides", CMAME 163, 1998).
-    ``products`` are the columns of a X when the caller carries them.
+def projected_guess(basis, products, rhs):
+    """Starting guess X c for a solve with right-hand side ``rhs`` from
+    earlier solutions, the columns of X (``basis``, a sequence of
+    vectors), with c minimizing |rhs - P c|_2 (Fischer, "Projection
+    techniques for iterative solution of Ax = b with successive right-hand
+    sides", CMAME 163, 1998).  The columns of P (``products``) are the
+    products the caller carries, each formed once: A x_j with the matrix
+    A_j that x_j solved.  For a fixed matrix that is the guess of least
+    residual; for a slowly changing one A_j x_j ~ b_j, so the fit
+    extrapolates the earlier right-hand sides.
 
-    c = 0 is feasible, so the guess's residual is at most |rhs| up to
+    c = 0 is feasible, so the fit's residual is at most |rhs| up to
     rounding.  An empty basis returns None, the solvers' cold start.
     """
     if not basis:
         return None
-    x = np.column_stack(basis)
-    ax = np.column_stack(products or [a @ v for v in basis])
-    return x @ np.linalg.lstsq(ax, rhs, rcond=None)[0]
+    return (np.column_stack(basis)
+            @ np.linalg.lstsq(np.column_stack(products), rhs, rcond=None)[0])
 
 
 def _krylov(cycle, a, rhs, tol, x0, share, mean_weights=None, energy=None):

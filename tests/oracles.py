@@ -32,13 +32,19 @@ single points.  ``l2l2_velocity_error_reduce``,
 ``mms_velocity_stacked``, ``write_vtk_fields_each_block`` and
 ``time_translate_cuts`` are the earlier forms of
 ``scheme.l2l2_velocity_error``, ``mms.velocity``, ``vtk.write_vtk_fields``
-and ``scheme.time_translate_diagnostic``: fancy-index gathers, a length-2
+and ``time_translate_diagnostic`` below: fancy-index gathers, a length-2
 ``sum`` reduce, all four of g, g', g'', g''' with ``np.stack``, every
 block formatted in full, and one term per interval between the points
 where t or t + tau crosses the time grid.  ``diagnostics_csv_writer``,
 ``mms_csv_fstring`` and ``interp_study_csv_fstring`` are the writers of
 ``diagnostics.csv``, ``mms.csv`` and ``interp_study.csv`` that
 ``scheme.csv_text`` replaced: a ``csv.writer`` and one f-string per row.
+``gap_l2l2``, ``time_translate_diagnostic`` and ``hierarchy_sizes`` are
+run and hierarchy summaries that only the tests read.
+``moment_vector_fresh``, ``composite_norm_sq_fresh`` and
+``step_audit_fresh`` are the scheme's right-hand side moments, composite
+norm and energy audit with every product formed afresh, as they were
+before each state carried the products of its velocity.
 """
 
 import csv
@@ -46,7 +52,8 @@ import io
 
 import numpy as np
 
-from projnav.fem import (DEFAULT_RULE, FieldP2Vector, SpaceP1,
+from projnav.fem import (CompositeVelocity, DEFAULT_RULE, FieldP2Vector,
+                         SpaceP1,
                          _cell_geometry, _convection_oneside, _tables,
                          div_moments, p1_reference_values,
                          p2_reference_dlambda, p2_reference_values,
@@ -55,7 +62,7 @@ from projnav.interp import ANALYTIC_RULE, divergence_correct, edge_bubble
 from projnav.mesh import MeshError
 from projnav.mms import _g_derivatives
 from projnav.quadrature import gauss_legendre_01
-from projnav.scheme import DIAGNOSTICS_HEADER
+from projnav.scheme import DIAGNOSTICS_HEADER, StepDiagnostics
 from projnav.sparse import CsrMatrix
 from projnav.vtk import _SUBTRIANGLES, _centroid_bary, _lines, _write
 
@@ -473,7 +480,7 @@ def l2l2_velocity_error_reduce(result, exact, which="u"):
 
 
 def time_translate_cuts(result, tau):
-    """``scheme.time_translate_diagnostic`` summed over the intervals on
+    """``time_translate_diagnostic`` summed over the intervals on
     which the integrand is constant: those between the points where t or
     t + tau crosses the time grid."""
     dt, n = result.dt, result.config.n_steps
@@ -579,3 +586,92 @@ def interp_study_csv_fstring(rows):
                  f"{r['err_h1']:.17g},{r['e_norm']:.17g},"
                  f"{r['observed_order']:.17g}\n")
     return text
+
+
+def gap_l2l2(result):
+    """|u_N - ut_N| in L2(0,T;L2): both reconstructions are piecewise
+    constant in time, u_N from the left value and ut_N from the right one,
+    so the squared gap is dt * sum of the per-step gap norms."""
+    dt = result.dt
+    return float(np.sqrt(sum(dt * d.gap_l2 ** 2 for d in result.diagnostics)))
+
+
+def time_translate_diagnostic(result, tau):
+    """integral_0^{T-tau} |ut_N(t+tau) - ut_N(t)|^2 dt, exactly.
+
+    With tau = (k + theta) dt, 0 <= theta < 1, and ut_i the prediction
+    of step i + 1, the piecewise constant ut_N makes the integral
+    dt [(1 - theta) sum_{i<N-k} |ut_{i+k} - ut_i|^2
+        + theta sum_{i<N-k-1} |ut_{i+k+1} - ut_i|^2].
+    """
+    config = result.config
+    if not 0.0 < tau < config.t_final:
+        raise ValueError("tau must lie strictly between 0 and the final time")
+    if not result.u_history:
+        raise ValueError("run must store fields for the translate diagnostic")
+    dt, n = result.dt, config.n_steps
+    k, theta = divmod(tau / dt, 1.0)
+    ut = [u.p2_part.coeffs for u in result.u_history[1:]]
+
+    def shifted(m):
+        return sum(result.ops.l2_norm_sq_p2(ut[i + m] - ut[i])
+                   for i in range(n - m))
+
+    return float(dt * ((1.0 - theta) * shifted(int(k))
+                       + theta * shifted(int(k) + 1)))
+
+
+def hierarchy_sizes(hierarchy):
+    """Unknowns per level of a ``SmoothedAggregation``, finest first."""
+    return ([r.shape[1] for r in hierarchy.restrict]
+            + [len(hierarchy.coarse_inverse)])
+
+
+def _componentwise_fresh(mat, coeffs):
+    return (coeffs[:, 0] @ mat.matvec(coeffs[:, 0])
+            + coeffs[:, 1] @ mat.matvec(coeffs[:, 1]))
+
+
+def composite_norm_sq_fresh(ops, u):
+    """|a - s grad g|^2 of a composite velocity, each product formed
+    here."""
+    s = u.scale
+    g = u.grad_part.coeffs
+    cross = u.p2_part.flat() @ ops.grad.matvec(g)
+    return (_componentwise_fresh(ops.mass, u.p2_part.coeffs)
+            - 2.0 * s * cross + s * s * (g @ ops.lap.matvec(g)))
+
+
+def moment_vector_fresh(ops, u):
+    """(u, phi_i e_x), (u, phi_i e_y) of a composite velocity, component
+    blocked, each product formed here."""
+    c = u.p2_part.coeffs
+    out = np.concatenate([ops.mass.matvec(c[:, 0]), ops.mass.matvec(c[:, 1])])
+    return out - u.scale * ops.grad.matvec(u.grad_part.coeffs)
+
+
+def step_audit_fresh(ops, prev, new, load, dt):
+    """The diagnostics of the step from state ``prev`` to state ``new``
+    under ``load``, with the formulas of ``scheme.step`` and every product
+    formed here: a ``StepDiagnostics`` with the iteration counts zero."""
+    ut = new.u_tilde
+    gap = CompositeVelocity(
+        FieldP2Vector(ops.space2, ut.coeffs - prev.u.p2_part.coeffs),
+        prev.u.grad_part, -prev.u.scale)
+    u_sq = composite_norm_sq_fresh(ops, new.u)
+    gradp_sq = float(new.p.coeffs @ ops.lap.matvec(new.p.coeffs))
+    gap_sq = composite_norm_sq_fresh(ops, gap)
+    ut_h1_sq = _componentwise_fresh(ops.stiffness, ut.coeffs)
+    work = float(load @ ut.flat())
+    lhs = ((u_sq - prev.u_sq) / (2.0 * dt)
+           + dt * (gradp_sq - prev.gradp_sq) / 2.0
+           + gap_sq / (2.0 * dt) + ut_h1_sq)
+    return StepDiagnostics(
+        n=new.n, t=new.t,
+        energy_residual=abs(lhs - work) / max(1.0, abs(work)),
+        u_l2=float(np.sqrt(max(u_sq, 0.0))),
+        ut_l2=float(np.sqrt(max(_componentwise_fresh(ops.mass, ut.coeffs),
+                                0.0))),
+        ut_h1=float(np.sqrt(max(ut_h1_sq, 0.0))),
+        gradp_l2=float(np.sqrt(max(gradp_sq, 0.0))),
+        gap_l2=float(np.sqrt(max(gap_sq, 0.0))), pred_iters=0, corr_iters=0)

@@ -13,14 +13,15 @@ from projnav.interp import lagrange_p2, pi_n
 from projnav.mesh import (build_from_arrays, build_pathological_mesh,
                           build_structured_unit_square)
 from projnav.scheme import (SchemeConfig, SchemeError, SchemeOperators,
-                            correct, diagnostics_csv, gap_l2l2, initialize,
-                            l2l2_velocity_error, predict, run, step,
-                            time_translate_diagnostic)
+                            correct, diagnostics_csv, initialize,
+                            l2l2_velocity_error, predict, run, step)
 from projnav.sparse import (CsrMatrix, SmoothedAggregation, bicgstab_solve,
                             cg_solve)
 
-from oracles import (l2_inner, l2l2_velocity_error_reduce, p1_values_at,
-                     time_translate_cuts)
+from oracles import (composite_norm_sq_fresh, gap_l2l2, hierarchy_sizes,
+                     l2_inner, l2l2_velocity_error_reduce, moment_vector_fresh,
+                     p1_values_at, step_audit_fresh, time_translate_cuts,
+                     time_translate_diagnostic)
 
 
 def zero_u0(pts):
@@ -94,7 +95,8 @@ def test_predict_zero_state_zero_forcing(setup4):
     config = SchemeConfig(n_steps=4, t_final=1.0)
     state = initialize(s2, s1, zero_u0, ops=ops)
     load = assemble_load(s2, zero_f, 0.0, config.dt)
-    ut, _ = predict(state, load, ops, config, prediction_precond(ops, config))
+    ut, _, _ = predict(state, load, ops, config,
+                       prediction_precond(ops, config))
     assert np.abs(ut.coeffs).max() == 0.0
 
 
@@ -234,7 +236,8 @@ def test_first_step_matches_independent_heat_oracle():
     config = SchemeConfig(n_steps=4, t_final=1.0)
     state = initialize(s2, s1, zero_u0, ops=ops)
     load = assemble_load(s2, f, 0.0, dt)
-    ut, _ = predict(state, load, ops, config, prediction_precond(ops, config))
+    ut, _, _ = predict(state, load, ops, config,
+                       prediction_precond(ops, config))
 
     oracle = rational_heat_step_oracle(mesh, dt,
                                        lambda x, y: (x * y, x * x - 0.3))
@@ -251,7 +254,7 @@ def test_prediction_energy_identity(setup4):
     for _ in range(2):
         state, _ = step(state, mms.forcing, ops, config, precond)
     load = assemble_load(s2, mms.forcing, state.t, state.t + config.dt)
-    ut, _ = predict(state, load, ops, config, precond)
+    ut, _, _ = predict(state, load, ops, config, precond)
     dt = config.dt
     ut_sq = ops.l2_norm_sq_p2(ut.coeffs)
     un_sq = ops.composite_norm_sq(state.u)
@@ -359,11 +362,10 @@ def test_prediction_hierarchy_coarsens_through_the_embedding(
     assert (np.abs(coarse.to_dense() - galerkin).max()
             <= 1e-14 * np.abs(galerkin).max())
     # at n = 4 the prediction system is the dense coarsest level itself
-    assert (len(hierarchy.sizes) > 1) == (len(ops.interior)
-                                          > sparse.COARSE_SIZE)
-    if len(hierarchy.sizes) > 1:
-        assert hierarchy.sizes[:2] == [len(ops.interior),
-                                       len(mesh.interior_vertices)]
+    sizes = hierarchy_sizes(hierarchy)
+    assert (len(sizes) > 1) == (len(ops.interior) > sparse.COARSE_SIZE)
+    if len(sizes) > 1:
+        assert sizes[:2] == [len(ops.interior), len(mesh.interior_vertices)]
         assert np.array_equal(hierarchy.restrict[0].to_dense(), p.T)
         assert np.array_equal(hierarchy.matrices[1].to_dense(),
                               coarse.to_dense())
@@ -412,7 +414,7 @@ def test_prediction_hierarchy_without_interior_vertex_aggregates(rng):
     dt = 0.1
     hierarchy = ops.prediction_precond(dt)
     aggregated = SmoothedAggregation(ops.prediction_system(dt))
-    assert hierarchy.sizes == aggregated.sizes
+    assert hierarchy_sizes(hierarchy) == hierarchy_sizes(aggregated)
     wind = FieldP2Vector(s2, mms.velocity(s2.node_coordinates(), 0.7))
     system = ops.prediction_system(dt, assemble_convection(s2, wind))
     rhs = rng.standard_normal(system.shape[0])
@@ -441,7 +443,8 @@ def test_step_makes_no_from_coo_call(monkeypatch):
     config = SchemeConfig(n_steps=2, t_final=1.0)
     state = initialize(s2, s1, mms.initial_velocity, ops=ops)
     precond = prediction_precond(ops, config)
-    assert len(precond.sizes) > 1 and len(ops.pressure_precond.sizes) > 1
+    assert len(hierarchy_sizes(precond)) > 1
+    assert len(hierarchy_sizes(ops.pressure_precond)) > 1
     assert calls            # the hierarchies are built
     calls.clear()
     state, _ = step(state, mms.forcing, ops, config, precond)
@@ -474,7 +477,7 @@ def test_correct_pythagoras(setup4):
     for _ in range(3):
         state, _ = step(state, mms.forcing, ops, config, precond)
     load = assemble_load(s2, mms.forcing, state.t, state.t + config.dt)
-    ut, _ = predict(state, load, ops, config, precond)
+    ut, _, _ = predict(state, load, ops, config, precond)
     p_new, u_new, _ = correct(state, ut, ops, config)
     dt = config.dt
     dp = u_new.grad_part.coeffs
@@ -991,7 +994,7 @@ def test_multilevel_runs_write_identical_diagnostics():
         config = SchemeConfig(n_steps=3, t_final=0.3)
         result = run(s2, s1, mms.initial_velocity, mms.forcing, config,
                      ops=ops)
-        assert len(ops.pressure_precond.sizes) >= 2
+        assert len(hierarchy_sizes(ops.pressure_precond)) >= 2
         texts.append(diagnostics_csv(result.diagnostics))
     assert texts[0] == texts[1]
 
@@ -1038,7 +1041,8 @@ def test_warm_started_step_takes_fewer_iterations():
     inner = ops.interior
     # each history holds the last k solutions, newest first
     for n, cur in enumerate(states[1:], start=1):
-        assert len(cur.ut_history) == len(cur.dp_history) == min(n, k)
+        assert (len(cur.ut_history) == len(cur.a_ut_history)
+                == len(cur.dp_history) == min(n, k))
         for back, (ut, dp) in enumerate(zip(cur.ut_history,
                                             cur.dp_history)):
             assert np.array_equal(ut, states[n - back].u_tilde.coeffs[inner])
@@ -1047,9 +1051,14 @@ def test_warm_started_step_takes_fewer_iterations():
 
     cold = dataclasses.replace(state, ut_history=(), dp_history=())
     load = assemble_load(s2, mms.forcing, state.t, state.t + config.dt)
-    ut, warm_pred = predict(state, load, ops, config, precond)
-    ut_cold, cold_pred = predict(cold, load, ops, config, precond)
+    ut, warm_pred, _ = predict(state, load, ops, config, precond)
+    ut_cold, cold_pred, _ = predict(cold, load, ops, config, precond)
     assert warm_pred < cold_pred
+    # the carried products left beside an emptied history are not read
+    bare = dataclasses.replace(cold, a_ut_history=(), lap_dp_history=())
+    ut_bare, bare_pred, _ = predict(bare, load, ops, config, precond)
+    assert bare_pred == cold_pred
+    assert np.array_equal(ut_bare.coeffs, ut_cold.coeffs)
     scale = np.abs(ut_cold.coeffs).max()
     assert np.abs(ut.coeffs - ut_cold.coeffs).max() <= 1e-10 * scale
     p, _, warm_corr = correct(state, ut, ops, config)
@@ -1089,3 +1098,87 @@ def test_step_carries_the_laplacian_of_each_pressure_increment(setup4):
                 == min(n, scheme.GUESS_HISTORY))
         for dp, lap_dp in zip(state.dp_history, state.lap_dp_history):
             assert np.array_equal(lap_dp, ops.lap.matvec(dp))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_step_carries_the_product_of_each_prediction(setup4):
+    # each product in a_ut_history is that of its solution with the
+    # system of the step that solved it, as the guess would form it
+    s2, s1, ops = setup4
+    config = SchemeConfig(n_steps=scheme.GUESS_HISTORY + 2, t_final=0.05)
+    state = initialize(s2, s1, mms.initial_velocity, ops=ops)
+    precond = prediction_precond(ops, config)
+    states = [state]
+    for _ in range(config.n_steps):
+        state, _ = step(state, mms.forcing, ops, config, precond)
+        states.append(state)
+    # the system of step k, from the prediction of the step before it
+    systems = [None] + [ops.prediction_system(config.dt, assemble_convection(
+        s2, before.u_tilde)) for before in states[:-1]]
+    for n, cur in enumerate(states):
+        assert (len(cur.a_ut_history) == len(cur.ut_history)
+                == min(n, scheme.GUESS_HISTORY))
+        for back, (ut, a_ut) in enumerate(zip(cur.ut_history,
+                                              cur.a_ut_history)):
+            for c in range(2):
+                assert _same_bits(a_ut[:, c],
+                                  systems[n - back] @ ut[:, c])
+
+
+def test_carried_products_keep_every_audit_bit(irregular_mesh, monkeypatch):
+    # the audit, the right-hand sides and the stored norms read products
+    # carried from the step that formed them; each equals, as bytes, what
+    # forming every product afresh gives
+    s2 = SpaceP2Vector(irregular_mesh)
+    s1 = SpaceP1(irregular_mesh, zero_mean=True)
+    ops = SchemeOperators(s2, s1)
+    config = SchemeConfig(n_steps=scheme.GUESS_HISTORY + 3, t_final=0.1)
+    dt = config.dt
+    rhs_seen = []
+
+    def recording(solve):
+        def wrapped(a, rhs, **kwargs):
+            rhs_seen.append(rhs)
+            return solve(a, rhs, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(scheme, "bicgstab_solve",
+                        recording(scheme.bicgstab_solve))
+    monkeypatch.setattr(scheme, "cg_solve", recording(scheme.cg_solve))
+    state = initialize(s2, s1, mms.initial_velocity, ops=ops)
+    precond = prediction_precond(ops, config)
+    n2, idx = s2.n_scalar, ops.interior
+    for _ in range(config.n_steps):
+        rhs_seen.clear()
+        load = assemble_load(s2, mms.forcing, state.t, state.t + dt)
+        new, diag = step(state, mms.forcing, ops, config, precond)
+        fresh = step_audit_fresh(ops, state, new, load, dt)
+        for name in scheme.DIAGNOSTICS_HEADER[2:8]:
+            assert _same_bits(getattr(diag, name), getattr(fresh, name)), name
+        assert _same_bits(new.u_sq, composite_norm_sq_fresh(ops, new.u))
+        rhs_flat = (moment_vector_fresh(ops, state.u) / dt + load
+                    - ops.grad.matvec(state.p.coeffs))
+        assert len(rhs_seen) == 3
+        for c in range(2):
+            assert _same_bits(rhs_seen[c], rhs_flat[c * n2:(c + 1) * n2][idx])
+        assert _same_bits(rhs_seen[2],
+                          ops.grad.rmatvec(new.u_tilde.flat()) / dt)
+        state = new
+
+
+def test_stored_fields_hold_no_carried_products(setup4):
+    # the carried products live on the state alone: the fields a run
+    # keeps for every step hold their coefficients and nothing else
+    s2, s1, ops = setup4
+    config = SchemeConfig(n_steps=4, t_final=0.1, store_fields=True)
+    result = run(s2, s1, mms.initial_velocity, mms.forcing, config, ops=ops)
+    assert result.state.u_products is not None
+    assert len(result.u_history) == config.n_steps + 1
+    for u in result.u_history:
+        assert set(vars(u)) == {"p2_part", "grad_part", "scale"}
+        for part in (u.p2_part, u.grad_part):
+            assert set(vars(part)) == {"space", "coeffs"}
