@@ -241,8 +241,8 @@ def _parse_levels(opts):
     except ValueError:
         raise CliError(f"config key 'levels': cannot parse {opts['levels']!r}",
                        USAGE_ERROR)
-    if not levels or any(n < 1 for n in levels):
-        raise CliError("config key 'levels': need positive integers",
+    if not levels or min(levels) < 1 or len(set(levels)) < len(levels):
+        raise CliError("config key 'levels': need distinct positive integers",
                        USAGE_ERROR)
     return levels
 

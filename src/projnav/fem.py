@@ -11,6 +11,12 @@ the pressure-gradient coupling stacks the two component blocks.
 One degree-5 rule integrates every form of the time scheme exactly
 (the worst integrand, wind times gradient times test function, has
 degree 5).
+
+This is the one module that gathers P2 coefficients per cell and
+evaluates them on a rule: ``SpaceP2Vector.local``, ``p2_values_at``,
+``p2_gradients_at``, ``h1_seminorm``, ``cell_div_moments`` and
+``edge_flows`` work on every cell or on a given subset, and a cell's
+floats do not depend on which other cells are passed.
 """
 
 from functools import cached_property
@@ -28,10 +34,13 @@ __all__ = [
     "assemble_grad_coupling", "assemble_pressure_laplacian",
     "assemble_mass_p1", "assemble_load",
     "h1_seminorm", "weak_div_moments", "cell_div_moments", "div_moments",
-    "p2_values_at", "p2_gradients_at",
+    "edge_flows", "rule_points", "p2_values_at", "p2_gradients_at",
 ]
 
 DEFAULT_RULE = triangle_rule(5)
+
+# the two vertices of the edge opposite local vertex l
+_LOCAL_EDGE_VERTICES = ((1, 2), (0, 2), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +61,7 @@ def p2_reference_values(bary):
     out = np.empty((6, len(lam[0])))
     for i in range(3):
         out[i] = lam[i] * (2.0 * lam[i] - 1.0)
-    pairs = ((1, 2), (0, 2), (0, 1))
-    for l, (a, b) in enumerate(pairs):
+    for l, (a, b) in enumerate(_LOCAL_EDGE_VERTICES):
         out[3 + l] = 4.0 * lam[a] * lam[b]
     return out
 
@@ -65,8 +73,7 @@ def p2_reference_dlambda(bary):
     out = np.zeros((6, nq, 3))
     for i in range(3):
         out[i, :, i] = 4.0 * lam[i] - 1.0
-    pairs = ((1, 2), (0, 2), (0, 1))
-    for l, (a, b) in enumerate(pairs):
+    for l, (a, b) in enumerate(_LOCAL_EDGE_VERTICES):
         out[3 + l, :, a] = 4.0 * lam[b]
         out[3 + l, :, b] = 4.0 * lam[a]
     return out
@@ -178,10 +185,11 @@ class SpaceP2Vector:
         v, e = self.mesh.vertices, self.mesh.edges
         return np.vstack([v, 0.5 * (v[e[:, 0]] + v[e[:, 1]])])
 
-    def local(self, coeffs):
-        """(..., nc, 6, 2) cell-local copies of (..., n_scalar, 2) values;
-        ``np.take`` gathers them several times faster than fancy indexing."""
-        return np.take(coeffs, self.gdof, axis=-2)
+    def local(self, coeffs, cells=slice(None)):
+        """(..., m, 6, 2) cell-local copies of (..., n_scalar, 2) values on
+        the cells ``cells`` (every cell by default); ``np.take`` gathers
+        them several times faster than fancy indexing."""
+        return np.take(coeffs, self.gdof[cells], axis=-2)
 
 
 class FieldP1Scalar:
@@ -244,16 +252,24 @@ class CompositeVelocity:
 # ---------------------------------------------------------------------------
 # pointwise evaluation
 
-def p2_values_at(field, rule=DEFAULT_RULE):
-    """(nc, nq, 2) values of a P2 vector field at the rule points of each cell."""
-    t = _tables(field.space.mesh, rule)
-    return t.p2val.T @ field.space.local(field.coeffs)
+def rule_points(mesh, rule=DEFAULT_RULE):
+    """(nc, nq, 2) rule points of every cell, kept once per mesh."""
+    return _tables(mesh, rule).points
 
 
-def p2_gradients_at(field, rule=DEFAULT_RULE):
-    """(nc, nq, 2, 2) gradients d u_x / d x_j at the rule points."""
+def p2_values_at(field, rule=DEFAULT_RULE, cells=slice(None)):
+    """(m, nq, 2) values of a P2 vector field at the rule points of each of
+    the cells ``cells`` (every cell by default)."""
     t = _tables(field.space.mesh, rule)
-    return _local_gradients(t, field.space.local(field.coeffs), t.p1grad)
+    return t.p2val.T @ field.space.local(field.coeffs, cells)
+
+
+def p2_gradients_at(field, rule=DEFAULT_RULE, cells=slice(None)):
+    """(m, nq, 2, 2) gradients d u_x / d x_j at the rule points of each of
+    the cells ``cells`` (every cell by default)."""
+    t = _tables(field.space.mesh, rule)
+    return _local_gradients(t, field.space.local(field.coeffs, cells),
+                            t.p1grad[cells])
 
 
 def _local_gradients(t, local, gl):
@@ -261,8 +277,9 @@ def _local_gradients(t, local, gl):
     local P2 coefficients (m, 6, 2) and hat gradients (m, 3, 2) of m cells:
     two small products per cell, the second the sum over the three hats,
     so a cell's values do not depend on which other cells are passed."""
-    dl = (t.D @ local).reshape(len(local), 3, -1)   # d u_x / d lambda_i
-    return (dl.transpose(0, 2, 1) @ gl).reshape(len(local), -1, 2, 2)
+    m, nq = len(local), len(t.weights)
+    dl = (t.D @ local).reshape(m, 3, 2 * nq)        # d u_x / d lambda_i
+    return (dl.transpose(0, 2, 1) @ gl).reshape(m, nq, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +465,16 @@ def assemble_load(space2, f, t_a, t_b):
 # ---------------------------------------------------------------------------
 # norms and moments
 
-def h1_seminorm(field):
-    """L2 norm of the gradient of a P2 vector field."""
-    g = p2_gradients_at(field)
-    cell = (g * g).sum(axis=(2, 3)) @ DEFAULT_RULE.weights
-    return float(np.sqrt(cell @ field.space.mesh.cell_areas))
+def h1_seminorm(field, cells=slice(None)):
+    """L2 norm of the gradient of a P2 vector field over the cells
+    ``cells`` (every cell by default)."""
+    mesh = field.space.mesh
+    g = p2_gradients_at(field, cells=cells)
+    # zeros on the other cells, so a subset holding every cell where the
+    # gradient is nonzero sums to the same bits as the whole mesh
+    cell = np.zeros(mesh.n_cells)
+    cell[cells] = (g * g).sum(axis=(2, 3)) @ DEFAULT_RULE.weights
+    return float(np.sqrt(cell @ mesh.cell_areas))
 
 
 def weak_div_moments(u, space1, grad, lap=None):
@@ -479,6 +501,29 @@ def cell_div_moments(mesh, local, cells=slice(None)):
     # one (1, nq) x (nq, 3) product per cell, again independent of the others
     moments = (divu[:, None, :] @ (t.weights * t.p1val).T)[:, 0]
     return mesh.cell_areas[cells, None] * moments
+
+
+def edge_flows(mesh, values, rule=DEFAULT_RULE, cells=slice(None)):
+    """(..., ne) integrals (w, phi_j grad phi_i - phi_i grad phi_j) of the
+    hats of each edge {i < j}, from ``values`` (..., m, nq, 2), samples of
+    w at the rule points of the cells ``cells`` (every cell by default);
+    one row per leading index, with the other cells' terms left out."""
+    t = _tables(mesh, rule)
+    gl = t.p1grad[cells]
+    # m[..., c, k, i] = reference-cell integral of phi_k w . grad phi_i
+    wgrad = values @ gl.transpose(0, 2, 1)                 # (..., m, nq, 3)
+    m = (t.weights * t.p1val) @ wgrad                      # (..., m, 3, 3)
+    p, q = np.array(_LOCAL_EDGE_VERTICES).T
+    # integrand w . (phi_q grad phi_p - phi_p grad phi_q) on each cell
+    integ = (m[..., q, p] - m[..., p, q]) * mesh.cell_areas[cells, None]
+    corners = mesh.cells[cells]
+    sign = np.where(corners[:, p] < corners[:, q], 1.0, -1.0)
+    lead = values.shape[:-3]
+    rows = (sign * integ).reshape(np.prod(lead, dtype=int), -1)  # per field
+    ne = mesh.n_edges
+    keys = np.arange(len(rows))[:, None] * ne + mesh.cell_edges[cells].ravel()
+    return np.bincount(keys.ravel(), rows.ravel(),
+                       len(rows) * ne).reshape(lead + (ne,))
 
 
 def div_moments(field, space1):

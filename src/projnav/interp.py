@@ -11,7 +11,9 @@ polynomial inputs up to degree 9 per cell (the analytic path uses a
 degree-10 rule; discrete quadratic inputs are exact already at degree 5).
 Each coefficient integrates over the two cells of its edge, so the
 analytic path integrates and samples only the cells that meet the
-field's declared support box.
+field's declared support box.  ``fem`` evaluates and integrates on those
+cells (``fem.edge_flows`` forms the coefficients); this module keeps the
+bubble algebra and the corrected/zeroed policy.
 """
 
 from dataclasses import dataclass
@@ -31,8 +33,6 @@ __all__ = [
 ]
 
 ANALYTIC_RULE = triangle_rule(10)
-
-_LOCAL_EDGE_VERTICES = ((1, 2), (0, 2), (0, 1))
 
 
 class InterpError(ValueError):
@@ -129,33 +129,6 @@ def edge_bubble_residuals(space):
             "antisymmetry": float(antisymmetry.max())}
 
 
-def _edge_coefficients(space, values_at_rule, rule, cells=slice(None)):
-    """Integrals (w, phi_j grad phi_i - phi_i grad phi_j) per canonical edge.
-
-    ``values_at_rule``: (..., m, nq, 2) samples of w at the rule points of
-    the cells ``cells`` (every cell by default); the result is (..., ne),
-    one row of coefficients per leading index, with the other cells'
-    terms left out.
-    """
-    mesh = space.mesh
-    t = fem._tables(mesh, rule)
-    # m[..., c, k, i] = reference-cell integral of phi_k w . grad phi_i
-    gl = t.p1grad[cells]
-    wgrad = values_at_rule @ gl.transpose(0, 2, 1)         # (..., m, nq, 3)
-    m = (t.weights * t.p1val) @ wgrad                      # (..., m, 3, 3)
-    p, q = np.array(_LOCAL_EDGE_VERTICES).T
-    # integrand w . (phi_q grad phi_p - phi_p grad phi_q) on each cell
-    integ = (m[..., q, p] - m[..., p, q]) * mesh.cell_areas[cells, None]
-    corners = mesh.cells[cells]
-    sign = np.where(corners[:, p] < corners[:, q], 1.0, -1.0)
-    lead = values_at_rule.shape[:-3]
-    rows = (sign * integ).reshape(np.prod(lead, dtype=int), -1)  # per field
-    ne = mesh.n_edges
-    keys = np.arange(len(rows))[:, None] * ne + mesh.cell_edges[cells].ravel()
-    return np.bincount(keys.ravel(), rows.ravel(),
-                       len(rows) * ne).reshape(lead + (ne,))
-
-
 def _correction_from_coefficients(space, coeffs):
     """(..., n_scalar, 2) dofs of the bubble fields of ``coeffs`` (..., ne)."""
     mesh = space.mesh
@@ -186,9 +159,9 @@ def divergence_correct(w, space):
     if np.any(coeffs[..., ~space.interior_mask, :] != 0.0):
         raise InterpError(
             "divergence correction requires vanishing boundary trace")
-    vals = fem._tables(space.mesh, DEFAULT_RULE).p2val.T @ space.local(coeffs)
+    vals = fem.p2_reference_values(DEFAULT_RULE.points).T @ space.local(coeffs)
     out = _correction_from_coefficients(
-        space, _edge_coefficients(space, vals, DEFAULT_RULE))
+        space, fem.edge_flows(space.mesh, vals))
     return out if isinstance(w, np.ndarray) else FieldP2Vector(space, out)
 
 
@@ -208,10 +181,10 @@ def _nodal_and_rule_values(v, space):
     ANALYTIC_RULE points of those cells; v is divergence free."""
     if not isinstance(v, AnalyticVectorField) or not v.divergence_free:
         raise InterpError("input must be declared divergence free")
-    cells = _support_cells(v, space.mesh)
-    t = fem._tables(space.mesh, ANALYTIC_RULE)
+    mesh = space.mesh
+    cells = _support_cells(v, mesh)
     return (_values_at(v, space.node_coordinates()), cells,
-            _values_at(v, t.points[cells]))
+            _values_at(v, fem.rule_points(mesh, ANALYTIC_RULE)[cells]))
 
 
 def pi_n(v, space):
@@ -229,9 +202,8 @@ def pi_n(v, space):
 def _pi_n(space, at_nodes, cells, at_rule):
     mesh = space.mesh
     wl = FieldP2Vector(space, at_nodes)
-    t = fem._tables(mesh, ANALYTIC_RULE)
-    rvals = at_rule - t.p2val.T @ _local(space, at_nodes, cells)
-    coeffs = _edge_coefficients(space, rvals, ANALYTIC_RULE, cells)
+    rvals = at_rule - fem.p2_values_at(wl, ANALYTIC_RULE, cells)
+    coeffs = fem.edge_flows(mesh, rvals, ANALYTIC_RULE, cells)
 
     lagrange_ok = wl.in_velocity_space()
     boundary_coeffs = coeffs[mesh.boundary_edges]
@@ -243,18 +215,11 @@ def _pi_n(space, at_nodes, cells, at_rule):
     return out, "corrected"
 
 
-def _local(space, coeffs, cells):
-    """(m, 6, 2) cell-local copies of the (n_scalar, 2) values ``coeffs``
-    on the cells ``cells``."""
-    return np.take(coeffs, space.gdof[cells], axis=0)
-
-
 def _field_at_samples(field, cells=slice(None)):
     """(m, nq+6, 2) values at the ANALYTIC_RULE points, then at the six
     nodes of each of the cells ``cells`` in ``gdof`` order."""
-    local = _local(field.space, field.coeffs, cells)
-    vals_q = fem._tables(field.space.mesh, ANALYTIC_RULE).p2val.T @ local
-    return np.concatenate([vals_q, local], axis=1)
+    return np.concatenate([fem.p2_values_at(field, ANALYTIC_RULE, cells),
+                           field.space.local(field.coeffs, cells)], axis=1)
 
 
 def _max_norm(vals):
@@ -266,19 +231,16 @@ def _max_norm(vals):
 def _gradient_errors(field, v, cells):
     """(max gradient error, H1 error) of field - v at the ANALYTIC_RULE
     points of the cells ``cells``; both are zero on every other cell."""
-    if len(cells) == 0:
-        return 0.0, 0.0
     mesh = field.space.mesh
-    t = fem._tables(mesh, ANALYTIC_RULE)
     # in place, so two (m, nq, 2, 2) arrays are live, not four
-    gerr = fem._local_gradients(
-        t, _local(field.space, field.coeffs, cells), t.p1grad[cells])
-    gerr -= np.asarray(v.gradient(t.points[cells].reshape(-1, 2))).reshape(
-        gerr.shape)
-    err_max = float(np.abs(gerr).max())
+    gerr = fem.p2_gradients_at(field, ANALYTIC_RULE, cells)
+    points = fem.rule_points(mesh, ANALYTIC_RULE)[cells].reshape(-1, 2)
+    gerr -= np.asarray(v.gradient(points)).reshape(gerr.shape)
+    err_max = float(np.abs(gerr).max(initial=0.0))
     # zeros on the other cells, so the sum adds the terms of every cell
     cell = np.zeros(mesh.n_cells)
-    cell[cells] = np.square(gerr, out=gerr).sum(axis=(2, 3)) @ t.weights
+    cell[cells] = (np.square(gerr, out=gerr).sum(axis=(2, 3))
+                   @ ANALYTIC_RULE.weights)
     return err_max, float(np.sqrt(cell @ mesh.cell_areas))
 
 
@@ -300,7 +262,7 @@ def pi_n_convergence_study(v, spaces):
         h, _ = mesh_metrics(mesh)
         at_nodes, picked, at_rule = _nodal_and_rule_values(v, space)
         field, status = _pi_n(space, at_nodes, picked, at_rule)
-        held = np.take(field.coeffs.any(axis=1), space.gdof).any(axis=1)
+        held = space.local(field.coeffs).any(axis=(1, 2))
         held[picked] = True
         cells = np.flatnonzero(held)
         # v at the rule points of every cell, zero off its support
@@ -308,7 +270,7 @@ def pi_n_convergence_study(v, spaces):
         v_rule[picked] = at_rule
         samples = _field_at_samples(field, cells)
         err_linf = _max_norm(samples - np.concatenate(
-            [v_rule[cells], _local(space, at_nodes, cells)], axis=1))
+            [v_rule[cells], space.local(at_nodes, cells)], axis=1))
         err_ginf, err_h1 = _gradient_errors(field, v, cells)
         err_w1inf = err_linf + err_ginf
         order = float("nan")
@@ -321,7 +283,7 @@ def pi_n_convergence_study(v, spaces):
             "err_linf": err_linf,
             "err_w1inf": err_w1inf,
             "err_h1": err_h1,
-            "e_norm": fem.h1_seminorm(field) + _max_norm(samples),
+            "e_norm": fem.h1_seminorm(field, cells) + _max_norm(samples),
             "observed_order": order,
             "field": field,
         })

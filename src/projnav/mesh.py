@@ -1,12 +1,10 @@
 """Conforming 2D triangular meshes: connectivity, patches, regularity metrics.
 
 Vertices and cells are the primary data; edges, boundary classification,
-patch areas and per-cell geometry are derived at construction, incident
-cells per edge and vertex on first read.  Boundary detection is purely
-combinatorial: an edge is a boundary edge iff it has one incident cell.
+patch areas and per-cell geometry are derived at construction.  Boundary
+detection is purely combinatorial: an edge is a boundary edge iff it has
+one incident cell.
 """
-
-from functools import cached_property
 
 import numpy as np
 
@@ -38,9 +36,6 @@ class SimplicialMesh:
         local vertex ``l`` of the cell
     boundary_edges : int array of edge indices with one incident cell
     boundary_vertices, interior_vertices : int arrays partitioning vertices
-    edge_cells : list of int arrays, incident cells per edge
-    vertex_cells : list of int arrays, incident cells per vertex; both are
-        computed on first read, and only the tests read them
     cell_areas, cell_diameters, cell_inball : (nc,) float arrays; ``cell_inball``
         is the diameter of the largest disk inscribed in the cell
     edge_patch_area : (ne,) float array, total area of the incident cells
@@ -160,14 +155,6 @@ class SimplicialMesh:
         np.add.at(self.edge_patch_area, self.cell_edges.ravel(),
                   np.repeat(self.cell_areas, 3))
 
-    @cached_property
-    def edge_cells(self):
-        return _incident_cells(self.cell_edges, self.n_edges)
-
-    @cached_property
-    def vertex_cells(self):
-        return _incident_cells(self.cells, self.n_vertices)
-
     def edge_indices(self, i, j):
         """Edge indices of the unordered pairs {i[k], j[k]}; MeshError names
         the first pair that is not an edge."""
@@ -184,16 +171,6 @@ class SimplicialMesh:
             m = missing[0]
             raise MeshError(f"no edge {{{i[m]}, {j[m]}}} in mesh")
         return k
-
-
-def _incident_cells(cell_entities, n):
-    """Per entity, the increasing indices of the cells that list it in
-    ``cell_entities`` (nc, k); each cell lists an entity at most once."""
-    flat = cell_entities.ravel()
-    # a stable sort keeps each entity's cells in increasing order
-    order = np.argsort(flat, kind="stable")
-    bounds = np.cumsum(np.bincount(flat, minlength=n))[:-1]
-    return np.split(order // cell_entities.shape[1], bounds)
 
 
 def build_from_arrays(vertices, cells):

@@ -33,9 +33,10 @@ from functools import cached_property
 import numpy as np
 
 from .fem import (FieldP1Scalar, FieldP2Vector, CompositeVelocity,
-                  assemble_convection, assemble_grad_coupling, assemble_load,
-                  assemble_mass_p1, assemble_mass_p2,
-                  assemble_pressure_laplacian, assemble_stiffness_p2)
+                  DEFAULT_RULE, assemble_convection, assemble_grad_coupling,
+                  assemble_load, assemble_mass_p1, assemble_mass_p2,
+                  assemble_pressure_laplacian, assemble_stiffness_p2,
+                  p2_values_at, rule_points)
 from .interp import lagrange_p2
 from .quadrature import gauss_legendre_01
 from .sparse import (CsrMatrix, SmoothedAggregation, SolverError,
@@ -532,15 +533,13 @@ def l2l2_velocity_error(result, exact, which="u"):
     ``which``, or a run that did not store that trajectory, raises
     ValueError.
     """
-    from .fem import p2_values_at, DEFAULT_RULE, _tables
     if which not in ("u", "ut"):
         raise ValueError(f'which must be "u" or "ut", not {which!r}')
     if not result.u_history:
         raise ValueError("run must store fields for error evaluation")
     ops = result.ops
     mesh = ops.space2.mesh
-    t = _tables(mesh, DEFAULT_RULE)
-    pts = t.points.reshape(-1, 2)
+    pts = rule_points(mesh).reshape(-1, 2)
     dt = result.dt
     tg, wg = gauss_legendre_01(3)
     total = 0.0
@@ -554,7 +553,7 @@ def l2l2_velocity_error(result, exact, which="u"):
             diff = vals - np.asarray(exact(pts, tau)).reshape(vals.shape)
             # two adds, not a length-2 reduce: the same bits, far faster
             sq = diff * diff
-            cell = (sq[..., 0] + sq[..., 1]) @ t.weights
+            cell = (sq[..., 0] + sq[..., 1]) @ DEFAULT_RULE.weights
             total += dt * wg[g] * float(cell @ mesh.cell_areas)
     return float(np.sqrt(total))
 

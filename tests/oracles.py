@@ -28,7 +28,8 @@ interpolation study from the cell corners, and ``linf_estimate`` is the
 largest field magnitude over the study's samples on every cell.
 ``eval_basis``, ``patch_stats``, ``check_divergence_free`` and
 ``check_support`` evaluate a basis, an edge patch or an analytic field at
-single points.  ``l2l2_velocity_error_reduce``,
+single points; ``edge_cells`` and ``vertex_cells`` list the cells incident
+to each edge and vertex of a mesh.  ``l2l2_velocity_error_reduce``,
 ``mms_velocity_stacked``, ``write_vtk_fields_each_block`` and
 ``time_translate_cuts`` are the earlier forms of
 ``scheme.l2l2_velocity_error``, ``mms.velocity``, ``vtk.write_vtk_fields``
@@ -368,11 +369,31 @@ def eval_basis(space, cell, bary):
     return p2_reference_values(bary)[:, 0], dlam @ gl
 
 
+def _incident_cells(cell_entities, n):
+    """Per entity, the increasing indices of the cells that list it in
+    ``cell_entities`` (nc, k); each cell lists an entity at most once."""
+    flat = cell_entities.ravel()
+    # a stable sort keeps each entity's cells in increasing order
+    order = np.argsort(flat, kind="stable")
+    bounds = np.cumsum(np.bincount(flat, minlength=n))[:-1]
+    return np.split(order // cell_entities.shape[1], bounds)
+
+
+def edge_cells(mesh):
+    """List of int arrays: the incident cells of each edge."""
+    return _incident_cells(mesh.cell_edges, mesh.n_edges)
+
+
+def vertex_cells(mesh):
+    """List of int arrays: the incident cells of each vertex."""
+    return _incident_cells(mesh.cells, mesh.n_vertices)
+
+
 def patch_stats(mesh, edge):
     """(card, area, diameter) of the patch of cells sharing the given edge."""
     if not 0 <= edge < mesh.n_edges:
         raise MeshError(f"edge index {edge} out of range")
-    cells = mesh.edge_cells[edge]
+    cells = edge_cells(mesh)[edge]
     pts = mesh.vertices[np.unique(mesh.cells[cells])]
     diff = pts[:, None, :] - pts[None, :, :]
     diam = float(np.sqrt((diff ** 2).sum(axis=2)).max())

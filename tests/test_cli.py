@@ -274,8 +274,7 @@ def test_piddiv_batch_equals_field_by_field(seed):
     assert np.array_equal(batched, expected)
 
 
-def test_program_paths_leave_incidence_lists_unbuilt(tmp_path, capsys,
-                                                     monkeypatch):
+def test_program_paths_build_each_mesh_once(tmp_path, capsys, monkeypatch):
     meshes = []
     init = SimplicialMesh.__init__
 
@@ -296,9 +295,6 @@ def test_program_paths_leave_incidence_lists_unbuilt(tmp_path, capsys,
     # the scheme's mesh, the level, the two pathological meshes and the
     # mesh of the random trials
     assert len(meshes) == 5
-    for m in meshes:
-        assert "edge_cells" not in m.__dict__
-        assert "vertex_cells" not in m.__dict__
 
 
 def test_interp_verify_respects_seed(tmp_path, capsys, monkeypatch):
@@ -741,8 +737,10 @@ def test_two_component_mesh_file_runs(tmp_path, capsys):
     ("", ["--levels", "a,b"], 1, "'levels'"),
     ("", ["--levels", "0"], 1, "'levels'"),
     ("", ["--levels", ","], 1, "'levels'"),
+    ("", ["--levels", "8,8"], 1, "'levels'"),
 ], ids=["bool", "file-path-missing", "missing-file", "directory",
-        "problem", "levels-words", "levels-zero", "levels-empty"])
+        "problem", "levels-words", "levels-zero", "levels-empty",
+        "levels-repeated"])
 def test_rejected_option_exits_with_one_json_line(config, args, code, named,
                                                   tmp_path, capsys):
     cfg = tmp_path / "c.cfg"

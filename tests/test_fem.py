@@ -210,6 +210,25 @@ def test_local_gather_matches_fancy_indexing(irregular_mesh, rng):
     assert s2.local(batch).shape == (3, irregular_mesh.n_cells, 6, 2)
 
 
+def test_evaluation_on_a_cell_subset_gives_those_cells_rows(irregular_mesh,
+                                                            rng):
+    s2 = SpaceP2Vector(irregular_mesh)
+    u = FieldP2Vector(s2, rng.standard_normal((s2.n_scalar, 2)))
+    local = s2.local(u.coeffs)
+    nq = len(fem.DEFAULT_RULE)
+    assert p2_values_at(u, cells=[]).shape == (0, nq, 2)
+    assert p2_gradients_at(u, cells=[]).shape == (0, nq, 2, 2)
+    assert cell_div_moments(irregular_mesh, local[:0], []).shape == (0, 3)
+    assert h1_seminorm(u, []) == 0.0
+    cells = [3, 0, 3, irregular_mesh.n_cells - 1]
+    for rule in (fem.DEFAULT_RULE, ANALYTIC_RULE):
+        assert np.array_equal(p2_values_at(u, rule, cells),
+                              p2_values_at(u, rule)[cells])
+        assert np.array_equal(p2_gradients_at(u, rule, cells),
+                              p2_gradients_at(u, rule)[cells])
+    assert h1_seminorm(u, np.arange(irregular_mesh.n_cells)) == h1_seminorm(u)
+
+
 def test_tables_keep_no_per_cell_gradient_table():
     # the largest array is the (nc, nq, 2) rule points; the per-cell P2
     # gradient table this replaces, (nc, 6, nq, 2), took 7 MiB here and

@@ -14,8 +14,8 @@ from projnav.interp import (AnalyticVectorField, InterpError,
 from projnav.mesh import (build_from_arrays, build_pathological_mesh,
                           build_structured_unit_square, mesh_metrics)
 
-from oracles import (edge_bubble_residuals_by_edge, linf_estimate,
-                     sample_points)
+from oracles import (edge_bubble_residuals_by_edge, edge_cells,
+                     linf_estimate, sample_points)
 
 
 def spaces(n):
@@ -196,7 +196,7 @@ def _neighbour_dof(mesh, i, j):
     """Bubbles on the dof of the next edge of their first cell."""
     dof, vec = _EDGE_BUBBLES(mesh, i, j)
     e = dof - mesh.n_vertices
-    cell = np.array([c[0] for c in mesh.edge_cells])[e]
+    cell = np.array([c[0] for c in edge_cells(mesh)])[e]
     local = np.argmax(mesh.cell_edges[cell] == e[:, None], axis=1)
     return mesh.n_vertices + mesh.cell_edges[cell, (local + 1) % 3], vec
 
@@ -308,8 +308,9 @@ def test_correction_support_stays_near_input_support():
     xmin, xmax, ymin, ymax = v.support
     pad = 2.0 * h_t
     mids = out.coeffs[mesh.n_vertices:]
+    incident = edge_cells(mesh)
     for e in np.nonzero(np.abs(mids).sum(axis=1))[0]:
-        cells = mesh.edge_cells[e]
+        cells = incident[e]
         pts = mesh.vertices[np.unique(mesh.cells[cells])]
         assert pts[:, 0].max() >= xmin - pad
         assert pts[:, 0].min() <= xmax + pad

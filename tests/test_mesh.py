@@ -7,7 +7,8 @@ from projnav.mesh import (MeshError, SimplicialMesh, build_from_arrays,
                           build_structured_unit_square, mesh_metrics,
                           read_mesh_file, write_mesh_file)
 
-from oracles import edge_numbering_unique_rows, patch_stats
+from oracles import (edge_cells, edge_numbering_unique_rows, patch_stats,
+                     vertex_cells)
 
 
 def test_structured_n1_counts():
@@ -66,7 +67,7 @@ def test_shared_edge_is_interior():
     mesh = build_from_arrays([(0, 0), (1, 0), (1, 1), (0, 1)],
                              [(0, 1, 2), (0, 2, 3)])
     shared = mesh.edge_indices([0], [2])[0]
-    assert len(mesh.edge_cells[shared]) == 2
+    assert len(edge_cells(mesh)[shared]) == 2
     assert shared not in set(mesh.boundary_edges)
 
 
@@ -124,15 +125,15 @@ def _shuffled_mesh():
 @pytest.mark.parametrize("which", ["irregular", "shuffled"])
 def test_patches_match_brute_force(irregular_mesh, which):
     mesh = irregular_mesh if which == "irregular" else _shuffled_mesh()
-    edge_cells = [[] for _ in range(mesh.n_edges)]
-    vertex_cells = [[] for _ in range(mesh.n_vertices)]
+    by_edge = [[] for _ in range(mesh.n_edges)]
+    by_vertex = [[] for _ in range(mesh.n_vertices)]
     for c in range(mesh.n_cells):
         for e in mesh.cell_edges[c]:
-            edge_cells[e].append(c)
+            by_edge[e].append(c)
         for v in mesh.cells[c]:
-            vertex_cells[v].append(c)
-    for got, expected in ((mesh.edge_cells, edge_cells),
-                          (mesh.vertex_cells, vertex_cells)):
+            by_vertex[v].append(c)
+    for got, expected in ((edge_cells(mesh), by_edge),
+                          (vertex_cells(mesh), by_vertex)):
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert g.dtype == np.int64
@@ -222,9 +223,10 @@ def test_patch_stats_boundary_edge_single_triangle():
 
 def test_patch_diameter_bound_and_brute_force():
     mesh = build_structured_unit_square(4)
+    incident = edge_cells(mesh)
     for e in range(mesh.n_edges):
         card, area, diam = patch_stats(mesh, e)
-        cells = mesh.edge_cells[e]
+        cells = incident[e]
         # independent brute force over every vertex pair of the patch
         pts = mesh.vertices[np.unique(mesh.cells[cells])]
         brute = max(np.linalg.norm(p - q) for p in pts for q in pts)
@@ -270,7 +272,7 @@ def test_pathological_single_triangle():
     assert len(mesh.interior_vertices) == 0
     assert len(mesh.boundary_edges) == mesh.n_edges
     # every vertex belongs to that single cell only
-    assert all(len(mesh.vertex_cells[v]) == 1 for v in range(mesh.n_vertices))
+    assert all(len(cells) == 1 for cells in vertex_cells(mesh))
 
 
 def test_pathological_three_triangle_strip():
@@ -279,9 +281,9 @@ def test_pathological_three_triangle_strip():
     middle = 1
     assert all(v in set(mesh.boundary_vertices) for v in mesh.cells[middle])
     # the leftmost vertex belongs to exactly one cell, itself all-boundary
-    assert len(mesh.vertex_cells[0]) == 1
-    lone_cell = mesh.vertex_cells[0][0]
-    assert all(v in set(mesh.boundary_vertices) for v in mesh.cells[lone_cell])
+    lone = vertex_cells(mesh)[0]
+    assert len(lone) == 1
+    assert all(v in set(mesh.boundary_vertices) for v in mesh.cells[lone[0]])
 
 
 def test_bad_pathological_kind():

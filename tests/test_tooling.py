@@ -1,8 +1,9 @@
 """The benchmark's tracer wraps projnav names it looks up by string; a
 rename in the library must show up here, not as a broken traced run.
 The sources are also searched for a P2 gather that bypasses
-``SpaceP2Vector.local``, and for an element pattern built anywhere but in
-a space's ``pattern`` property."""
+``SpaceP2Vector.local``, for a reach into ``fem``'s per-mesh tables from
+another module, and for an element pattern built anywhere but in a space's
+``pattern`` property."""
 
 import ast
 import importlib
@@ -15,8 +16,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 # a subscript whose index holds a P2 dof map: coeffs[space.gdof],
-# coeffs[..., space.gdof, :], w[:, space2.gdof]
-GDOF_GATHER = re.compile(r"[\w)\]]\[[^\[\]]*\bgdof\b")
+# coeffs[..., space.gdof, :], w[:, space2.gdof]; or an np.take through it
+GDOF_GATHER = re.compile(r"[\w)\]]\[[^\[\]]*\bgdof\b"
+                         r"|\btake\([^,]*,[^,]*\bgdof\b")
+# fem's per-mesh tables and the evaluation that reads them
+FEM_TABLES = re.compile(r"\b(_tables|_local_gradients)\b")
 
 
 def _trace_points():
@@ -41,20 +45,33 @@ def test_trace_point_resolves(module_name, attr):
 
 def test_gdof_gather_pattern_tells_gathers_from_other_uses():
     for gather in ("coeffs[space.gdof]", "c[..., space.gdof, :]",
-                   "w[:, space2.gdof].reshape(-1, 6, 2)", "x[gdof]"):
+                   "w[:, space2.gdof].reshape(-1, 6, 2)", "x[gdof]",
+                   "np.take(coeffs, self.gdof, axis=-2)",
+                   "np.take(coeffs, space.gdof[cells], axis=0)"):
         assert GDOF_GATHER.search(gather), gather
     for other in ("gdof[:, _SUBTRIANGLES]", "np.vstack([space2.gdof, n2])",
-                  "np.take(coeffs, self.gdof, axis=-2)", "space.gdof.ravel()"):
+                  "space.gdof.ravel()", "np.take(space.gdof, cells, axis=0)"):
         assert not GDOF_GATHER.search(other), other
+
+
+def _source_lines(pattern):
+    return [f"{path.name}: {line.strip()}"
+            for path in sorted((ROOT / "src" / "projnav").glob("*.py"))
+            for line in path.read_text().splitlines()
+            if pattern.search(line)]
 
 
 def test_p2_gathers_go_through_space_local():
     # fancy indexing by the (nc, 6) dof map is 8-11x slower than the
-    # np.take in SpaceP2Vector.local (numpy 2.4)
-    found = [f"{path.name}:{k}: {line.strip()}"
-             for path in sorted((ROOT / "src" / "projnav").glob("*.py"))
-             for k, line in enumerate(path.read_text().splitlines(), 1)
-             if GDOF_GATHER.search(line)]
+    # np.take in SpaceP2Vector.local (numpy 2.4), the one gather
+    assert _source_lines(GDOF_GATHER) == [
+        "fem.py: return np.take(coeffs, self.gdof[cells], axis=-2)"]
+
+
+def test_only_fem_reads_its_tables():
+    # every other module evaluates fields through fem's public functions
+    found = [line for line in _source_lines(FEM_TABLES)
+             if not line.startswith("fem.py: ")]
     assert not found, found
 
 
